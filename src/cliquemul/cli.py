@@ -89,9 +89,8 @@ def generate_instance(n: int, target: int, seed: int, *, suite: str = "smm",
 # -- benchmark driver -------------------------------------------------------
 
 _SMM_PHASES = [
-    "distribute", "stats", "balance", "balance.trows",
-    "sbmm.coldist", "sbmm.stats", "sbmm.subseq", "sbmm.counts",
-    "sbmm.request", "sbmm.respond", "sbmm.reduce", "unpermute",
+    "distribute", "stats", "sbmm.subseq", "sbmm.counts",
+    "sbmm.request", "sbmm.respond", "sbmm.reduce",
 ]
 _TRI_PHASES = [
     "degrees", "vcounts", "ncounts",

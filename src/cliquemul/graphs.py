@@ -86,7 +86,9 @@ class Graph:
         return lo < len(adj) and adj[lo] == v
 
     def is_symmetric(self) -> bool:
-        return all((v, u) in set(self.edges) for u, v in self.edges)
+        # Every arc u->v has its reverse exactly when each vertex's sorted
+        # out- and in-neighbour lists coincide.
+        return self.out_adj == self.in_adj
 
     def padded(self, new_n: int) -> "Graph":
         """Same arcs on a larger vertex set; new vertices are isolated."""

@@ -21,6 +21,9 @@ from .sparse import DimensionError, SparseMatrix
 # |v| <= 2**20, |sum of n products| <= 1024 * 2**40 < 2**63.
 _FAST_VALUE_BOUND = 2**20
 _FAST_SIZE_BOUND = 1024
+# Elements of the (rows, n, n) broadcast tensor the min-plus kernel builds
+# per chunk: 2**22 float64 values is 32 MiB whatever n is.
+_MINPLUS_CHUNK_ELEMENTS = 2**22
 
 
 def dense_multiply_reference(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
@@ -90,7 +93,11 @@ def _fast_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
     if sr.name == "min-plus":
         a = _to_array(S, np.float64, np.inf)
         b = _to_array(T, np.float64, np.inf)
-        prod = np.min(a[:, :, None] + b[None, :, :], axis=1)
+        prod = np.empty((n, n), dtype=np.float64)
+        rows = max(1, _MINPLUS_CHUNK_ELEMENTS // (n * n))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            prod[lo:hi] = np.min(a[lo:hi, :, None] + b[None, :, :], axis=1)
         entries = []
         for i in range(n):
             for j in range(n):

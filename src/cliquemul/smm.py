@@ -1,18 +1,32 @@
 """Sparse semiring matrix multiplication on the clique simulator.
 
 Pipeline: split-pair selection from nonzero counts, sparsity-balancing
-row/column permutations, then the balanced multiplication protocol whose
-communication phases are
+row/column permutations, then the balanced multiplication protocol.
+``smm()`` runs seven communication phases:
 
-* coldist: lhs rows redistributed so node v holds lhs column v;
-* stats: per-column/per-row nonzero counts broadcast;
-* subseq: columns/rows cut into bounded fragments ("subsequences"), at
-  most two per matrix landing on any node;
-* counts: fragment owners tell every node how many entries fall in its
-  row/column band, giving page weights;
-* request/respond: each node pulls exactly the band-restricted column
-  and row fragments for its assigned pages;
-* reduce: locally computed page products are summed into result rows.
+* distribute: both operands are scattered into columns, so node v holds
+  row v and column v of S and of T;
+* stats: one broadcast word per node carries its four nonzero counts
+  (S row, T column, S column, T row).  Every node derives the split and
+  the permutations sigma and tau from them.  Column v of S' = sigma(S)
+  and row v of T' = T tau are then local relabels, so balancing sends
+  nothing;
+* sbmm.subseq: columns of S' and rows of T' cut into bounded fragments
+  ("subsequences"), one per node when there are at most n of a side,
+  else two;
+* sbmm.counts: fragment owners tell every node how many entries fall in
+  its row/column band, in one word, giving page weights;
+* sbmm.request/sbmm.respond: each node pulls exactly the band-restricted
+  column and row fragments for its assigned pages, skipping fragments
+  with no entry in its band;
+* sbmm.reduce: locally computed page products are summed into result
+  rows, each partial sent straight to the owner of its unpermuted row.
+
+``sbmm()`` takes operands that are already balanced, so there is no
+permutation to fold the redistribution into: it starts with
+``sbmm.coldist`` (lhs rows to columns) and ``sbmm.stats`` (column/row
+counts) before the same balanced core.  Triangle listing's LearnPaths
+uses that prologue and the fragment dealing too.
 
 All coordination data flows through broadcasts, so every node derives
 identical partitions, subsequence tables, and page assignments from the
@@ -33,8 +47,8 @@ from .semiring import Semiring
 from .sparse import DimensionError, SparseMatrix, Permutation
 
 # message tags
-(_T_DIST, _NZ, _S_BAL, _T_BAL, _T_ROWS, _S_COL, _NZ2, _SUB_S, _SUB_T,
- _CNT_S, _CNT_T, _REQ_S, _REQ_T, _ENT_S, _ENT_T, _RED, _OUT) = range(17)
+(_S_COL, _T_COL, _NZ, _SUB_S, _SUB_T, _CNT,
+ _REQ_S, _REQ_T, _ENT_S, _ENT_T, _RED) = range(11)
 
 
 class BalanceError(ValueError):
@@ -189,7 +203,12 @@ class SubseqSide:
 
 
 def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
-    """Cut each line into ceil(nz/avg) fragments; owners dealt two per node."""
+    """Cut each line into ceil(nz/avg) fragments and deal them to owners.
+
+    With at most n fragments each gets its own node (at full density
+    every line is one fragment and stays on its node); otherwise (at
+    most 2n) they are dealt two per node.
+    """
     total = sum(nz_per_line)
     avg = Fraction(total, n)
     if total == 0:
@@ -206,7 +225,8 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
         origin.extend([line] * cnt)
     total_frags = len(origin)
     assert total_frags <= 2 * n
-    owner = [q // 2 for q in range(total_frags)]
+    per_node = 1 if total_frags <= n else 2
+    owner = [q // per_node for q in range(total_frags)]
     owned: list[list[int]] = [[] for _ in range(n)]
     for q, u in enumerate(owner):
         owned[u].append(q)
@@ -266,43 +286,49 @@ def _broadcast_collect(engine: CliqueEngine, label: str, ingest, word_fn) -> lis
     return gathered
 
 
-def _ingest_tagged(state, inbox, spec: dict[int, str]) -> None:
-    """File inbox words into per-tag state lists of (i1, i2, value)."""
-    for key in spec.values():
-        state.setdefault(key, [])
-    for src, tag, i1, i2, val in inbox:
-        key = spec.get(tag)
-        if key is not None:
-            state[key].append((i1, i2, val))
+def _column(inbox, tag: int) -> list[tuple]:
+    """(sender, value) pairs of one tag: a column gathered from row owners."""
+    return [(src, val) for src, t, _i1, _i2, val in inbox if t == tag]
 
 
-# -- ExchangeInfo: the three routing sub-phases -----------------------------
+# -- ExchangeInfo: fragment dealing, counts, requests and responses ---------
 
 def compute_sending(engine: CliqueEngine, prefix: str = "sbmm.",
                     first_ingest=None) -> SubseqOwnership:
-    """Column redistribution, count broadcast, and fragment ownership.
+    """Column redistribution and count broadcast, then fragment dealing.
 
+    The prologue where no permutation is applied (pre-balanced operands,
+    triangle listing), so lhs columns must be gathered by sending.
     Expects node v to hold 'Sp_row' and 'Tp_row' (sorted (index, value)
-    lists).  Afterwards node v holds its owned fragments in 'sub_s' and
-    'sub_t', and the returned tables are common knowledge.
+    lists).
     """
-    n = engine.n
-
     def emit_cols(v, state):
         return [(c, _S_COL, v, 0, val) for c, val in state["Sp_row"]]
 
     _phase(engine, prefix + "coldist", first_ingest, emit_cols)
 
     def ingest_cols(v, state, inbox):
-        state["Sp_col"] = [(i1, val) for _, tag, i1, _, val in inbox if tag == _S_COL]
+        state["Sp_col"] = _column(inbox, _S_COL)
 
     words = _broadcast_collect(
         engine, prefix + "stats", ingest_cols,
-        lambda v, state: (_NZ2, len(state["Sp_col"]), len(state["Tp_row"]), 0),
+        lambda v, state: (_NZ, len(state["Sp_col"]), len(state["Tp_row"]), 0),
     )
-    side_s = build_subsequences([w[1] for w in words], n)
-    side_t = build_subsequences([w[2] for w in words], n)
-    ownership = SubseqOwnership(side_s, side_t)
+    return deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
+                          prefix)
+
+
+def deal_fragments(engine: CliqueEngine, s_col_nz: list[int], t_row_nz: list[int],
+                   prefix: str, ingest=None) -> SubseqOwnership:
+    """Fragment tables from common-knowledge counts, and the fragments shipped.
+
+    Node v must hold 'Sp_col' and 'Tp_row' once ``ingest`` has run; it
+    sends each fragment of its lhs column and rhs row to that fragment's
+    owner.  The returned tables are common knowledge.
+    """
+    n = engine.n
+    side_s = build_subsequences(s_col_nz, n)
+    side_t = build_subsequences(t_row_nz, n)
 
     def emit_fragments(v, state):
         out = []
@@ -314,18 +340,48 @@ def compute_sending(engine: CliqueEngine, prefix: str = "sbmm.",
                     out.append((side.owner[q], tag, q, pos, val))
         return out
 
-    _phase(engine, prefix + "subseq", None, emit_fragments)
-    return ownership
+    _phase(engine, prefix + "subseq", ingest, emit_fragments)
+    return SubseqOwnership(side_s, side_t)
+
+
+def _fragment_counts(inbox, ownership: SubseqOwnership, n: int) -> tuple[dict, dict]:
+    """Decode count words into fragment id -> entries in the receiver's band.
+
+    A word's lhs and rhs fields each pack the counts of the sender's (at
+    most two) owned fragments of that side, in id order, as
+    ``first * (n + 1) + second``; a fragment without a word has no entry
+    in the band.
+    """
+    cnt_s: dict[int, int] = {}
+    cnt_t: dict[int, int] = {}
+    for src, tag, s_field, t_field, _ in inbox:
+        if tag == _CNT:
+            cnt_s.update(zip(ownership.s.owned[src], divmod(s_field, n + 1)))
+            cnt_t.update(zip(ownership.t.owned[src], divmod(t_field, n + 1)))
+    return cnt_s, cnt_t
+
+
+def _count_fields(buckets: dict[int, list[list]], bands: int, n: int) -> list[int]:
+    """Per band, the owned fragments' entry counts packed into one field.
+
+    A fragment holds at most n entries, so each count fits base n + 1.
+    """
+    fields = []
+    for band in range(bands):
+        cnt = [len(per_band[band]) for per_band in buckets.values()] + [0, 0]
+        fields.append(cnt[0] * (n + 1) + cnt[1])
+    return fields
 
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
-                      a: int, b: int, prefix: str = "sbmm.") -> dict[tuple[int, int], PageAssignment]:
+                      a: int, b: int) -> dict[tuple[int, int], PageAssignment]:
     """Band-count exchange and per-group page assignment.
 
-    Each fragment owner tells every node how many of its entries fall in
-    that node's row band (lhs) or column band (rhs).  Every node of a
-    group then derives the same weight-balanced page striping; the
-    returned dict holds one assignment per (i, j) group.
+    Each fragment owner sends every node one word holding how many
+    entries of its fragments fall in that node's row band (lhs) and
+    column band (rhs); all-zero words stay unsent.  Every node of a group
+    then derives the same weight-balanced page striping; the returned
+    dict holds one assignment per (i, j) group.
     """
     n = engine.n
     h_s = n // a
@@ -333,39 +389,30 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     side_s, side_t = ownership.s, ownership.t
 
     def ingest_frags(v, state, inbox):
-        sub_s = {q: [] for q in side_s.owned[v]}
-        sub_t = {q: [] for q in side_t.owned[v]}
+        # Entries are bucketed by band once; the buckets give the counts
+        # here and the response slices later.
+        s_bands = {q: [[] for _ in range(a)] for q in side_s.owned[v]}
+        t_bands = {q: [[] for _ in range(b)] for q in side_t.owned[v]}
         for _, tag, q, pos, val in inbox:
             if tag == _SUB_S:
-                sub_s[q].append((pos, val))
+                s_bands[q][pos // h_s].append((pos, val))
             elif tag == _SUB_T:
-                sub_t[q].append((pos, val))
-        state["sub_s"] = sub_s
-        state["sub_t"] = sub_t
+                t_bands[q][pos // h_t].append((pos, val))
+        state["s_bands"] = s_bands
+        state["t_bands"] = t_bands
 
     def emit_counts(v, state):
-        # Bucket each owned fragment's entries once per band, then answer
-        # every node according to its group.
-        s_bands = {q: [0] * a for q in state["sub_s"]}
-        for q, entries in state["sub_s"].items():
-            buckets = s_bands[q]
-            for pos, _ in entries:
-                buckets[pos // h_s] += 1
-        t_bands = {q: [0] * b for q in state["sub_t"]}
-        for q, entries in state["sub_t"].items():
-            buckets = t_bands[q]
-            for pos, _ in entries:
-                buckets[pos // h_t] += 1
+        s_fields = _count_fields(state["s_bands"], a, n)
+        t_fields = _count_fields(state["t_bands"], b, n)
         out = []
         for u in range(n):
             i_u, j_u, _ = group_of(u, a, b, n)
-            for q in side_s.owned[v]:
-                out.append((u, _CNT_S, q, s_bands[q][i_u], 0))
-            for q in side_t.owned[v]:
-                out.append((u, _CNT_T, q, t_bands[q][j_u], 0))
+            s_field, t_field = s_fields[i_u], t_fields[j_u]
+            if s_field or t_field:
+                out.append((u, _CNT, s_field, t_field, 0))
         return out
 
-    _phase(engine, prefix + "counts", ingest_frags, emit_counts)
+    _phase(engine, "sbmm.counts", ingest_frags, emit_counts)
 
     # Page weights are derived inside each node's next handler; the dict
     # below memoizes the identical per-group computation for the driver
@@ -376,11 +423,11 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
         if (i, j) in pages:
             continue
         weights = [0] * n
-        for _, tag, q, cnt, _val in engine.inboxes[v]:
-            if tag == _CNT_S:
-                weights[side_s.origin[q]] += cnt
-            elif tag == _CNT_T:
-                weights[side_t.origin[q]] += cnt
+        cnt_s, cnt_t = _fragment_counts(engine.inboxes[v], ownership, n)
+        for q, cnt in cnt_s.items():
+            weights[side_s.origin[q]] += cnt
+        for q, cnt in cnt_t.items():
+            weights[side_t.origin[q]] += cnt
         # Own counts travel as free self-messages and are already in the
         # inbox, so the weight vector is complete.
         pages[(i, j)] = build_page_assignment(weights, n, a, b)
@@ -389,76 +436,67 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
 
 def resolve_routing(engine: CliqueEngine, ownership: SubseqOwnership,
                     pages: dict[tuple[int, int], PageAssignment],
-                    a: int, b: int, prefix: str = "sbmm.") -> None:
+                    a: int, b: int) -> None:
     """Fragment requests and band-restricted responses.
 
-    After this, node v holds 's_frags' (column entries per page, rows in
-    its band) and 't_frags' (row entries per page, columns in its band).
+    A node asks for a line's fragments only from owners whose count word
+    reported entries in its band.  Afterwards node v's inbox holds the
+    column entries (rows in its band) and row entries (columns in its
+    band) of its assigned pages.
     """
     n = engine.n
-    h_s = n // a
-    h_t = n // b
     side_s, side_t = ownership.s, ownership.t
+
+    def ingest_counts(v, state, inbox):
+        state["_counts"] = _fragment_counts(inbox, ownership, n)
 
     def emit_requests(v, state):
         i, j, k = group_of(v, a, b, n)
         my_pages = pages[(i, j)].parts[k]
         state["my_pages"] = my_pages
         out = []
-        for side, tag in ((side_s, _REQ_S), (side_t, _REQ_T)):
+        for side, counts, tag in zip((side_s, side_t), state.pop("_counts"),
+                                     (_REQ_S, _REQ_T)):
             asked = set()
             for ell in my_pages:
                 for q in side.by_line[ell]:
                     u = side.owner[q]
-                    if (u, ell) not in asked:
+                    if counts.get(q) and (u, ell) not in asked:
                         asked.add((u, ell))
                         out.append((u, tag, ell, 0, 0))
         return out
 
-    def ingest_counts(v, state, inbox):
-        pass  # counts were consumed by the driver-side page derivation
+    _phase(engine, "sbmm.request", ingest_counts, emit_requests)
 
-    _phase(engine, prefix + "request", ingest_counts, emit_requests)
+    def owned_of_line(side, bands, v, ell, what):
+        frags = [q for q in side.by_line[ell] if q in bands]
+        if not frags:
+            raise SimulationError(f"node {v} asked for {what} {ell} it does not own")
+        return frags
 
     def emit_responses(v, state):
-        sub_s, sub_t = state["sub_s"], state["sub_t"]
-        owned_s_lines = {side_s.origin[q] for q in sub_s}
-        owned_t_lines = {side_t.origin[q] for q in sub_t}
+        s_bands, t_bands = state["s_bands"], state["t_bands"]
         out = []
         for src, tag, ell, _, _val in state.pop("_reqs"):
             i_d, j_d, _ = group_of(src, a, b, n)
             if tag == _REQ_S:
-                if ell not in owned_s_lines:
-                    raise SimulationError(
-                        f"node {v} asked for lhs column {ell} it does not own")
-                for q in side_s.by_line[ell]:
-                    if side_s.owner[q] != v:
-                        continue
-                    for pos, val in sub_s[q]:
-                        if pos // h_s == i_d:
-                            out.append((src, _ENT_S, pos, ell, val))
+                for q in owned_of_line(side_s, s_bands, v, ell, "lhs column"):
+                    out.extend((src, _ENT_S, pos, ell, val) for pos, val in s_bands[q][i_d])
             else:
-                if ell not in owned_t_lines:
-                    raise SimulationError(
-                        f"node {v} asked for rhs row {ell} it does not own")
-                for q in side_t.by_line[ell]:
-                    if side_t.owner[q] != v:
-                        continue
-                    for pos, val in sub_t[q]:
-                        if pos // h_t == j_d:
-                            out.append((src, _ENT_T, ell, pos, val))
+                for q in owned_of_line(side_t, t_bands, v, ell, "rhs row"):
+                    out.extend((src, _ENT_T, ell, pos, val) for pos, val in t_bands[q][j_d])
         return out
 
     def ingest_requests(v, state, inbox):
-        state["_reqs"] = [(src, tag, i1, i2, val) for src, tag, i1, i2, val in inbox]
+        state["_reqs"] = inbox
 
-    _phase(engine, prefix + "respond", ingest_requests, emit_responses)
+    _phase(engine, "sbmm.respond", ingest_requests, emit_responses)
 
 
-def _reduce_phase(engine: CliqueEngine, semiring: Semiring,
-                  a: int, b: int, prefix: str = "sbmm.") -> None:
-    """Local page products, then partial results routed to row owners."""
-    n = engine.n
+def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
+                  col_out: list[int]) -> None:
+    """Local page products; the partial for cell (r, c) goes to node
+    row_dst[r] as result column col_out[c]."""
     add, mul, omitted = semiring.add, semiring.mul, semiring.omitted
 
     def ingest_frags(v, state, inbox):
@@ -482,20 +520,22 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring,
                     key = (r, c)
                     prev = acc.get(key)
                     acc[key] = p if prev is None else add(prev, p)
-        return [(r, _RED, c, 0, val)
+        return [(row_dst[r], _RED, col_out[c], 0, val)
                 for (r, c), val in sorted(acc.items()) if val != omitted]
 
-    _phase(engine, prefix + "reduce", ingest_frags, emit_partials)
+    _phase(engine, "sbmm.reduce", ingest_frags, emit_partials)
 
 
-def _run_sbmm(engine: CliqueEngine, semiring: Semiring, a: int, b: int,
-              prefix: str = "sbmm.", first_ingest=None):
-    """Full balanced-multiplication protocol; leaves partial-row words in inboxes."""
-    ownership = compute_sending(engine, prefix, first_ingest)
-    pages = compute_receiving(engine, ownership, a, b, prefix)
-    resolve_routing(engine, ownership, pages, a, b, prefix)
-    _reduce_phase(engine, semiring, a, b, prefix)
-    return ownership, pages
+def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
+                   a: int, b: int, row_dst: list[int], col_out: list[int]):
+    """Counts through reduce on dealt fragments; returns the gathered
+    product and the page assignments."""
+    pages = compute_receiving(engine, ownership, a, b)
+    resolve_routing(engine, ownership, pages, a, b)
+    _reduce_phase(engine, semiring, row_dst, col_out)
+    rows = [sorted(_fold_partials(semiring, box).items())
+            for box in engine.drain_inboxes()]
+    return SparseMatrix(engine.n, semiring, rows), pages
 
 
 def _fold_partials(semiring: Semiring, inbox) -> dict[int, object]:
@@ -554,71 +594,46 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
         st["S_row"] = S.rows[v]
         st["T_row"] = T.rows[v]
 
-    # lhs rows stay put; rhs rows are scattered so node v holds rhs column v.
-    def emit_t_cols(v, state):
-        return [(c, _T_DIST, v, 0, val) for c, val in state["T_row"]]
+    # Both operands are scattered into columns: node v then holds row v
+    # and column v of S and of T.
+    def emit_cols(v, state):
+        out = [(c, _S_COL, v, 0, val) for c, val in state["S_row"]]
+        out.extend((c, _T_COL, v, 0, val) for c, val in state["T_row"])
+        return out
 
-    _phase(engine, "distribute", None, emit_t_cols)
+    _phase(engine, "distribute", None, emit_cols)
 
-    def ingest_t_col(v, state, inbox):
-        state["T_col"] = [(i1, val) for _, tag, i1, _, val in inbox if tag == _T_DIST]
+    def ingest_cols(v, state, inbox):
+        state["S_col"] = _column(inbox, _S_COL)
+        state["T_col"] = _column(inbox, _T_COL)
 
+    # One word carries all four counts; the last field packs two of them
+    # (see the word format in engine.py).
+    base = n + 1
     words = _broadcast_collect(
-        engine, "stats", ingest_t_col,
-        lambda v, state: (_NZ, len(state["S_row"]), len(state["T_col"]), 0),
+        engine, "stats", ingest_cols,
+        lambda v, state: (_NZ, len(state["S_row"]), len(state["T_col"]),
+                          len(state["S_col"]) * base + len(state["T_row"])),
     )
     row_nz = [w[1] for w in words]
     col_nz = [w[2] for w in words]
-    nzS, nzT = sum(row_nz), sum(col_nz)
-    split = choose_split(nzS, nzT, n)
+    s_col_nz, t_row_nz = zip(*(divmod(w[3], base) for w in words))
+    split = choose_split(sum(row_nz), sum(col_nz), n)
     a, b = split.a, split.b
     sigma_l, tau_l = _balance_permutations(row_nz, col_nz, a, b)
     sigma = Permutation(sigma_l)
     tau = Permutation(tau_l)
 
-    def emit_balance(v, state):
-        out = [(sigma_l[v], _S_BAL, c, 0, val) for c, val in state["S_row"]]
-        out.extend((tau_l[v], _T_BAL, r, 0, val) for r, val in state["T_col"])
-        return out
+    # Permutation keeps column v of S' = sigma(S) and row v of T' = T tau
+    # on node v: both are local relabels.
+    def relabel(v, state, inbox):
+        state["Sp_col"] = sorted((sigma_l[r], val) for r, val in state["S_col"])
+        state["Tp_row"] = sorted((tau_l[c], val) for c, val in state["T_row"])
 
-    _phase(engine, "balance", None, emit_balance)
-
-    # Consistency pass: the permuted rhs columns are re-scattered so node v
-    # also holds row v of the permuted rhs.
-    def emit_trows(v, state):
-        return [(r, _T_ROWS, v, 0, val) for r, val in state["Tp_col"]]
-
-    def ingest_balance(v, state, inbox):
-        state["Sp_row"] = [(i1, val) for _, tag, i1, _, val in inbox if tag == _S_BAL]
-        state["Tp_col"] = [(i1, val) for _, tag, i1, _, val in inbox if tag == _T_BAL]
-
-    _phase(engine, "balance.trows", ingest_balance, emit_trows)
-
-    def ingest_trows(v, state, inbox):
-        state["Tp_row"] = sorted(
-            (i1, val) for _, tag, i1, _, val in inbox if tag == _T_ROWS)
-
-    ownership, pages = _run_sbmm(engine, sr, a, b, "sbmm.", ingest_trows)
-
-    # Node v folds the partials of permuted row v, then ships each entry to
-    # its final owner with unpermuted coordinates.
-    sigma_inv = sigma.inverse
-    tau_inv = tau.inverse
-
-    def ingest_partials(v, state, inbox):
-        state["Pp_row"] = _fold_partials(sr, inbox)
-
-    def emit_unpermuted(v, state):
-        dst = sigma_inv[v]
-        return [(dst, _OUT, tau_inv[c], 0, val)
-                for c, val in sorted(state["Pp_row"].items())]
-
-    _phase(engine, "unpermute", ingest_partials, emit_unpermuted)
-
-    rows = []
-    for box in engine.drain_inboxes():
-        rows.append(sorted((i1, val) for _, tag, i1, _, val in box if tag == _OUT))
-    product = SparseMatrix(n, sr, rows)
+    ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
+    # Partials go straight to the owner of the unpermuted result row.
+    product, pages = _balanced_core(engine, sr, ownership, a, b,
+                                    sigma.inverse, tau.inverse)
     return SmmResult(product, split, sigma, tau, ownership, pages,
                      engine.ledger.since(mark))
 
@@ -640,9 +655,8 @@ def sbmm(Sp: SparseMatrix, Tp: SparseMatrix, a: int, b: int,
     for v in range(n):
         engine.states[v]["Sp_row"] = Sp.rows[v]
         engine.states[v]["Tp_row"] = Tp.rows[v]
-    ownership, pages = _run_sbmm(engine, sr, a, b, "sbmm.")
-    rows = [sorted(_fold_partials(sr, box).items())
-            for box in engine.drain_inboxes()]
-    product = SparseMatrix(n, sr, rows)
+    ownership = compute_sending(engine)
+    identity = list(range(n))
+    product, pages = _balanced_core(engine, sr, ownership, a, b, identity, identity)
     return SmmResult(product, SplitPair(a, b), None, None, ownership, pages,
                      engine.ledger.since(mark))

@@ -328,13 +328,14 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
     side_s, side_t = ownership.s, ownership.t
 
     def ingest_frags(v, state, inbox):
-        sub_s = {qid: [] for qid in side_s.owned[v]}
-        sub_t = {qid: [] for qid in side_t.owned[v]}
-        for _, tagw, qid, pos, val in inbox:
+        # Endpoints are bucketed by class, the filter every response uses.
+        sub_s = {qid: [[] for _ in range(q)] for qid in side_s.owned[v]}
+        sub_t = {qid: [[] for _ in range(q)] for qid in side_t.owned[v]}
+        for _, tagw, qid, pos, _val in inbox:
             if tagw == _SUB_S:
-                sub_s[qid].append((pos, val))
+                sub_s[qid][v_of[pos]].append(pos)
             elif tagw == _SUB_T:
-                sub_t[qid].append((pos, val))
+                sub_t[qid][v_of[pos]].append(pos)
         state["sub_s"] = sub_s
         state["sub_t"] = sub_t
 
@@ -373,21 +374,15 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
                     raise SimulationError(
                         f"node {v} asked for in-edges of {ell} it does not hold")
                 for qid in side_s.by_line[ell]:
-                    if side_s.owner[qid] != v:
-                        continue
-                    for pos, _true in sub_s[qid]:
-                        if v_of[pos] == j_d:
-                            out.append((src, _ES, pos, ell, 0))
+                    if qid in sub_s:
+                        out.extend((src, _ES, pos, ell, 0) for pos in sub_s[qid][j_d])
             else:
                 if ell not in owned_t:
                     raise SimulationError(
                         f"node {v} asked for out-edges of {ell} it does not hold")
                 for qid in side_t.by_line[ell]:
-                    if side_t.owner[qid] != v:
-                        continue
-                    for pos, _true in sub_t[qid]:
-                        if v_of[pos] == i_d:
-                            out.append((src, _ET, ell, pos, 0))
+                    if qid in sub_t:
+                        out.extend((src, _ET, ell, pos, 0) for pos in sub_t[qid][i_d])
         return out
 
     _phase(engine, tag + "lp.respond", ingest_requests, emit_responses)

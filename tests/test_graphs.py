@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from cliquemul.graphs import Graph, GraphError, load_edge_list, save_edge_list
@@ -24,6 +27,20 @@ def test_undirected_materializes_both_arcs():
     assert G.has_edge(0, 1) and G.has_edge(1, 0)
     assert G.is_symmetric()
     assert not Graph(3, [(0, 1)]).is_symmetric()
+
+
+def test_is_symmetric_rejects_asymmetric_and_scales():
+    from cliquemul.graph_suite import count_4_cycles
+    G = Graph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3)])
+    assert not G.is_symmetric()
+    with pytest.raises(ValueError):
+        count_4_cycles(G)
+    pairs = [(u, v) for u in range(512) for v in range(u + 1, 512)]
+    big = Graph.undirected(512, random.Random(1).sample(pairs, 8000))
+    assert big.m == 16000
+    start = time.perf_counter()
+    assert big.is_symmetric()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_degrees():

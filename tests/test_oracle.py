@@ -67,6 +67,23 @@ def test_fast_path_matches_reference():
             assert oracle.dense_multiply(S, T) == oracle.dense_multiply_reference(S, T)
 
 
+def test_min_plus_fast_path_in_row_chunks(monkeypatch):
+    # chunks of 2 and 3 rows (the last one short) must give the same
+    # product as one whole-matrix reduction and as the triple loop
+    rng = random.Random(6)
+    n = 7
+    def rand():
+        return SparseMatrix.from_entries(n, MINPLUS, [
+            (i, j, float(rng.randint(0, 9)))
+            for i in range(n) for j in range(n) if rng.random() < 0.5])
+    S, T = rand(), rand()
+    whole = oracle.dense_multiply(S, T)
+    assert whole == oracle.dense_multiply_reference(S, T)
+    for rows in (2, 3):
+        monkeypatch.setattr(oracle, "_MINPLUS_CHUNK_ELEMENTS", rows * n * n)
+        assert oracle.dense_multiply(S, T) == whole
+
+
 def test_matrix_power():
     A = path4().to_adjacency(MINPLUS)
     A3 = oracle.matrix_power(A, 3)

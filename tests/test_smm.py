@@ -139,6 +139,21 @@ def test_build_subsequences_frozen():
     assert side.slice_bounds(4) == (2, 4)
 
 
+def test_build_subsequences_one_per_node():
+    # avg 1, so 4 fragments on 4 nodes: each gets its own owner
+    side = build_subsequences([3, 1, 0, 0], 4)
+    assert side.counts == [3, 1, 0, 0]
+    assert side.origin == [0, 0, 0, 1]
+    assert side.owner == [0, 1, 2, 3]
+    assert side.owned == [[0], [1], [2], [3]]
+    # 6 fragments on 4 nodes: dealt in pairs
+    side = build_subsequences([2, 2, 0, 2], 4)
+    assert side.owner == [0, 0, 1, 1, 2, 2]
+    # full density: every line is one fragment, owned by its own node
+    side = build_subsequences([4] * 4, 4)
+    assert side.owner == side.origin == [0, 1, 2, 3]
+
+
 def test_build_subsequences_empty():
     side = build_subsequences([0] * 4, 4)
     assert side.block == 0 and side.origin == [] and side.counts == [0] * 4
@@ -173,7 +188,15 @@ def test_smm_identity():
     res = smm(I, M)
     assert res.product == M
     labels = [r.label for r in res.records]
-    assert labels[0] == "distribute" and labels[-1] == "unpermute"
+    assert labels[0] == "distribute" and labels[-1] == "sbmm.reduce"
+
+
+def test_smm_phase_list():
+    rng = random.Random(12)
+    res = smm(random_matrix(8, COUNT, 0.4, rng), random_matrix(8, COUNT, 0.4, rng))
+    assert [r.label for r in res.records] == [
+        "distribute", "stats", "sbmm.subseq", "sbmm.counts",
+        "sbmm.request", "sbmm.respond", "sbmm.reduce"]
 
 
 def test_smm_empty_and_single():
@@ -191,6 +214,19 @@ def test_smm_matches_oracle_across_semirings():
             T = random_matrix(n, sr, 0.3, rng)
             res = smm(S, T)
             assert res.product == oracle.dense_multiply(S, T), (sr.name, n)
+
+
+def test_sbmm_matches_smm_on_balanced_operands():
+    rng = random.Random(31)
+    for n, density in ((8, 0.3), (16, 0.6), (16, 1.0)):
+        S = random_matrix(n, COUNT, density, rng)
+        T = random_matrix(n, COUNT, density, rng)
+        res = smm(S, T)
+        Sp, Tp = S.permute_rows(res.sigma), T.permute_cols(res.tau)
+        got = sbmm(Sp, Tp, res.split.a, res.split.b)
+        assert got.product == res.product.permute_rows(res.sigma).permute_cols(res.tau)
+        assert [r.label for r in got.records][:3] == [
+            "sbmm.coldist", "sbmm.stats", "sbmm.subseq"]
 
 
 def test_dense_reduce_load():

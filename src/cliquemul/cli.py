@@ -3,8 +3,10 @@
 Subcommands: multiply, triangles, four-cycles, apsp, bench,
 verify-partitions.  Every subcommand accepts --seed (instance generators
 only consume it where randomness exists) and --verify, which re-runs the
-sequential oracle and exits nonzero on any difference.  Files land in
---out when given, else under $CLIQUEMUL_OUT_DIR (default ".").
+sequential oracle and exits 1 on any difference.  A bad input (missing or
+malformed file, mismatched operands, disconnected graph for apsp) exits 2
+with a one-line message.  Files land in --out when given, else under
+$CLIQUEMUL_OUT_DIR (default ".").
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from pathlib import Path
 
 from . import oracle
 from .engine import CliqueEngine
-from .graphs import DisconnectedGraphError, Graph, load_edge_list
+from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list
 from .graph_suite import apsp, count_4_cycles
 from .partition import avg_partition, weight_balanced_partition
 from .semiring import Semiring, semiring_by_name
-from .sparse import SparseMatrix, load_matrix_market, save_matrix_market
+from .sparse import (DimensionError, FormatError, SparseMatrix, load_matrix_market,
+                     save_matrix_market)
 from .smm import smm
 from .triangles import cube_root, list_triangles, next_cube
 
@@ -272,8 +275,7 @@ def _cmd_multiply(args) -> int:
     S = load_matrix_market(args.lhs, sr)
     T = load_matrix_market(args.rhs, sr)
     if S.n != T.n:
-        print(f"error: operand sizes differ ({S.n} vs {T.n})", file=sys.stderr)
-        return 2
+        raise DimensionError(f"operand sizes differ ({S.n} vs {T.n})")
     n = S.n
     if args.pad == "pow2":
         padded_n = _next_pow2(n)
@@ -353,12 +355,7 @@ def _cmd_four_cycles(args) -> int:
 def _cmd_apsp(args) -> int:
     G = load_edge_list(args.graph, directed=False)
     engine = CliqueEngine(G.n)
-    try:
-        res = apsp(G, engine)
-    except DisconnectedGraphError:
-        print("error: graph is disconnected; distances are not all finite",
-              file=sys.stderr)
-        return 2
+    res = apsp(G, engine)
     out = args.out if args.out else _out_dir() / (Path(args.graph).stem + ".dist.mtx")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix_market(res.dist, out)
@@ -456,9 +453,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Faults of the input, not of the program.
+_INPUT_ERRORS = (OSError, FormatError, GraphError, DimensionError,
+                 DisconnectedGraphError)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; exit 1 is a verification mismatch, 2 bad input."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-Word = tuple
-Message = tuple  # (dst, tag, i1, i2, value)
 Handler = Callable[[int, dict, list], list]
 
 
@@ -144,32 +142,47 @@ class CliqueEngine:
         self.inboxes = new_inboxes
         return self.ledger.charge_for_loads(label, n, max(sends), max(recvs), total)
 
-    def run_broadcast(self, label: str, word_fn) -> int:
-        """Each node sends ``word_fn(v, state)`` (or None) to every other node."""
-        n = self.n
-
+    def run_ingest_emit(self, label: str, ingest, emit) -> int:
+        """One phase in two steps: ``ingest(v, state, inbox)`` keeps what
+        the node needs of its mailbox, then ``emit(v, state)`` returns its
+        messages.  Either step may be None."""
         def handler(v, state, inbox):
-            word = word_fn(v, state)
+            if ingest is not None:
+                ingest(v, state, inbox)
+            return emit(v, state) if emit is not None else []
+
+        return self.run_phase(label, handler)
+
+    def run_broadcast(self, label: str, word_fn, ingest=None) -> list:
+        """Each node sends ``word_fn(v, state)`` (or None) to every other node.
+
+        ``ingest`` runs first, as in ``run_ingest_emit``.  Returns the
+        vector of words, None for a silent node: it is common knowledge
+        once the phase is delivered.
+        """
+        n = self.n
+        words: list = [None] * n
+
+        def emit(v, state):
+            word = words[v] = word_fn(v, state)
             if word is None:
                 return []
             return [(u,) + tuple(word) for u in range(n) if u != v]
 
-        return self.run_phase(label, handler)
+        self.run_ingest_emit(label, ingest, emit)
+        return words
+
+    def derive_per_group(self, groups: dict, derive) -> dict:
+        """``{key: derive(key, inbox)}``, read from the first member of each group.
+
+        Every member of ``groups[key]`` derives the value in its own next
+        handler; the protocol code computes it once and shares it.  Sound
+        only if all members of a group hold the same words that ``derive``
+        reads, so each member would compute the same value.
+        """
+        return {key: derive(key, self.inboxes[members[0]])
+                for key, members in groups.items()}
 
     def drain_inboxes(self) -> list[list]:
         boxes, self.inboxes = self.inboxes, [[] for _ in range(self.n)]
         return boxes
-
-
-def run_protocol(n: int, initial_states: list[dict],
-                 phases: list[tuple[str, Handler]],
-                 lenzen_constant: int = 1) -> tuple[list[dict], RoundLedger]:
-    """Convenience driver: seed states, run a fixed phase list, return outcome."""
-    if len(initial_states) != n:
-        raise ValueError("one initial state per node required")
-    engine = CliqueEngine(n, lenzen_constant)
-    for v in range(n):
-        engine.states[v].update(initial_states[v])
-    for label, handler in phases:
-        engine.run_phase(label, handler)
-    return engine.states, engine.ledger

@@ -51,7 +51,7 @@ def trace_product(A: SparseMatrix, B: SparseMatrix,
     def emit_cols(v, state):
         return [(c, _B_COL, v, 0, val) for c, val in state["B_row"]]
 
-    engine.run_phase("trace.coldist", lambda v, s, inbox: emit_cols(v, s))
+    engine.run_ingest_emit("trace.coldist", None, emit_cols)
 
     diag_total = 0
 
@@ -138,7 +138,7 @@ def bfs_ecc(G: Graph, root: int, engine: CliqueEngine | None = None) -> int:
                     if engine.states[v]["dist"] is None and engine.inboxes[v])
         if newly == 0:
             raise DisconnectedGraphError(
-                f"{n - reached} vertices unreachable from {root}")
+                f"graph is disconnected: {n - reached} vertices unreachable from {root}")
         reached += newly
     # Zero-message closing phase: the deepest nodes ingest their pending
     # flood words; charges no rounds.

@@ -103,14 +103,11 @@ class Graph:
         multiplicative identity as a stored entry, which for min-plus
         encodes distance zero to self.
         """
-        entries = [(u, v, semiring.one) for u, v in self.edges]
+        # Hop weights: min-plus arcs cost 1, not the multiplicative identity.
+        arc = 1 if semiring.name == "min-plus" else semiring.one
+        entries = [(u, v, arc) for u, v in self.edges]
         if explicit_diagonal:
             entries.extend((v, v, semiring.one) for v in range(self.n))
-        # Hop weights: min-plus arcs cost 1, not the multiplicative identity.
-        if semiring.name == "min-plus":
-            entries = [(u, v, 1) for u, v in self.edges]
-            if explicit_diagonal:
-                entries.extend((v, v, 0) for v in range(self.n))
         return SparseMatrix.from_entries(self.n, semiring, entries)
 
     def __eq__(self, other) -> bool:

@@ -12,8 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from .graphs import Graph
-from .semiring import INT64_MAX, Semiring
+from .graphs import DisconnectedGraphError, Graph
 from .sparse import DimensionError, SparseMatrix
 
 # The numpy kernels are trusted only when |values| stay small enough that
@@ -127,16 +126,6 @@ def dense_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
     return dense_multiply_reference(S, T)
 
 
-def matrix_power(M: SparseMatrix, exponent: int) -> SparseMatrix:
-    """M**exponent by repeated reference multiplication; exponent >= 1."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
-    acc = M
-    for _ in range(exponent - 1):
-        acc = dense_multiply(acc, M)
-    return acc
-
-
 def enumerate_triangles(G: Graph) -> set[tuple[int, int, int]]:
     """All directed 3-cycles, canonicalized to start at the smallest vertex."""
     found = set()
@@ -184,26 +173,11 @@ def enumerate_4_cycles(G: Graph) -> int:
 
 def apsp_bfs(G: Graph) -> list[list[float]]:
     """All-pairs hop distances by BFS from every source; inf if unreachable."""
-    n = G.n
-    dist = [[math.inf] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in G.out_adj[u]:
-                if row[v] == math.inf:
-                    row[v] = du + 1
-                    queue.append(v)
-    return dist
+    return [apsp_bfs_row(G, s) for s in range(G.n)]
 
 
 def bfs_eccentricity(G: Graph, root: int) -> int:
     """Eccentricity of root; raises if some vertex is unreachable."""
-    from .graphs import DisconnectedGraphError
-
     row = apsp_bfs_row(G, root)
     ecc = max(row)
     if ecc == math.inf:
@@ -212,6 +186,7 @@ def bfs_eccentricity(G: Graph, root: int) -> int:
 
 
 def apsp_bfs_row(G: Graph, s: int) -> list[float]:
+    """Hop distances from s by BFS; inf if unreachable."""
     n = G.n
     row = [math.inf] * n
     row[s] = 0

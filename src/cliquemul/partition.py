@@ -59,19 +59,6 @@ def chunk_sizes(t: int, c) -> list[int]:
     return sizes
 
 
-def chunk_partition(t: int, c: int) -> PartitionSpec:
-    """Split indices 0..t-1 into ceil(t/c) consecutive blocks of <= c+1 items."""
-    if not (1 <= c <= t):
-        raise PartitionError(f"need 1 <= c <= t, got c={c}, t={t}")
-    sizes = chunk_sizes(t, c)
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(list(range(start, start + s)))
-        start += s
-    return PartitionSpec(parts, {"t": t, "c": c})
-
-
 def avg_partition(set_sizes: list[int]) -> list[PartitionSpec]:
     """Chunk each of n sets with capacity equal to the exact mean set size.
 

@@ -39,15 +39,6 @@ class Semiring:
     parse_value: Callable[[str], Value] = field(default=int, repr=False)
     format_value: Callable[[Value], str] = field(default=str, repr=False)
 
-    def fold_add(self, values) -> Value:
-        acc = self.omitted
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
-    def is_omitted(self, value) -> bool:
-        return value == self.omitted
-
 
 def _sat(x: int) -> int:
     if x > INT64_MAX:

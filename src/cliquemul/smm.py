@@ -26,23 +26,24 @@ row/column permutations, then the balanced multiplication protocol.
 permutation to fold the redistribution into: it starts with
 ``sbmm.coldist`` (lhs rows to columns) and ``sbmm.stats`` (column/row
 counts) before the same balanced core.  Triangle listing's LearnPaths
-uses that prologue and the fragment dealing too.
+runs that prologue and the fragment routing below (``bucket_fragments``,
+``fragment_requests``, ``fragment_responder``) on the adjacency matrix.
 
 All coordination data flows through broadcasts, so every node derives
 identical partitions, subsequence tables, and page assignments from the
-same words; the driver computes each such structure once and shares it,
-which is memoization of replicated local computation, not extra
-communication.
+same words; the protocol code computes each such structure once and
+shares it (``run_broadcast``'s word vector,
+``CliqueEngine.derive_per_group``), which is memoization of replicated
+local computation, not extra communication.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import CliqueEngine, PhaseRecord, SimulationError
-from .partition import balanced_assignment
+from .partition import avg_partition, balanced_assignment
 from .semiring import Semiring
 from .sparse import DimensionError, SparseMatrix, Permutation
 
@@ -80,16 +81,6 @@ def n_split_pairs(n: int) -> list[tuple[int, int]]:
 def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
     """Exact value of the round-cost surrogate nzS*b/n^2 + nzT*a/n^2 + n/(ab)."""
     return Fraction(nzS * b + nzT * a, n * n) + Fraction(n, a * b)
-
-
-def continuous_split(nzS: int, nzT: int, n: int) -> tuple[float, float] | None:
-    """Unconstrained real-valued minimizer, recorded for comparison only."""
-    if nzS == 0 or nzT == 0:
-        return None
-    return (
-        n * nzS ** (1 / 3) / nzT ** (2 / 3),
-        n * nzT ** (1 / 3) / nzS ** (2 / 3),
-    )
 
 
 def choose_split(nzS: int, nzT: int, n: int) -> SplitPair:
@@ -185,11 +176,12 @@ class SubseqSide:
     Every node derives this identical table from the broadcast nonzero
     counts; ids are dense in enumeration order (line ascending, fragment
     position ascending).  Trailing fragments of a line may be empty: the
-    agreed count is ceil(line_nz / avg), not the occupied count.
+    agreed count is ``partition.avg_partition``'s ceil(line_nz / avg),
+    not the occupied count.
     """
 
     avg: Fraction
-    block: int                    # capacity floor(avg) + 1; 0 when empty
+    block: int                    # largest fragment, the slicing stride
     counts: list[int]             # fragments per line
     origin: list[int]             # fragment id -> line
     owner: list[int]              # fragment id -> owning node
@@ -203,19 +195,18 @@ class SubseqSide:
 
 
 def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
-    """Cut each line into ceil(nz/avg) fragments and deal them to owners.
+    """Cut each line by ``avg_partition`` and deal the fragments to owners.
 
     With at most n fragments each gets its own node (at full density
     every line is one fragment and stays on its node); otherwise (at
     most 2n) they are dealt two per node.
     """
-    total = sum(nz_per_line)
-    avg = Fraction(total, n)
-    if total == 0:
-        return SubseqSide(avg, 0, [0] * n, [], [], [[] for _ in range(n)],
-                          [[] for _ in range(n)], [0] * n)
-    block = math.floor(avg) + 1
-    counts = [math.ceil(Fraction(t) / avg) if t else 0 for t in nz_per_line]
+    specs = avg_partition(nz_per_line)
+    counts = [len(spec.parts) for spec in specs]
+    # Chunking fills every fragment of a line but its last nonempty one, so
+    # the largest fragment is the stride (floor(avg) + 1 once any line is
+    # cut in two).
+    block = max((size for spec in specs for size in spec.sizes()), default=0)
     origin: list[int] = []
     by_line: list[list[int]] = []
     line_start = []
@@ -230,7 +221,8 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     owned: list[list[int]] = [[] for _ in range(n)]
     for q, u in enumerate(owner):
         owned[u].append(q)
-    return SubseqSide(avg, block, counts, origin, owner, owned, by_line, line_start)
+    return SubseqSide(Fraction(sum(nz_per_line), n), block, counts, origin, owner,
+                      owned, by_line, line_start)
 
 
 @dataclass
@@ -261,31 +253,6 @@ def build_page_assignment(weights: list[int], n: int, a: int, b: int) -> PageAss
 
 # -- protocol helpers -------------------------------------------------------
 
-def _phase(engine: CliqueEngine, label: str, ingest, emit) -> int:
-    def handler(v, state, inbox):
-        if ingest is not None:
-            ingest(v, state, inbox)
-        return emit(v, state) if emit is not None else []
-
-    return engine.run_phase(label, handler)
-
-
-def _broadcast_collect(engine: CliqueEngine, label: str, ingest, word_fn) -> list[tuple]:
-    """Broadcast one word per node; returns the common vector of all words."""
-    n = engine.n
-    gathered: list[tuple] = [None] * n  # type: ignore[list-item]
-
-    def handler(v, state, inbox):
-        if ingest is not None:
-            ingest(v, state, inbox)
-        word = word_fn(v, state)
-        gathered[v] = word
-        return [(u,) + word for u in range(n) if u != v]
-
-    engine.run_phase(label, handler)
-    return gathered
-
-
 def _column(inbox, tag: int) -> list[tuple]:
     """(sender, value) pairs of one tag: a column gathered from row owners."""
     return [(src, val) for src, t, _i1, _i2, val in inbox if t == tag]
@@ -293,8 +260,7 @@ def _column(inbox, tag: int) -> list[tuple]:
 
 # -- ExchangeInfo: fragment dealing, counts, requests and responses ---------
 
-def compute_sending(engine: CliqueEngine, prefix: str = "sbmm.",
-                    first_ingest=None) -> SubseqOwnership:
+def compute_sending(engine: CliqueEngine, prefix: str) -> SubseqOwnership:
     """Column redistribution and count broadcast, then fragment dealing.
 
     The prologue where no permutation is applied (pre-balanced operands,
@@ -305,21 +271,22 @@ def compute_sending(engine: CliqueEngine, prefix: str = "sbmm.",
     def emit_cols(v, state):
         return [(c, _S_COL, v, 0, val) for c, val in state["Sp_row"]]
 
-    _phase(engine, prefix + "coldist", first_ingest, emit_cols)
+    engine.run_ingest_emit(prefix + "coldist", None, emit_cols)
 
     def ingest_cols(v, state, inbox):
         state["Sp_col"] = _column(inbox, _S_COL)
 
-    words = _broadcast_collect(
-        engine, prefix + "stats", ingest_cols,
+    words = engine.run_broadcast(
+        prefix + "stats",
         lambda v, state: (_NZ, len(state["Sp_col"]), len(state["Tp_row"]), 0),
+        ingest_cols,
     )
     return deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
-                          prefix)
+                          prefix, None)
 
 
 def deal_fragments(engine: CliqueEngine, s_col_nz: list[int], t_row_nz: list[int],
-                   prefix: str, ingest=None) -> SubseqOwnership:
+                   prefix: str, ingest) -> SubseqOwnership:
     """Fragment tables from common-knowledge counts, and the fragments shipped.
 
     Node v must hold 'Sp_col' and 'Tp_row' once ``ingest`` has run; it
@@ -340,8 +307,89 @@ def deal_fragments(engine: CliqueEngine, s_col_nz: list[int], t_row_nz: list[int
                     out.append((side.owner[q], tag, q, pos, val))
         return out
 
-    _phase(engine, prefix + "subseq", ingest, emit_fragments)
+    engine.run_ingest_emit(prefix + "subseq", ingest, emit_fragments)
     return SubseqOwnership(side_s, side_t)
+
+
+# Fragment routing, shared with triangle listing's LearnPaths: owners file
+# entries by band, nodes request lines, owners answer per requester band.
+
+def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
+                     band_t: list[int]):
+    """Ingest step, in the phase after dealing, filing entries by band.
+
+    ``band_s[pos]`` is the band of an lhs entry at row pos and
+    ``band_t[pos]`` that of an rhs entry at column pos.  A bucket is a
+    flat ``[pos, val, pos, val, ...]`` list, so filing an entry makes no
+    new object.  Leaves ``state["s_bands"]`` and ``state["t_bands"]``:
+    fragment id -> band -> bucket.
+    """
+    s_count, t_count = max(band_s) + 1, max(band_t) + 1
+
+    def ingest(v, state, inbox):
+        s_bands = {q: [[] for _ in range(s_count)] for q in ownership.s.owned[v]}
+        t_bands = {q: [[] for _ in range(t_count)] for q in ownership.t.owned[v]}
+        for _, tag, q, pos, val in inbox:
+            if tag == _SUB_S:
+                bucket = s_bands[q][band_s[pos]]
+            else:
+                bucket = t_bands[q][band_t[pos]]
+            bucket.append(pos)
+            bucket.append(val)
+        state["s_bands"] = s_bands
+        state["t_bands"] = t_bands
+
+    return ingest
+
+
+def fragment_requests(ownership: SubseqOwnership, lines: list[int],
+                      counts: tuple[dict, dict] | None) -> list[tuple]:
+    """One request per side, line of ``lines`` and owner of that line's fragments.
+
+    ``counts`` holds, per side, fragment id -> entries in the requester's
+    band, as decoded from count words; a fragment counted 0 is not asked
+    for.  None asks for every fragment.
+    """
+    out = []
+    for k, (side, tag) in enumerate(((ownership.s, _REQ_S), (ownership.t, _REQ_T))):
+        asked = set()
+        for ell in lines:
+            for q in side.by_line[ell]:
+                u = side.owner[q]
+                if (counts is None or counts[k].get(q)) and (u, ell) not in asked:
+                    asked.add((u, ell))
+                    out.append((u, tag, ell, 0, 0))
+    return out
+
+
+def fragment_responder(ownership: SubseqOwnership, requester_bands):
+    """Handler answering the requests in a node's mailbox from its buckets.
+
+    ``requester_bands(src)`` is the requester's (lhs band, rhs band).  A
+    request for lhs column ell gets ``(_ENT_S, pos, ell, val)`` for every
+    owned entry of ell in the lhs band, one for rhs row ell gets
+    ``(_ENT_T, ell, pos, val)`` for those in the rhs band.
+    """
+    def respond(v, state, inbox):
+        out = []
+        for src, tag, ell, _, _val in inbox:
+            lhs_band, rhs_band = requester_bands(src)
+            if tag == _REQ_S:
+                side, buckets, band = ownership.s, state["s_bands"], lhs_band
+            else:
+                side, buckets, band = ownership.t, state["t_bands"], rhs_band
+            frags = [q for q in side.by_line[ell] if q in buckets]
+            if not frags:
+                raise SimulationError(f"node {v} asked for line {ell} it does not own")
+            for q in frags:
+                it = iter(buckets[q][band])
+                if tag == _REQ_S:
+                    out.extend((src, _ENT_S, pos, ell, val) for pos, val in zip(it, it))
+                else:
+                    out.extend((src, _ENT_T, ell, pos, val) for pos, val in zip(it, it))
+        return out
+
+    return respond
 
 
 def _fragment_counts(inbox, ownership: SubseqOwnership, n: int) -> tuple[dict, dict]:
@@ -368,7 +416,7 @@ def _count_fields(buckets: dict[int, list[list]], bands: int, n: int) -> list[in
     """
     fields = []
     for band in range(bands):
-        cnt = [len(per_band[band]) for per_band in buckets.values()] + [0, 0]
+        cnt = [len(per_band[band]) // 2 for per_band in buckets.values()] + [0, 0]
         fields.append(cnt[0] * (n + 1) + cnt[1])
     return fields
 
@@ -386,20 +434,8 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     n = engine.n
     h_s = n // a
     h_t = n // b
-    side_s, side_t = ownership.s, ownership.t
-
-    def ingest_frags(v, state, inbox):
-        # Entries are bucketed by band once; the buckets give the counts
-        # here and the response slices later.
-        s_bands = {q: [[] for _ in range(a)] for q in side_s.owned[v]}
-        t_bands = {q: [[] for _ in range(b)] for q in side_t.owned[v]}
-        for _, tag, q, pos, val in inbox:
-            if tag == _SUB_S:
-                s_bands[q][pos // h_s].append((pos, val))
-            elif tag == _SUB_T:
-                t_bands[q][pos // h_t].append((pos, val))
-        state["s_bands"] = s_bands
-        state["t_bands"] = t_bands
+    ingest = bucket_fragments(ownership, [p // h_s for p in range(n)],
+                              [p // h_t for p in range(n)])
 
     def emit_counts(v, state):
         s_fields = _count_fields(state["s_bands"], a, n)
@@ -412,85 +448,23 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
                 out.append((u, _CNT, s_field, t_field, 0))
         return out
 
-    _phase(engine, "sbmm.counts", ingest_frags, emit_counts)
+    engine.run_ingest_emit("sbmm.counts", ingest, emit_counts)
 
-    # Page weights are derived inside each node's next handler; the dict
-    # below memoizes the identical per-group computation for the driver
-    # and for tests.
-    pages: dict[tuple[int, int], PageAssignment] = {}
-    for v in range(n):
-        i, j, _ = group_of(v, a, b, n)
-        if (i, j) in pages:
-            continue
+    def page_assignment(group, inbox):
         weights = [0] * n
-        cnt_s, cnt_t = _fragment_counts(engine.inboxes[v], ownership, n)
-        for q, cnt in cnt_s.items():
-            weights[side_s.origin[q]] += cnt
-        for q, cnt in cnt_t.items():
-            weights[side_t.origin[q]] += cnt
+        sides = (ownership.s, ownership.t)
+        for side, counts in zip(sides, _fragment_counts(inbox, ownership, n)):
+            for q, cnt in counts.items():
+                weights[side.origin[q]] += cnt
         # Own counts travel as free self-messages and are already in the
         # inbox, so the weight vector is complete.
-        pages[(i, j)] = build_page_assignment(weights, n, a, b)
-    return pages
+        return build_page_assignment(weights, n, a, b)
 
-
-def resolve_routing(engine: CliqueEngine, ownership: SubseqOwnership,
-                    pages: dict[tuple[int, int], PageAssignment],
-                    a: int, b: int) -> None:
-    """Fragment requests and band-restricted responses.
-
-    A node asks for a line's fragments only from owners whose count word
-    reported entries in its band.  Afterwards node v's inbox holds the
-    column entries (rows in its band) and row entries (columns in its
-    band) of its assigned pages.
-    """
-    n = engine.n
-    side_s, side_t = ownership.s, ownership.t
-
-    def ingest_counts(v, state, inbox):
-        state["_counts"] = _fragment_counts(inbox, ownership, n)
-
-    def emit_requests(v, state):
-        i, j, k = group_of(v, a, b, n)
-        my_pages = pages[(i, j)].parts[k]
-        state["my_pages"] = my_pages
-        out = []
-        for side, counts, tag in zip((side_s, side_t), state.pop("_counts"),
-                                     (_REQ_S, _REQ_T)):
-            asked = set()
-            for ell in my_pages:
-                for q in side.by_line[ell]:
-                    u = side.owner[q]
-                    if counts.get(q) and (u, ell) not in asked:
-                        asked.add((u, ell))
-                        out.append((u, tag, ell, 0, 0))
-        return out
-
-    _phase(engine, "sbmm.request", ingest_counts, emit_requests)
-
-    def owned_of_line(side, bands, v, ell, what):
-        frags = [q for q in side.by_line[ell] if q in bands]
-        if not frags:
-            raise SimulationError(f"node {v} asked for {what} {ell} it does not own")
-        return frags
-
-    def emit_responses(v, state):
-        s_bands, t_bands = state["s_bands"], state["t_bands"]
-        out = []
-        for src, tag, ell, _, _val in state.pop("_reqs"):
-            i_d, j_d, _ = group_of(src, a, b, n)
-            if tag == _REQ_S:
-                for q in owned_of_line(side_s, s_bands, v, ell, "lhs column"):
-                    out.extend((src, _ENT_S, pos, ell, val) for pos, val in s_bands[q][i_d])
-            else:
-                for q in owned_of_line(side_t, t_bands, v, ell, "rhs row"):
-                    out.extend((src, _ENT_T, ell, pos, val) for pos, val in t_bands[q][j_d])
-        return out
-
-    def ingest_requests(v, state, inbox):
-        state["_reqs"] = inbox
-
-    _phase(engine, "sbmm.respond", ingest_requests, emit_responses)
+    # Every member of a group receives the same count words.
+    g = n // (a * b)
+    groups = {(i, j): [node_of(i, j, k, a, b, n) for k in range(g)]
+              for i in range(a) for j in range(b)}
+    return engine.derive_per_group(groups, page_assignment)
 
 
 def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
@@ -523,15 +497,27 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
         return [(row_dst[r], _RED, col_out[c], 0, val)
                 for (r, c), val in sorted(acc.items()) if val != omitted]
 
-    _phase(engine, "sbmm.reduce", ingest_frags, emit_partials)
+    engine.run_ingest_emit("sbmm.reduce", ingest_frags, emit_partials)
 
 
 def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
                    a: int, b: int, row_dst: list[int], col_out: list[int]):
     """Counts through reduce on dealt fragments; returns the gathered
     product and the page assignments."""
+    n = engine.n
     pages = compute_receiving(engine, ownership, a, b)
-    resolve_routing(engine, ownership, pages, a, b)
+
+    # A node asks for a line's fragments only from owners whose count word
+    # reported entries in its band.
+    def request(v, state, inbox):
+        i, j, k = group_of(v, a, b, n)
+        state["my_pages"] = pages[(i, j)].parts[k]
+        return fragment_requests(ownership, state["my_pages"],
+                                 _fragment_counts(inbox, ownership, n))
+
+    engine.run_phase("sbmm.request", request)
+    engine.run_phase("sbmm.respond", fragment_responder(
+        ownership, lambda src: group_of(src, a, b, n)[:2]))
     _reduce_phase(engine, semiring, row_dst, col_out)
     rows = [sorted(_fold_partials(semiring, box).items())
             for box in engine.drain_inboxes()]
@@ -601,7 +587,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
         out.extend((c, _T_COL, v, 0, val) for c, val in state["T_row"])
         return out
 
-    _phase(engine, "distribute", None, emit_cols)
+    engine.run_ingest_emit("distribute", None, emit_cols)
 
     def ingest_cols(v, state, inbox):
         state["S_col"] = _column(inbox, _S_COL)
@@ -610,10 +596,11 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
     # One word carries all four counts; the last field packs two of them
     # (see the word format in engine.py).
     base = n + 1
-    words = _broadcast_collect(
-        engine, "stats", ingest_cols,
+    words = engine.run_broadcast(
+        "stats",
         lambda v, state: (_NZ, len(state["S_row"]), len(state["T_col"]),
                           len(state["S_col"]) * base + len(state["T_row"])),
+        ingest_cols,
     )
     row_nz = [w[1] for w in words]
     col_nz = [w[2] for w in words]
@@ -655,7 +642,7 @@ def sbmm(Sp: SparseMatrix, Tp: SparseMatrix, a: int, b: int,
     for v in range(n):
         engine.states[v]["Sp_row"] = Sp.rows[v]
         engine.states[v]["Tp_row"] = Tp.rows[v]
-    ownership = compute_sending(engine)
+    ownership = compute_sending(engine, "sbmm.")
     identity = list(range(n))
     product, pages = _balanced_core(engine, sr, ownership, a, b, identity, identity)
     return SmmResult(product, SplitPair(a, b), None, None, ownership, pages,

@@ -141,13 +141,6 @@ class SparseMatrix:
     def row(self, i: int):
         return self.rows[i]
 
-    def columns(self) -> list[list]:
-        cols: list[list] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                cols[j].append((i, v))
-        return cols
-
     def entry(self, i: int, j: int):
         for c, v in self.rows[i]:
             if c == j:
@@ -186,14 +179,6 @@ class SparseMatrix:
             raise DimensionError("permutation size mismatch")
         fwd = perm.forward
         rows = [sorted((fwd[j], v) for j, v in row) for row in self.rows]
-        return SparseMatrix(self.n, self.semiring, rows)
-
-    def transpose_distribute(self) -> "SparseMatrix":
-        """Transpose; models the one-shot column redistribution of entries."""
-        rows: list[list] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                rows[j].append((i, v))
         return SparseMatrix(self.n, self.semiring, rows)
 
     def padded(self, new_n: int) -> "SparseMatrix":

@@ -14,6 +14,10 @@ path part containing z: LearnEdges ships E(N, V_j) to the whole team,
 LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member, and
 a local scan closes the cycle.  The N-sets are processed in two halves
 so each team handles at most one N-set per half.
+
+LearnPaths is smm's fragment dealing and routing run on the adjacency
+matrix, with the vertex classes as bands; class count tables and team
+path partitions come from ``CliqueEngine.derive_per_group``.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from .engine import CliqueEngine, PhaseRecord, SimulationError
 from .graphs import Graph
 from .oracle import canonical_triangle
 from .partition import balanced_assignment, padded_balanced_groups
-from .smm import _SUB_S, _SUB_T, compute_sending
+from .smm import (_ENT_S, _ENT_T, bucket_fragments, compute_sending,
+                  fragment_requests, fragment_responder)
 
-_VC, _NC, _LOAD, _PKT, _EDGE, _PSUM, _REQ_S, _REQ_T, _ES, _ET = range(200, 210)
+_VC, _NC, _LOAD, _PKT, _EDGE, _PSUM = range(200, 206)
 
 
 def cube_root(n: int) -> int | None:
@@ -94,15 +99,6 @@ class TriangleResult:
         return sum(r.rounds for r in self.records)
 
 
-def _phase(engine, label, ingest, emit):
-    def handler(v, state, inbox):
-        if ingest is not None:
-            ingest(v, state, inbox)
-        return emit(v, state) if emit is not None else []
-
-    return engine.run_phase(label, handler)
-
-
 def list_triangles(G: Graph, engine: CliqueEngine | None = None,
                    pad_cube: bool = False) -> TriangleResult:
     """All directed triangles of G, canonicalized and deduplicated."""
@@ -125,14 +121,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
     beta = Fraction(m, Q) + n
 
     # --- degree broadcast: the V-partition becomes common knowledge -------
-    words = [None] * n
-
-    def degree_handler(v, state, inbox):
-        w = (_LOAD, G.d_in(v), G.d_out(v), 0)
-        words[v] = w
-        return [(u,) + w for u in range(n) if u != v]
-
-    engine.run_phase("tri.degrees", degree_handler)
+    words = engine.run_broadcast(
+        "tri.degrees", lambda v, state: (_LOAD, G.d_in(v), G.d_out(v), 0))
     degree_sums = [w[1] + w[2] for w in words]
     v_sets = balanced_assignment(degree_sums, q, 2 * n)
     v_of = [0] * n
@@ -152,25 +142,30 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
         return [(u, _VC, j, counts[j], 0)
                 for u in v_sets[v_of[v]] for j in range(q)]
 
-    _phase(engine, "tri.vcounts", None, emit_vcounts)
+    engine.run_ingest_emit("tri.vcounts", None, emit_vcounts)
 
-    # Members of one class all receive identical count tables, so the
-    # class-local N-partitions are derived once from the first member's
-    # mailbox.
-    n_sets: dict[tuple[int, int], list[list[int]]] = {}
-    for i, members in enumerate(v_sets):
+    def class_n_sets(i, inbox):
+        """N-partitions of class i towards every class j."""
+        members = v_sets[i]
         table: dict[int, list[int]] = {u: [0] * q for u in members}
-        for src, tag, j, cnt, _ in engine.inboxes[members[0]]:
+        for src, tag, j, cnt, _ in inbox:
             if tag == _VC:
                 table[src][j] = cnt
+        groups = []
         for j in range(q):
             m_ij = sum(table[u][j] for u in members)
             if m_ij == 0:
-                n_sets[(i, j)] = []
+                groups.append([])
                 continue
             parts = math.ceil(Fraction(m_ij * Q, m))
-            n_sets[(i, j)] = padded_balanced_groups(
-                members, [table[u][j] for u in members], parts)
+            groups.append(padded_balanced_groups(
+                members, [table[u][j] for u in members], parts))
+        return groups
+
+    # Members of one class all receive the same count table.
+    per_class = engine.derive_per_group(dict(enumerate(v_sets)), class_n_sets)
+    n_sets: dict[tuple[int, int], list[list[int]]] = {
+        (i, j): groups for i, by_j in per_class.items() for j, groups in enumerate(by_j)}
 
     node_n_of: list[dict[int, int]] = [dict() for _ in range(n)]  # v -> {j: ell}
     for (i, j), groups in n_sets.items():
@@ -188,7 +183,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
             out.extend((tgt, _NC, j, len(n_sets[(i, j)]), 0) for j in range(q))
         return out
 
-    _phase(engine, "tri.ncounts", None, emit_ncounts)
+    engine.run_ingest_emit("tri.ncounts", None, emit_ncounts)
 
     n_ids = sorted((i, j, ell)
                    for (i, j), groups in n_sets.items()
@@ -250,16 +245,11 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
         return pkts
 
     # --- LearnEdges: packet loads, allocation, team forwarding ------------
-    load_words = [None] * n
-
-    def load_handler(v, state, inbox):
+    def load_word(v, state):
         state["pkts"] = packets_of(v)
-        w = (_LOAD, len(state["pkts"]), 0, 0)
-        load_words[v] = w
-        return [(u,) + w for u in range(n) if u != v]
+        return (_LOAD, len(state["pkts"]), 0, 0)
 
-    engine.run_phase(tag + "le.load", load_handler)
-    loads = [w[1] for w in load_words]
+    loads = [w[1] for w in engine.run_broadcast(tag + "le.load", load_word)]
     cap, starts = packet_allocation(loads)
 
     def emit_alloc(v, state):
@@ -267,7 +257,7 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
         return [((base + idx) // cap, _PKT, u, team, 0)
                 for idx, (u, team) in enumerate(state.pop("pkts"))]
 
-    _phase(engine, tag + "le.alloc", None, emit_alloc)
+    engine.run_ingest_emit(tag + "le.alloc", None, emit_alloc)
 
     def ingest_pkts(v, state, inbox):
         state["_pkts"] = [w for w in inbox if w[1] == _PKT]
@@ -279,7 +269,7 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
                        for member in range(team * q, (team + 1) * q))
         return out
 
-    _phase(engine, tag + "le.forward", ingest_pkts, emit_forward)
+    engine.run_ingest_emit(tag + "le.forward", ingest_pkts, emit_forward)
 
     # --- path-count scatter: every active team balances its path work -----
     def ingest_edges(v, state, inbox):
@@ -300,19 +290,20 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
                        for member in range(team * q, (team + 1) * q))
         return out
 
-    _phase(engine, tag + "psums", ingest_edges, emit_psums)
+    engine.run_ingest_emit(tag + "psums", ingest_edges, emit_psums)
 
-    # Team members receive identical scalars; derive each team's path
-    # partition from its first member's mailbox.
-    p_parts: dict[int, list[list[int]]] = {}
-    for team in range(Q):
-        if teams[team] is None:
-            continue
+    def team_paths(team, inbox):
+        """The team's path partition from its members' path counts."""
         scalars = [0] * n
-        for src, tagw, tm, s, _ in engine.inboxes[team * q]:
+        for src, tagw, tm, s, _ in inbox:
             if tagw == _PSUM and tm == team:
                 scalars[src] = s
-        p_parts[team] = balanced_assignment(scalars, q, 2 * n)
+        return balanced_assignment(scalars, q, 2 * n)
+
+    # Members of one team all receive the same path counts.
+    active = {team: list(range(team * q, (team + 1) * q))
+              for team in range(Q) if teams[team] is not None}
+    p_parts = engine.derive_per_group(active, team_paths)
     S.p_parts.append(p_parts)
 
     # --- LearnPaths: reuse the fragment machinery with lhs = rhs = A ------
@@ -321,71 +312,27 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
         engine.states[v]["Sp_row"] = row
         engine.states[v]["Tp_row"] = row
 
-    def drop_psums(v, state, inbox):
-        pass  # path counts were consumed by the partition derivation above
-
-    ownership = compute_sending(engine, tag + "lp.", drop_psums)
-    side_s, side_t = ownership.s, ownership.t
-
-    def ingest_frags(v, state, inbox):
-        # Endpoints are bucketed by class, the filter every response uses.
-        sub_s = {qid: [[] for _ in range(q)] for qid in side_s.owned[v]}
-        sub_t = {qid: [[] for _ in range(q)] for qid in side_t.owned[v]}
-        for _, tagw, qid, pos, _val in inbox:
-            if tagw == _SUB_S:
-                sub_s[qid][v_of[pos]].append(pos)
-            elif tagw == _SUB_T:
-                sub_t[qid][v_of[pos]].append(pos)
-        state["sub_s"] = sub_s
-        state["sub_t"] = sub_t
+    ownership = compute_sending(engine, tag + "lp.")
 
     def emit_requests(v, state):
         team, pos = divmod(v, q)
         if teams[team] is None:
             return []
-        out = []
-        for side, rtag in ((side_s, _REQ_S), (side_t, _REQ_T)):
-            asked = set()
-            for ell in p_parts[team][pos]:
-                for qid in side.by_line[ell]:
-                    u = side.owner[qid]
-                    if (u, ell) not in asked:
-                        asked.add((u, ell))
-                        out.append((u, rtag, ell, 0, 0))
-        return out
+        return fragment_requests(ownership, p_parts[team][pos], None)
 
-    _phase(engine, tag + "lp.request", ingest_frags, emit_requests)
+    # Endpoints are filed by class, the filter every response uses.
+    engine.run_ingest_emit(tag + "lp.request", bucket_fragments(ownership, v_of, v_of),
+                           emit_requests)
 
-    def ingest_requests(v, state, inbox):
-        state["_reqs"] = list(inbox)
+    def requester_bands(src):
+        nid = teams[src // q]
+        if nid is None:
+            raise SimulationError(f"idle team member {src} sent a request")
+        # In-edges of the path part come from V_j, out-edges go to V_i.
+        i_d, j_d, _ = nid
+        return j_d, i_d
 
-    def emit_responses(v, state):
-        sub_s, sub_t = state["sub_s"], state["sub_t"]
-        owned_s = {side_s.origin[qid] for qid in sub_s}
-        owned_t = {side_t.origin[qid] for qid in sub_t}
-        out = []
-        for src, rtag, ell, _, _val in state.pop("_reqs"):
-            nid = teams[src // q]
-            if nid is None:
-                raise SimulationError(f"idle team member {src} sent a request")
-            i_d, j_d, _ = nid
-            if rtag == _REQ_S:
-                if ell not in owned_s:
-                    raise SimulationError(
-                        f"node {v} asked for in-edges of {ell} it does not hold")
-                for qid in side_s.by_line[ell]:
-                    if qid in sub_s:
-                        out.extend((src, _ES, pos, ell, 0) for pos in sub_s[qid][j_d])
-            else:
-                if ell not in owned_t:
-                    raise SimulationError(
-                        f"node {v} asked for out-edges of {ell} it does not hold")
-                for qid in side_t.by_line[ell]:
-                    if qid in sub_t:
-                        out.extend((src, _ET, ell, pos, 0) for pos in sub_t[qid][i_d])
-        return out
-
-    _phase(engine, tag + "lp.respond", ingest_requests, emit_responses)
+    engine.run_phase(tag + "lp.respond", fragment_responder(ownership, requester_bands))
 
     # --- close the cycles locally -----------------------------------------
     outputs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -394,15 +341,15 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
         into_path: dict[int, list[int]] = {}
         from_path = set()
         for _, tagw, i1, i2, _ in inbox:
-            if tagw == _ES:        # edge (i1 in V_j) -> (i2 in path part)
+            if tagw == _ENT_S:     # edge (i1 in V_j) -> (i2 in path part)
                 into_path.setdefault(i1, []).append(i2)
-            elif tagw == _ET:      # edge (i1 in path part) -> (i2 in V_i)
+            elif tagw == _ENT_T:   # edge (i1 in path part) -> (i2 in V_i)
                 from_path.add((i1, i2))
         for x, y in state.pop("learned1"):
             for z in into_path.get(y, ()):
                 if (z, x) in from_path:
                     outputs[v].append(canonical_triangle(x, y, z))
 
-    _phase(engine, tag + "collect", collect, None)
+    engine.run_ingest_emit(tag + "collect", collect, None)
     for lst in outputs:
         found.update(lst)

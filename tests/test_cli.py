@@ -217,6 +217,30 @@ def test_apsp_disconnected(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, content, flag", [
+    ("triangles", "0 1\n1 1\n", "--graph"),       # self-loop
+    ("apsp", "0 1\n1 1\n", "--graph"),
+    ("four-cycles", "0 1\n0 1 2\n", "--graph"),   # three tokens
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "2 2 1\n3 1 5\n", "--lhs"),      # row out of range
+    ("multiply", None, "--lhs"),                  # missing file
+], ids=["self-loop-triangles", "self-loop-apsp", "three-tokens-four-cycles",
+        "mtx-out-of-range", "missing-file"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
+                                             flag):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    argv = [command, flag, str(path)]
+    if command == "multiply":
+        write_matrix(tmp_path / "b.mtx", 2, 2, 0)
+        argv += ["--rhs", str(tmp_path / "b.mtx"), "--semiring", "count",
+                 "--out", str(tmp_path / "p.mtx")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bench_command_bad_sizes(tmp_path, capsys):
     rc = cli.main(["bench", "--suite", "triangles", "--sizes", "10",
                    "--edges", "5", "--out", str(tmp_path / "b.csv")])

@@ -84,13 +84,6 @@ def test_min_plus_fast_path_in_row_chunks(monkeypatch):
         assert oracle.dense_multiply(S, T) == whole
 
 
-def test_matrix_power():
-    A = path4().to_adjacency(MINPLUS)
-    A3 = oracle.matrix_power(A, 3)
-    assert A3.entry(0, 3) == 3
-    assert oracle.matrix_power(A, 1) == A
-
-
 def test_triangle_enumeration_k3_both_ways():
     G = Graph.undirected(3, [(0, 1), (1, 2), (0, 2)])
     tris = oracle.enumerate_triangles(G)

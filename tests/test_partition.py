@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquemul.partition import (PartitionError, avg_partition,
-                                 balanced_assignment, chunk_partition,
+                                 balanced_assignment,
                                  chunk_sizes, padded_balanced_groups,
                                  weight_balanced_partition)
 
@@ -13,17 +13,6 @@ def test_chunk_examples():
     assert chunk_sizes(10, 3) == [4, 4, 2, 0]
     assert chunk_sizes(5, 5) == [5]
     assert chunk_sizes(7, 1) == [2, 2, 2, 1, 0, 0, 0]
-
-
-def test_chunk_partition_tiles_consecutively():
-    spec = chunk_partition(10, 3)
-    assert len(spec.parts) == 4
-    assert [i for part in spec.parts for i in part] == list(range(10))
-    assert all(len(p) <= 4 for p in spec.parts)
-    with pytest.raises(PartitionError):
-        chunk_partition(10, 0)
-    with pytest.raises(PartitionError):
-        chunk_partition(3, 4)
 
 
 def test_avg_partition_examples():

@@ -15,7 +15,6 @@ from cliquemul.smm import (
     build_subsequences,
     check_balanced,
     choose_split,
-    continuous_split,
     group_of,
     node_of,
     sbmm,
@@ -57,10 +56,8 @@ def test_choose_split_frozen_values():
     # a + b + 4/(ab) ties at 5 for (1,2), (2,1), (2,2); lexicographic winner
     assert choose_split(16, 16, 4) == SplitPair(1, 2)
     assert choose_split(512, 512, 64) == SplitPair(8, 8)
-    assert continuous_split(512, 512, 64) == pytest.approx((8.0, 8.0))
     # empty operands leave only the n/(ab) term, so push ab to n
     assert choose_split(0, 0, 8) == SplitPair(1, 8)
-    assert continuous_split(0, 7, 8) is None
     # (2,2) has the lowest cost at n=6 but the node grid needs ab | n
     assert choose_split(18, 18, 6) == SplitPair(2, 3)
 

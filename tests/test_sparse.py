@@ -68,15 +68,6 @@ def test_permutation_validation():
         M.permute_rows(p)
 
 
-def test_transpose_distribute():
-    M = SparseMatrix.from_entries(3, COUNT, [(0, 2, 4), (1, 0, 3)])
-    Mt = M.transpose_distribute()
-    assert Mt.entry(2, 0) == 4 and Mt.entry(0, 1) == 3
-    assert Mt.transpose_distribute() == M
-    sym = SparseMatrix.from_entries(3, COUNT, [(0, 1, 2), (1, 0, 2), (2, 2, 1)])
-    assert sym.transpose_distribute() == sym
-
-
 def test_padded_and_truncated():
     M = SparseMatrix.from_entries(2, COUNT, [(0, 1, 3), (1, 0, 4)])
     P = M.padded(5)

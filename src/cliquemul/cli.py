@@ -1,12 +1,13 @@
 """Command line front end: ingestion, simulation, verification, benchmarks.
 
 Subcommands: multiply, triangles, four-cycles, apsp, bench,
-verify-partitions.  Every subcommand accepts --seed (instance generators
-only consume it where randomness exists) and --verify, which re-runs the
-sequential oracle and exits 1 on any difference.  A bad input (missing or
-malformed file, mismatched operands, disconnected graph for apsp) exits 2
-with a one-line message.  Files land in --out when given, else under
-$CLIQUEMUL_OUT_DIR (default ".").
+verify-partitions.  multiply, triangles, four-cycles and apsp accept
+--verify, which re-runs the sequential oracle and exits 1 on any
+difference, and --ledger; they run no randomized step, so only bench and
+verify-partitions take --seed for the instances they generate.  A bad
+input (missing or malformed file, mismatched operands, disconnected
+graph for apsp) exits 2 with a one-line message.  Files land in --out
+when given, else under $CLIQUEMUL_OUT_DIR (default ".").
 """
 
 from __future__ import annotations
@@ -256,8 +257,6 @@ def run_partition_suite(seed: int = 0) -> tuple[int, list[str]]:
 # -- subcommand implementations ---------------------------------------------
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for any randomized step (default 0)")
     sp.add_argument("--verify", action="store_true",
                     help="cross-check against the sequential oracle")
     sp.add_argument("--ledger", type=Path, default=None,

@@ -107,40 +107,39 @@ class CliqueEngine:
     def run_phase(self, label: str, handler: Handler) -> int:
         """Run one phase; returns rounds charged.
 
-        ``handler(v, state, inbox)`` returns an iterable of messages
-        ``(dst, tag, i1, i2, value)``.  The inbox passed in is consumed:
-        whatever the handler does not copy into its state is gone at the
-        next phase boundary.
+        ``handler(v, state, inbox)`` returns a sequence (it is read twice)
+        of messages ``(dst, tag, i1, i2, value)``.  The inbox passed in is
+        consumed: whatever the handler does not copy into its state is gone
+        at the next phase boundary.
         """
         n = self.n
         new_inboxes: list[list] = [[] for _ in range(n)]
+        deliver = [box.append for box in new_inboxes]
         sends = [0] * n
-        recvs = [0] * n
-        total = 0
+        selfs = [0] * n
         emitted = 0
         for v in range(n):
             out = handler(v, self.states[v], self.inboxes[v])
             if not out:
                 continue
-            for msg in out:
-                emitted += 1
-                dst = msg[0]
-                if dst == v:
-                    new_inboxes[v].append((v,) + tuple(msg[1:]))
-                    continue
-                if not (0 <= dst < n):
-                    raise SimulationError(
-                        f"phase {label!r}: node {v} addressed nonexistent node {dst}"
-                    )
-                sends[v] += 1
-                recvs[dst] += 1
-                total += 1
-                new_inboxes[dst].append((v,) + tuple(msg[1:]))
-        delivered = sum(len(box) for box in new_inboxes)
-        if delivered != emitted:
+            dsts = [msg[0] for msg in out]
+            # One range check per batch; indexing alone would accept -1.
+            lo, hi = min(dsts), max(dsts)
+            if lo < 0 or hi >= n:
+                raise SimulationError(
+                    f"phase {label!r}: node {v} addressed nonexistent node "
+                    f"{lo if lo < 0 else hi}"
+                )
+            for dst, tag, i1, i2, val in out:
+                deliver[dst]((v, tag, i1, i2, val))
+            emitted += len(dsts)
+            selfs[v] = dsts.count(v)
+            sends[v] = len(dsts) - selfs[v]
+        recvs = [len(box) - own for box, own in zip(new_inboxes, selfs)]
+        if sum(len(box) for box in new_inboxes) != emitted:
             raise SimulationError(f"phase {label!r}: message conservation violated")
         self.inboxes = new_inboxes
-        return self.ledger.charge_for_loads(label, n, max(sends), max(recvs), total)
+        return self.ledger.charge_for_loads(label, n, max(sends), max(recvs), sum(sends))
 
     def run_ingest_emit(self, label: str, ingest, emit) -> int:
         """One phase in two steps: ``ingest(v, state, inbox)`` keeps what

@@ -110,7 +110,15 @@ def count_4_cycles(G: Graph, engine: CliqueEngine | None = None) -> FourCycleRes
 
 
 def bfs_ecc(G: Graph, root: int, engine: CliqueEngine | None = None) -> int:
-    """Eccentricity of root by synchronous flooding, one round per level."""
+    """Eccentricity of root by synchronous flooding, one round per level.
+
+    The stop test is global knowledge the ledger does not charge: after
+    each wave the driver reads ``engine.inboxes`` to count the nodes the
+    wave newly reached, and ends the loop once every node is reached (or
+    raises once a wave reaches none).  A node-local stop would cost one
+    broadcast round per level, so the recorded rounds are the flooding
+    waves alone.
+    """
     if not G.is_symmetric():
         raise ValueError("eccentricity expects an undirected graph")
     n = G.n

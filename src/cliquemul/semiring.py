@@ -5,13 +5,34 @@ A semiring here is a value domain plus two associative operations where
 equal to ``omitted`` are never stored and never sent over the wire, which
 is sound because ``omitted`` annihilates under ``mul`` and is neutral
 under ``add``.
+
+Each shipped semiring also carries an ``ArrayKernel``: numpy ufuncs that
+multiply and sum whole arrays of values, plus a predicate ``exact(lhs,
+rhs, terms)`` that says, from the operand values themselves, when the
+array arithmetic equals the scalar definition for any sum of at most
+``terms`` products.  Every predicate checks exact Python types, so the
+kernel's ``.tolist()`` results have the same types as the scalar path's:
+
+* counting (int64, multiply, add): every value an ``int`` and
+  max|lhs| * max|rhs| * terms <= INT64_MAX.  Then every product and
+  every partial sum, in any order, lies within [INT64_MIN, INT64_MAX],
+  so the saturating scalar fold never clamps and int64 never wraps;
+* min-plus (int64, add, minimum): every value an ``int`` (so no
+  infinity and no float) and max|lhs| + max|rhs| <= INT64_MAX, so no
+  sum wraps; ``min`` is exact in any order;
+* boolean (bool, logical_and, logical_or): every value a ``bool``.
+
+Outside the envelope, and for semirings built without a kernel, callers
+use the scalar ``add``/``mul``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 Value = Any
 
@@ -22,12 +43,30 @@ INT64_MIN = -INT64_MAX
 
 
 @dataclass(frozen=True)
+class ArrayKernel:
+    """Array arithmetic for a semiring, exact where ``exact`` holds.
+
+    ``exact(lhs_vals, rhs_vals, terms)`` is True when multiplying values
+    of ``lhs_vals`` by values of ``rhs_vals`` in ``dtype`` with ``mul``
+    and summing at most ``terms`` products per result with ``add`` gives
+    the scalar semiring's values, of the same Python type after
+    ``.tolist()``.
+    """
+
+    dtype: type
+    mul: np.ufunc
+    add: np.ufunc
+    exact: Callable[[Sequence, Sequence, int], bool]
+
+
+@dataclass(frozen=True)
 class Semiring:
     """Scalar algebra: ``add``/``mul`` over single-word values.
 
     ``omitted`` is the additive identity; a missing matrix entry means
     exactly this value.  ``one`` is the multiplicative identity, used for
-    identity matrices and for pattern-only input files.
+    identity matrices and for pattern-only input files.  ``kernel`` is
+    the array form of ``add``/``mul``, or None for scalar arithmetic only.
     """
 
     name: str
@@ -38,6 +77,7 @@ class Semiring:
     mm_field: str = "integer"
     parse_value: Callable[[str], Value] = field(default=int, repr=False)
     format_value: Callable[[Value], str] = field(default=str, repr=False)
+    kernel: ArrayKernel | None = field(default=None, repr=False)
 
 
 def _sat(x: int) -> int:
@@ -92,6 +132,28 @@ def _minplus_format(v) -> str:
     return str(int(v)) if v == int(v) else repr(v)
 
 
+def _all_of_type(values: Sequence, kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _max_abs(values: Sequence) -> int:
+    return max(map(abs, values), default=0)
+
+
+def _counting_exact(lhs: Sequence, rhs: Sequence, terms: int) -> bool:
+    return (_all_of_type(lhs, int) and _all_of_type(rhs, int)
+            and _max_abs(lhs) * _max_abs(rhs) * terms <= INT64_MAX)
+
+
+def _minplus_exact(lhs: Sequence, rhs: Sequence, terms: int) -> bool:
+    return (_all_of_type(lhs, int) and _all_of_type(rhs, int)
+            and _max_abs(lhs) + _max_abs(rhs) <= INT64_MAX)
+
+
+def _bool_exact(lhs: Sequence, rhs: Sequence, terms: int) -> bool:
+    return _all_of_type(lhs, bool) and _all_of_type(rhs, bool)
+
+
 _BOOLEAN = Semiring(
     name="boolean",
     add=_bool_add,
@@ -101,6 +163,7 @@ _BOOLEAN = Semiring(
     mm_field="pattern",
     parse_value=_bool_parse,
     format_value=_bool_format,
+    kernel=ArrayKernel(np.bool_, np.logical_and, np.logical_or, _bool_exact),
 )
 
 _COUNTING = Semiring(
@@ -112,6 +175,7 @@ _COUNTING = Semiring(
     mm_field="integer",
     parse_value=int,
     format_value=str,
+    kernel=ArrayKernel(np.int64, np.multiply, np.add, _counting_exact),
 )
 
 _MIN_PLUS = Semiring(
@@ -123,6 +187,7 @@ _MIN_PLUS = Semiring(
     mm_field="real",
     parse_value=_minplus_parse,
     format_value=_minplus_format,
+    kernel=ArrayKernel(np.int64, np.add, np.minimum, _minplus_exact),
 )
 
 

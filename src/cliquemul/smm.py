@@ -21,6 +21,9 @@ row/column permutations, then the balanced multiplication protocol.
   with no entry in its band;
 * sbmm.reduce: locally computed page products are summed into result
   rows, each partial sent straight to the owner of its unpermuted row.
+  A node runs its semiring's array kernel when its values lie inside the
+  kernel's exactness envelope (see ``semiring.py``) and the scalar fold
+  otherwise; both send the same messages.
 
 ``sbmm()`` takes operands that are already balanced, so there is no
 permutation to fold the redistribution into: it starts with
@@ -41,6 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+
+import numpy as np
 
 from .engine import CliqueEngine, PhaseRecord, SimulationError
 from .partition import avg_partition, balanced_assignment
@@ -422,14 +428,16 @@ def _count_fields(buckets: dict[int, list[list]], bands: int, n: int) -> list[in
 
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
-                      a: int, b: int) -> dict[tuple[int, int], PageAssignment]:
+                      a: int, b: int, grid: list[tuple[int, int]]
+                      ) -> dict[tuple[int, int], PageAssignment]:
     """Band-count exchange and per-group page assignment.
 
     Each fragment owner sends every node one word holding how many
     entries of its fragments fall in that node's row band (lhs) and
     column band (rhs); all-zero words stay unsent.  Every node of a group
     then derives the same weight-balanced page striping; the returned
-    dict holds one assignment per (i, j) group.
+    dict holds one assignment per (i, j) group.  ``grid[u]`` is node u's
+    group (i, j).
     """
     n = engine.n
     h_s = n // a
@@ -441,8 +449,7 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
         s_fields = _count_fields(state["s_bands"], a, n)
         t_fields = _count_fields(state["t_bands"], b, n)
         out = []
-        for u in range(n):
-            i_u, j_u, _ = group_of(u, a, b, n)
+        for u, (i_u, j_u) in enumerate(grid):
             s_field, t_field = s_fields[i_u], t_fields[j_u]
             if s_field or t_field:
                 out.append((u, _CNT, s_field, t_field, 0))
@@ -470,34 +477,88 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
 def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
                   col_out: list[int]) -> None:
     """Local page products; the partial for cell (r, c) goes to node
-    row_dst[r] as result column col_out[c]."""
+    row_dst[r] as result column col_out[c].
+
+    A node whose values lie in its semiring kernel's exactness envelope
+    (at most one product per page per cell, so ``terms`` is its page
+    count) multiplies and sums with the kernel; any other node, and every
+    node of a semiring without a kernel, folds with the scalar ``add`` and
+    ``mul``.  Both emit the same messages in (r, c) order.
+    """
+    kernel = semiring.kernel
+
+    def reduce(v, state, inbox):
+        pages = state["my_pages"]
+        if not inbox:
+            return []
+        _, tags, i1s, i2s, vals = zip(*inbox)
+        lhs = list(compress(vals, map(_ENT_S.__eq__, tags)))
+        rhs = list(compress(vals, map(_ENT_T.__eq__, tags)))
+        if kernel is not None and kernel.exact(lhs, rhs, len(pages)):
+            return _kernel_partials(semiring, engine.n, tags, i1s, i2s, lhs, rhs,
+                                    row_dst, col_out)
+        return _scalar_partials(semiring, pages, inbox, row_dst, col_out)
+
+    engine.run_phase("sbmm.reduce", reduce)
+
+
+def _scalar_partials(semiring: Semiring, pages: list[int], inbox,
+                     row_dst: list[int], col_out: list[int]) -> list[tuple]:
     add, mul, omitted = semiring.add, semiring.mul, semiring.omitted
+    s_frags: dict[int, list] = {}
+    t_frags: dict[int, list] = {}
+    for _, tag, i1, i2, val in inbox:
+        if tag == _ENT_S:
+            s_frags.setdefault(i2, []).append((i1, val))
+        elif tag == _ENT_T:
+            t_frags.setdefault(i1, []).append((i2, val))
+    acc: dict[tuple[int, int], object] = {}
+    for ell in pages:
+        for r, sval in s_frags.get(ell, ()):
+            for c, tval in t_frags.get(ell, ()):
+                p = mul(sval, tval)
+                key = (r, c)
+                prev = acc.get(key)
+                acc[key] = p if prev is None else add(prev, p)
+    return [(row_dst[r], _RED, col_out[c], 0, val)
+            for (r, c), val in sorted(acc.items()) if val != omitted]
 
-    def ingest_frags(v, state, inbox):
-        s_frags: dict[int, list] = {}
-        t_frags: dict[int, list] = {}
-        for _, tag, i1, i2, val in inbox:
-            if tag == _ENT_S:
-                s_frags.setdefault(i2, []).append((i1, val))
-            elif tag == _ENT_T:
-                t_frags.setdefault(i1, []).append((i2, val))
-        state["s_frags"] = s_frags
-        state["t_frags"] = t_frags
 
-    def emit_partials(v, state):
-        acc: dict[tuple[int, int], object] = {}
-        s_frags, t_frags = state["s_frags"], state["t_frags"]
-        for ell in state["my_pages"]:
-            for r, sval in s_frags.get(ell, ()):
-                for c, tval in t_frags.get(ell, ()):
-                    p = mul(sval, tval)
-                    key = (r, c)
-                    prev = acc.get(key)
-                    acc[key] = p if prev is None else add(prev, p)
-        return [(row_dst[r], _RED, col_out[c], 0, val)
-                for (r, c), val in sorted(acc.items()) if val != omitted]
-
-    engine.run_ingest_emit("sbmm.reduce", ingest_frags, emit_partials)
+def _kernel_partials(semiring: Semiring, n: int, tags, i1s, i2s, lhs: list,
+                     rhs: list, row_dst: list[int], col_out: list[int]) -> list[tuple]:
+    """``_scalar_partials`` in array form: every (lhs, rhs) entry pair of a
+    page is multiplied, and the products are summed per cell.  A node
+    holds entries of its own pages only, as it asked for no others."""
+    kernel = semiring.kernel
+    tag, i1, i2 = np.array(tags), np.array(i1s), np.array(i2s)
+    is_s, is_t = tag == _ENT_S, tag == _ENT_T
+    s_row, s_page = i1[is_s], i2[is_s]
+    t_page, t_col = i1[is_t], i2[is_t]
+    s_val = np.array(lhs, dtype=kernel.dtype)
+    t_val = np.array(rhs, dtype=kernel.dtype)
+    # Lhs entry k pairs with each rhs entry of its page: rhs entries sorted
+    # by page, the pair's rhs index is the page's first one plus an offset.
+    t_order = np.argsort(t_page, kind="stable")
+    t_count = np.bincount(t_page, minlength=n)
+    t_first = np.cumsum(t_count) - t_count
+    reps = t_count[s_page]
+    pairs = int(reps.sum())
+    if pairs == 0:
+        return []
+    li = np.repeat(np.arange(len(s_page)), reps)
+    offset = np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps)
+    ri = t_order[np.repeat(t_first[s_page], reps) + offset]
+    cell = s_row[li] * n + t_col[ri]
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    sums = kernel.add.reduceat(kernel.mul(s_val[li], t_val[ri])[order], starts)
+    cell = cell[starts]
+    kept = sums != semiring.omitted
+    cell, sums = cell[kept], sums[kept]
+    dst = np.asarray(row_dst)[cell // n].tolist()
+    col = np.asarray(col_out)[cell % n].tolist()
+    return list(zip(dst, repeat(_RED), col, repeat(0), sums.tolist()))
 
 
 def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
@@ -505,7 +566,8 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     """Counts through reduce on dealt fragments; returns the gathered
     product and the page assignments."""
     n = engine.n
-    pages = compute_receiving(engine, ownership, a, b)
+    grid = [group_of(u, a, b, n)[:2] for u in range(n)]
+    pages = compute_receiving(engine, ownership, a, b, grid)
 
     # A node asks for a line's fragments only from owners whose count word
     # reported entries in its band.
@@ -516,8 +578,7 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
                                  _fragment_counts(inbox, ownership, n))
 
     engine.run_phase("sbmm.request", request)
-    engine.run_phase("sbmm.respond", fragment_responder(
-        ownership, lambda src: group_of(src, a, b, n)[:2]))
+    engine.run_phase("sbmm.respond", fragment_responder(ownership, grid.__getitem__))
     _reduce_phase(engine, semiring, row_dst, col_out)
     rows = [sorted(_fold_partials(semiring, box).items())
             for box in engine.drain_inboxes()]

@@ -241,6 +241,20 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["multiply", "--lhs", "a.mtx", "--rhs", "b.mtx", "--semiring", "count"],
+    ["triangles", "--graph", "g.txt"],
+    ["four-cycles", "--graph", "g.txt"],
+    ["apsp", "--graph", "g.txt"],
+], ids=["multiply", "triangles", "four-cycles", "apsp"])
+def test_seed_rejected_where_nothing_is_random(argv, capsys):
+    # These commands run no randomized step, so a seed would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_bench_command_bad_sizes(tmp_path, capsys):
     rc = cli.main(["bench", "--suite", "triangles", "--sizes", "10",
                    "--edges", "5", "--out", str(tmp_path / "b.csv")])

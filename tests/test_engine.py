@@ -55,6 +55,18 @@ def test_bad_destination_raises():
     eng = CliqueEngine(3)
     with pytest.raises(SimulationError):
         eng.run_phase("bad", lambda v, st, box: [(7, 0, 0, 0, 0)])
+    # -1 would index the last mailbox if the engine did not check it.
+    with pytest.raises(SimulationError, match="node 0 addressed nonexistent node -1"):
+        eng.run_phase("negative", lambda v, st, box: [(-1, 0, 0, 0, 0)])
+    # A bad message after good ones from the same node, on a later node.
+    good = [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 0, 0, 0, 0)]
+    with pytest.raises(SimulationError, match="node 2 addressed nonexistent node -2"):
+        eng.run_phase("late", lambda v, st, box:
+                      good + [(-2, 0, 0, 0, 0)] if v == 2 else good)
+    with pytest.raises(SimulationError, match="node 1 addressed nonexistent node 3"):
+        eng.run_phase("over", lambda v, st, box:
+                      good + [(3, 0, 0, 0, 0)] if v == 1 else [])
+    assert eng.ledger.records == []
 
 
 def test_ledger_csv_and_prefixes():

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
 from cliquemul.engine import CliqueEngine
-from cliquemul.semiring import boolean_semiring, counting_semiring, min_plus_semiring
+from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
+                                min_plus_semiring)
 from cliquemul.smm import (
     BalanceError,
     SplitPair,
@@ -239,3 +242,82 @@ def test_dense_reduce_load():
     assert rec.max_recv == 12
     assert rec.rounds == 2   # ceil(12 / 7)
     assert rec.rounds <= math.ceil((8 * 8 // 4) / 7)
+
+
+# -- sbmm.reduce: array kernel against the scalar fold ----------------------
+
+MAX_MIN = Semiring("max-min", add=max, mul=min, omitted=-math.inf, one=math.inf)
+
+# Per semiring, value draws by mode.  Mode 0 stays inside the kernel's
+# envelope.  Counting modes 1 and 2 put entries near 2**31 and 2**62, so
+# nodes holding them fall back and their products or sums saturate; they
+# are positive because saturating addition of mixed signs depends on the
+# order of the sum.  Min-plus mode 1 adds non-integral floats (k + 0.25,
+# so no float sum equals an int sum) and mode 2 ints whose sums leave
+# int64.
+VALUE_DRAWS = {
+    "boolean": [lambda rng: True] * 3,
+    "counting": [
+        lambda rng: rng.choice((-1, 1)) * rng.randint(1, 9),
+        lambda rng: rng.choice((rng.randint(1, 9), 2**31 + rng.randint(0, 9))),
+        lambda rng: rng.choice((rng.randint(1, 9), 2**62 + rng.randint(0, 9))),
+    ],
+    "min-plus": [
+        lambda rng: rng.randint(0, 9),
+        lambda rng: rng.choice((rng.randint(0, 9), rng.randint(0, 9) + 0.25)),
+        lambda rng: rng.choice((rng.randint(0, 9), 2**62 + rng.randint(0, 9))),
+    ],
+    "max-min": [lambda rng: rng.randint(0, 9)] * 3,
+}
+
+
+def valued_matrix(n, sr, density, mode, rng):
+    draw = VALUE_DRAWS[sr.name][mode]
+    return SparseMatrix.from_entries(
+        n, sr, [(i, j, draw(rng)) for i in range(n) for j in range(n)
+                if rng.random() < density])
+
+
+def typed_rows(M):
+    return [[(c, type(v), v) for c, v in row] for row in M.rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sr=st.sampled_from([boolean_semiring(), counting_semiring(),
+                           min_plus_semiring(), MAX_MIN]),
+       n=st.integers(1, 16),
+       densities=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       mode=st.integers(0, 2),
+       seed=st.integers(0, 2**32))
+# Dense counting near 2**31: products fit int64, their sums do not.
+@example(sr=counting_semiring(), n=8, densities=(1.0, 1.0), mode=1, seed=0)
+def test_reduce_kernel_and_scalar_fold_match_reference(sr, n, densities, mode, seed):
+    rng = random.Random(seed)
+    S = valued_matrix(n, sr, densities[0], mode, rng)
+    T = valued_matrix(n, sr, densities[1], mode, rng)
+    got = smm(S, T).product
+    assert typed_rows(got) == typed_rows(oracle.dense_multiply_reference(S, T))
+
+
+def with_exact(sr, exact):
+    return dataclasses.replace(sr, kernel=dataclasses.replace(sr.kernel, exact=exact))
+
+
+@pytest.mark.parametrize("sr", [boolean_semiring(), counting_semiring(),
+                                min_plus_semiring()], ids=lambda sr: sr.name)
+def test_reduce_scalar_fold_equals_kernel_run(sr):
+    verdicts = []
+
+    def recorded(lhs, rhs, terms):
+        verdicts.append(sr.kernel.exact(lhs, rhs, terms))
+        return verdicts[-1]
+
+    runs = []
+    for variant in (with_exact(sr, recorded), with_exact(sr, lambda *_: False)):
+        rng = random.Random(5)
+        S = valued_matrix(16, variant, 0.4, 0, rng)
+        T = valued_matrix(16, variant, 0.4, 0, rng)
+        engine = CliqueEngine(16)
+        runs.append((typed_rows(smm(S, T, engine).product), engine.ledger.to_csv()))
+    assert verdicts and all(verdicts)
+    assert runs[0] == runs[1]

@@ -6,7 +6,7 @@ from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list, s
 from .graph_suite import apsp, bfs_ecc, count_4_cycles, trace_product
 from .semiring import (Semiring, boolean_semiring, counting_semiring,
                        min_plus_semiring, semiring_by_name)
-from .smm import BalanceError, SmmResult, SplitPair, balance_inputs, choose_split, sbmm, smm
+from .smm import SmmResult, SplitPair, choose_split, smm
 from .sparse import (DimensionError, FormatError, Permutation, SparseMatrix,
                      load_matrix_market, save_matrix_market)
 from .triangles import TriangleResult, list_triangles
@@ -20,8 +20,7 @@ __all__ = [
     "apsp", "bfs_ecc", "count_4_cycles", "trace_product",
     "Semiring", "boolean_semiring", "counting_semiring", "min_plus_semiring",
     "semiring_by_name",
-    "BalanceError", "SmmResult", "SplitPair", "balance_inputs", "choose_split",
-    "sbmm", "smm",
+    "SmmResult", "SplitPair", "choose_split", "smm",
     "DimensionError", "FormatError", "Permutation", "SparseMatrix",
     "load_matrix_market", "save_matrix_market",
     "TriangleResult", "list_triangles",

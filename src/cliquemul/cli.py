@@ -99,7 +99,7 @@ _SMM_PHASES = [
 _TRI_PHASES = [
     "degrees", "vcounts", "ncounts",
     "le.load", "le.alloc", "le.forward", "psums",
-    "lp.coldist", "lp.stats", "lp.subseq", "lp.request", "lp.respond",
+    "lp.subseq", "lp.request", "lp.respond",
     "collect",
 ]
 

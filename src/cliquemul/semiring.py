@@ -6,6 +6,14 @@ equal to ``omitted`` are never stored and never sent over the wire, which
 is sound because ``omitted`` annihilates under ``mul`` and is neutral
 under ``add``.
 
+Counting is the one exception: its operations saturate at the int64
+range, and saturating addition is associative only while no partial sum
+of mixed-sign values clamps.  On nonnegative values a clamped sum stays
+at INT64_MAX whatever is added later, so every summation order gives the
+same result and smm equals the sequential reference; every generator and
+graph driver makes nonnegative counting values.  With mixed signs, a
+saturated result can depend on the order in which the protocol sums.
+
 Each shipped semiring also carries an ``ArrayKernel``: numpy ufuncs that
 multiply and sum whole arrays of values, plus a predicate ``exact(lhs,
 rhs, terms)`` that says, from the operand values themselves, when the
@@ -197,7 +205,11 @@ def boolean_semiring() -> Semiring:
 
 
 def counting_semiring() -> Semiring:
-    """Plus/times over 64-bit saturating integers; omitted entries read as 0."""
+    """Plus/times over 64-bit saturating integers; omitted entries read as 0.
+
+    Order-independent on nonnegative values; with mixed signs a saturated
+    sum can depend on the summation order (see the module docstring).
+    """
     return _COUNTING
 
 

@@ -25,12 +25,11 @@ row/column permutations, then the balanced multiplication protocol.
   kernel's exactness envelope (see ``semiring.py``) and the scalar fold
   otherwise; both send the same messages.
 
-``sbmm()`` takes operands that are already balanced, so there is no
-permutation to fold the redistribution into: it starts with
-``sbmm.coldist`` (lhs rows to columns) and ``sbmm.stats`` (column/row
-counts) before the same balanced core.  Triangle listing's LearnPaths
-runs that prologue and the fragment routing below (``bucket_fragments``,
-``fragment_requests``, ``fragment_responder``) on the adjacency matrix.
+Triangle listing's LearnPaths runs the fragment dealing and routing
+below (``deal_fragments``, ``bucket_fragments``, ``fragment_requests``,
+``fragment_responder``) on the adjacency matrix.  There a node's column
+and row are its in- and out-arcs, which it holds from the start, so no
+redistribution precedes the dealing.
 
 All coordination data flows through broadcasts, so every node derives
 identical partitions, subsequence tables, and page assignments from the
@@ -56,10 +55,6 @@ from .sparse import DimensionError, SparseMatrix, Permutation
 # message tags
 (_S_COL, _T_COL, _NZ, _SUB_S, _SUB_T, _CNT,
  _REQ_S, _REQ_T, _ENT_S, _ENT_T, _RED) = range(11)
-
-
-class BalanceError(ValueError):
-    """Operands are not sparsity-balanced for the requested split."""
 
 
 # -- split-pair selection ---------------------------------------------------
@@ -119,15 +114,6 @@ def node_of(i: int, j: int, k: int, a: int, b: int, n: int) -> int:
 
 # -- balancing permutations -------------------------------------------------
 
-@dataclass
-class BalancedPair:
-    S_prime: SparseMatrix
-    T_prime: SparseMatrix
-    sigma: Permutation
-    tau: Permutation
-    split: SplitPair
-
-
 def _balance_permutations(row_nz: list[int], col_nz: list[int], a: int, b: int):
     """Row/col permutations grouping lines into weight-balanced bands.
 
@@ -149,28 +135,6 @@ def _balance_permutations(row_nz: list[int], col_nz: list[int], a: int, b: int):
         for off, c in enumerate(grp):
             tau[c] = j * w + off
     return sigma, tau
-
-
-def balance_inputs(S: SparseMatrix, T: SparseMatrix, split: SplitPair) -> BalancedPair:
-    """Permute S rows and T columns so both band conditions hold."""
-    sigma_l, tau_l = _balance_permutations(S.nz_by_row(), T.nz_by_col(), split.a, split.b)
-    sigma = Permutation(sigma_l)
-    tau = Permutation(tau_l)
-    return BalancedPair(S.permute_rows(sigma), T.permute_cols(tau), sigma, tau, split)
-
-
-def check_balanced(Sp: SparseMatrix, Tp: SparseMatrix, a: int, b: int) -> list[str]:
-    """Violations of the band conditions; empty when (Sp, Tp) is balanced."""
-    n = Sp.n
-    problems = []
-    nzS, nzT = Sp.nz(), Tp.nz()
-    for i, cnt in enumerate(Sp.band_row_counts(a)):
-        if cnt * a > nzS + n * a:  # cnt <= nzS/a + n in exact arithmetic
-            problems.append(f"row band {i}: {cnt} > nz/a + n")
-    for j, cnt in enumerate(Tp.band_col_counts(b)):
-        if cnt * b > nzT + n * b:
-            problems.append(f"col band {j}: {cnt} > nz/b + n")
-    return problems
 
 
 # -- subsequences -----------------------------------------------------------
@@ -264,32 +228,7 @@ def _column(inbox, tag: int) -> list[tuple]:
     return [(src, val) for src, t, _i1, _i2, val in inbox if t == tag]
 
 
-# -- ExchangeInfo: fragment dealing, counts, requests and responses ---------
-
-def compute_sending(engine: CliqueEngine, prefix: str) -> SubseqOwnership:
-    """Column redistribution and count broadcast, then fragment dealing.
-
-    The prologue where no permutation is applied (pre-balanced operands,
-    triangle listing), so lhs columns must be gathered by sending.
-    Expects node v to hold 'Sp_row' and 'Tp_row' (sorted (index, value)
-    lists).
-    """
-    def emit_cols(v, state):
-        return [(c, _S_COL, v, 0, val) for c, val in state["Sp_row"]]
-
-    engine.run_ingest_emit(prefix + "coldist", None, emit_cols)
-
-    def ingest_cols(v, state, inbox):
-        state["Sp_col"] = _column(inbox, _S_COL)
-
-    words = engine.run_broadcast(
-        prefix + "stats",
-        lambda v, state: (_NZ, len(state["Sp_col"]), len(state["Tp_row"]), 0),
-        ingest_cols,
-    )
-    return deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
-                          prefix, None)
-
+# -- fragment dealing, counts, requests and responses -----------------------
 
 def deal_fragments(engine: CliqueEngine, s_col_nz: list[int], t_row_nz: list[int],
                    prefix: str, ingest) -> SubseqOwnership:
@@ -349,12 +288,13 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
 
 
 def fragment_requests(ownership: SubseqOwnership, lines: list[int],
-                      counts: tuple[dict, dict] | None) -> list[tuple]:
+                      wanted: tuple[bytes, bytes] | None) -> list[tuple]:
     """One request per side, line of ``lines`` and owner of that line's fragments.
 
-    ``counts`` holds, per side, fragment id -> entries in the requester's
-    band, as decoded from count words; a fragment counted 0 is not asked
-    for.  None asks for every fragment.
+    ``wanted`` holds, per side, one flag per fragment id, nonzero when the
+    count words reported entries of that fragment in the requester's
+    band; an unflagged fragment is not asked for.  None asks for every
+    fragment.
     """
     out = []
     for k, (side, tag) in enumerate(((ownership.s, _REQ_S), (ownership.t, _REQ_T))):
@@ -362,7 +302,7 @@ def fragment_requests(ownership: SubseqOwnership, lines: list[int],
         for ell in lines:
             for q in side.by_line[ell]:
                 u = side.owner[q]
-                if (counts is None or counts[k].get(q)) and (u, ell) not in asked:
+                if (wanted is None or wanted[k][q]) and (u, ell) not in asked:
                     asked.add((u, ell))
                     out.append((u, tag, ell, 0, 0))
     return out
@@ -398,20 +338,23 @@ def fragment_responder(ownership: SubseqOwnership, requester_bands):
     return respond
 
 
-def _fragment_counts(inbox, ownership: SubseqOwnership, n: int) -> tuple[dict, dict]:
-    """Decode count words into fragment id -> entries in the receiver's band.
+def _fragment_counts(inbox, ownership: SubseqOwnership, n: int) -> tuple[list, list]:
+    """Decode count words into, per side, a list indexed by fragment id of
+    the fragment's entries in the receiver's band.
 
     A word's lhs and rhs fields each pack the counts of the sender's (at
     most two) owned fragments of that side, in id order, as
     ``first * (n + 1) + second``; a fragment without a word has no entry
     in the band.
     """
-    cnt_s: dict[int, int] = {}
-    cnt_t: dict[int, int] = {}
+    cnt_s = [0] * len(ownership.s.origin)
+    cnt_t = [0] * len(ownership.t.origin)
     for src, tag, s_field, t_field, _ in inbox:
         if tag == _CNT:
-            cnt_s.update(zip(ownership.s.owned[src], divmod(s_field, n + 1)))
-            cnt_t.update(zip(ownership.t.owned[src], divmod(t_field, n + 1)))
+            for q, c in zip(ownership.s.owned[src], divmod(s_field, n + 1)):
+                cnt_s[q] = c
+            for q, c in zip(ownership.t.owned[src], divmod(t_field, n + 1)):
+                cnt_t[q] = c
     return cnt_s, cnt_t
 
 
@@ -429,15 +372,15 @@ def _count_fields(buckets: dict[int, list[list]], bands: int, n: int) -> list[in
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
                       a: int, b: int, grid: list[tuple[int, int]]
-                      ) -> dict[tuple[int, int], PageAssignment]:
+                      ) -> dict[tuple[int, int], tuple[PageAssignment, tuple[bytes, bytes]]]:
     """Band-count exchange and per-group page assignment.
 
     Each fragment owner sends every node one word holding how many
     entries of its fragments fall in that node's row band (lhs) and
     column band (rhs); all-zero words stay unsent.  Every node of a group
     then derives the same weight-balanced page striping; the returned
-    dict holds one assignment per (i, j) group.  ``grid[u]`` is node u's
-    group (i, j).
+    dict holds, per (i, j) group, that assignment and the flags
+    ``fragment_requests`` reads.  ``grid[u]`` is node u's group (i, j).
     """
     n = engine.n
     h_s = n // a
@@ -458,16 +401,20 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     engine.run_ingest_emit("sbmm.counts", ingest, emit_counts)
 
     def page_assignment(group, inbox):
+        counts = _fragment_counts(inbox, ownership, n)
         weights = [0] * n
-        sides = (ownership.s, ownership.t)
-        for side, counts in zip(sides, _fragment_counts(inbox, ownership, n)):
-            for q, cnt in counts.items():
-                weights[side.origin[q]] += cnt
+        for side, side_counts in zip((ownership.s, ownership.t), counts):
+            for line, cnt in zip(side.origin, side_counts):
+                weights[line] += cnt
         # Own counts travel as free self-messages and are already in the
-        # inbox, so the weight vector is complete.
-        return build_page_assignment(weights, n, a, b)
+        # inbox, so the weight vector is complete.  The requests need only
+        # which fragments hold entries in the band: a byte per fragment,
+        # small enough to keep for every group until they are out.
+        return (build_page_assignment(weights, n, a, b),
+                tuple(bytes(map(bool, side_counts)) for side_counts in counts))
 
-    # Every member of a group receives the same count words.
+    # Every member of a group receives the same count words, because
+    # ``emit_counts`` picks a word by the receiver's group alone.
     g = n // (a * b)
     groups = {(i, j): [node_of(i, j, k, a, b, n) for k in range(g)]
               for i in range(a) for j in range(b)}
@@ -567,21 +514,22 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     product and the page assignments."""
     n = engine.n
     grid = [group_of(u, a, b, n)[:2] for u in range(n)]
-    pages = compute_receiving(engine, ownership, a, b, grid)
+    derived = compute_receiving(engine, ownership, a, b, grid)
 
     # A node asks for a line's fragments only from owners whose count word
     # reported entries in its band.
     def request(v, state, inbox):
         i, j, k = group_of(v, a, b, n)
-        state["my_pages"] = pages[(i, j)].parts[k]
-        return fragment_requests(ownership, state["my_pages"],
-                                 _fragment_counts(inbox, ownership, n))
+        assignment, wanted = derived[(i, j)]
+        state["my_pages"] = assignment.parts[k]
+        return fragment_requests(ownership, state["my_pages"], wanted)
 
     engine.run_phase("sbmm.request", request)
     engine.run_phase("sbmm.respond", fragment_responder(ownership, grid.__getitem__))
     _reduce_phase(engine, semiring, row_dst, col_out)
     rows = [sorted(_fold_partials(semiring, box).items())
             for box in engine.drain_inboxes()]
+    pages = {group: assignment for group, (assignment, _) in derived.items()}
     return SparseMatrix(engine.n, semiring, rows), pages
 
 
@@ -602,22 +550,14 @@ def _fold_partials(semiring: Semiring, inbox) -> dict[int, object]:
 class SmmResult:
     product: SparseMatrix
     split: SplitPair
-    sigma: Permutation | None
-    tau: Permutation | None
+    sigma: Permutation
+    tau: Permutation
     ownership: SubseqOwnership
     pages: dict[tuple[int, int], PageAssignment]
     records: list[PhaseRecord] = field(default_factory=list)
 
     def rounds(self) -> int:
         return sum(r.rounds for r in self.records)
-
-
-def _validate_operands(S: SparseMatrix, T: SparseMatrix) -> None:
-    if S.n != T.n:
-        raise DimensionError(f"operand sizes differ: {S.n} vs {T.n}")
-    if S.semiring.name != T.semiring.name:
-        raise DimensionError(
-            f"operand semirings differ: {S.semiring.name} vs {T.semiring.name}")
 
 
 def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
@@ -627,7 +567,11 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
     With an engine supplied, phases append to its ledger (used by the
     shortest-path driver, which runs many multiplications in sequence).
     """
-    _validate_operands(S, T)
+    if S.n != T.n:
+        raise DimensionError(f"operand sizes differ: {S.n} vs {T.n}")
+    if S.semiring.name != T.semiring.name:
+        raise DimensionError(
+            f"operand semirings differ: {S.semiring.name} vs {T.semiring.name}")
     n = S.n
     sr = S.semiring
     if engine is None:
@@ -685,26 +629,3 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
     return SmmResult(product, split, sigma, tau, ownership, pages,
                      engine.ledger.since(mark))
 
-
-def sbmm(Sp: SparseMatrix, Tp: SparseMatrix, a: int, b: int,
-         engine: CliqueEngine | None = None, lenzen_constant: int = 1) -> SmmResult:
-    """Balanced multiplication alone; operands must already satisfy both band conditions."""
-    _validate_operands(Sp, Tp)
-    n = Sp.n
-    if a < 1 or b < 1 or n % a or n % b or n % (a * b):
-        raise ValueError(f"({a}, {b}) is not a valid split of {n}")
-    problems = check_balanced(Sp, Tp, a, b)
-    if problems:
-        raise BalanceError("; ".join(problems))
-    sr = Sp.semiring
-    if engine is None:
-        engine = CliqueEngine(n, lenzen_constant)
-    mark = engine.ledger.mark()
-    for v in range(n):
-        engine.states[v]["Sp_row"] = Sp.rows[v]
-        engine.states[v]["Tp_row"] = Tp.rows[v]
-    ownership = compute_sending(engine, "sbmm.")
-    identity = list(range(n))
-    product, pages = _balanced_core(engine, sr, ownership, a, b, identity, identity)
-    return SmmResult(product, SplitPair(a, b), None, None, ownership, pages,
-                     engine.ledger.since(mark))

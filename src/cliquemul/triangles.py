@@ -16,8 +16,11 @@ a local scan closes the cycle.  The N-sets are processed in two halves
 so each team handles at most one N-set per half.
 
 LearnPaths is smm's fragment dealing and routing run on the adjacency
-matrix, with the vertex classes as bands; class count tables and team
-path partitions come from ``CliqueEngine.derive_per_group``.
+matrix, with the vertex classes as bands.  Node v holds its column and
+row (its in- and out-arcs) and the degree words give their lengths, so
+the fragments are dealt once, before the halves, which both request from
+the same buckets.  Class count tables and team path partitions come from
+``CliqueEngine.derive_per_group``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .engine import CliqueEngine, PhaseRecord, SimulationError
 from .graphs import Graph
 from .oracle import canonical_triangle
 from .partition import balanced_assignment, padded_balanced_groups
-from .smm import (_ENT_S, _ENT_T, bucket_fragments, compute_sending,
-                  fragment_requests, fragment_responder)
+from .smm import (_ENT_S, _ENT_T, SubseqOwnership, bucket_fragments,
+                  deal_fragments, fragment_requests, fragment_responder)
 
 _VC, _NC, _LOAD, _PKT, _EDGE, _PSUM = range(200, 206)
 
@@ -167,6 +170,16 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
     n_sets: dict[tuple[int, int], list[list[int]]] = {
         (i, j): groups for i, by_j in per_class.items() for j, groups in enumerate(by_j)}
 
+    # --- LearnPaths' fragments, dealt once for both halves ----------------
+    # Column v of the adjacency matrix is v's in-arcs and row v its
+    # out-arcs (both sorted); the degree words carry their lengths.
+    def own_lines(v, state, inbox):
+        state["Sp_col"] = [(u, True) for u in G.in_adj[v]]
+        state["Tp_row"] = [(u, True) for u in G.out_adj[v]]
+
+    ownership = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
+                               "tri.lp.", own_lines)
+
     node_n_of: list[dict[int, int]] = [dict() for _ in range(n)]  # v -> {j: ell}
     for (i, j), groups in n_sets.items():
         for ell, grp in enumerate(groups):
@@ -183,7 +196,9 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
             out.extend((tgt, _NC, j, len(n_sets[(i, j)]), 0) for j in range(q))
         return out
 
-    engine.run_ingest_emit("tri.ncounts", None, emit_ncounts)
+    # Fragment endpoints are filed by class, the filter of every response.
+    engine.run_ingest_emit("tri.ncounts", bucket_fragments(ownership, v_of, v_of),
+                           emit_ncounts)
 
     n_ids = sorted((i, j, ell)
                    for (i, j), groups in n_sets.items()
@@ -215,14 +230,14 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
 
     found: set[tuple[int, int, int]] = set()
     for t in range(2):
-        _run_half(engine, G, state_view, node_n_of, team_of,
+        _run_half(engine, G, state_view, ownership, node_n_of, team_of,
                   in_cls, out_cls, t, found)
 
     return TriangleResult(found, state_view, engine.ledger.since(mark))
 
 
 def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
-              node_n_of: list[dict[int, int]],
+              ownership: SubseqOwnership, node_n_of: list[dict[int, int]],
               team_of: dict[tuple[int, int, int], tuple[int, int]],
               in_cls: list[list[int]], out_cls: list[list[int]],
               t: int, found: set) -> None:
@@ -306,23 +321,14 @@ def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
     p_parts = engine.derive_per_group(active, team_paths)
     S.p_parts.append(p_parts)
 
-    # --- LearnPaths: reuse the fragment machinery with lhs = rhs = A ------
-    for v in range(n):
-        row = [(u, True) for u in G.out_adj[v]]
-        engine.states[v]["Sp_row"] = row
-        engine.states[v]["Tp_row"] = row
-
-    ownership = compute_sending(engine, tag + "lp.")
-
+    # --- LearnPaths: request the path parts' lines from the dealt buckets --
     def emit_requests(v, state):
         team, pos = divmod(v, q)
         if teams[team] is None:
             return []
         return fragment_requests(ownership, p_parts[team][pos], None)
 
-    # Endpoints are filed by class, the filter every response uses.
-    engine.run_ingest_emit(tag + "lp.request", bucket_fragments(ownership, v_of, v_of),
-                           emit_requests)
+    engine.run_ingest_emit(tag + "lp.request", None, emit_requests)
 
     def requester_bands(src):
         nid = teams[src // q]

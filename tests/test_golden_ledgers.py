@@ -15,7 +15,7 @@ from cliquemul.cli import generate_graph, generate_matrix
 from cliquemul.engine import CliqueEngine
 from cliquemul.graph_suite import apsp, count_4_cycles
 from cliquemul.semiring import semiring_by_name
-from cliquemul.smm import sbmm, smm
+from cliquemul.smm import smm
 from cliquemul.triangles import list_triangles
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,13 +32,6 @@ def smm_sparse(engine):
 
 def smm_full(engine):
     smm(*_operands(16, 16 * 16, 3), engine)
-
-
-def sbmm_balanced(engine):
-    S, T = _operands(16, round(0.3 * 16 * 16), 1)
-    res = smm(S, T)
-    sbmm(S.permute_rows(res.sigma), T.permute_cols(res.tau),
-         res.split.a, res.split.b, engine)
 
 
 def triangles_27(engine):
@@ -60,7 +53,6 @@ def four_cycles_then_apsp(engine):
 CASES = {
     "smm_n16_d03": (16, smm_sparse),
     "smm_n16_full": (16, smm_full),
-    "sbmm_balanced": (16, sbmm_balanced),
     "triangles_n27": (27, triangles_27),
     "triangles_n64": (64, triangles_64),
     "four_cycles_apsp_n16": (16, four_cycles_then_apsp),

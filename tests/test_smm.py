@@ -11,16 +11,12 @@ from cliquemul.engine import CliqueEngine
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
-    BalanceError,
     SplitPair,
-    balance_inputs,
     build_page_assignment,
     build_subsequences,
-    check_balanced,
     choose_split,
     group_of,
     node_of,
-    sbmm,
     smm,
     split_cost,
 )
@@ -87,39 +83,6 @@ def test_node_aliasing_bijection():
             assert node_of(i, j, k, a, b, n) == v
             seen.add((i, j, k))
         assert len(seen) == n
-
-
-# -- balancing --------------------------------------------------------------
-
-def test_balance_inputs_satisfies_bands():
-    rng = random.Random(7)
-    for n in (8, 16):
-        S = random_matrix(n, COUNT, 0.7, rng)
-        T = random_matrix(n, COUNT, 0.1, rng)
-        split = choose_split(S.nz(), T.nz(), n)
-        pair = balance_inputs(S, T, split)
-        assert check_balanced(pair.S_prime, pair.T_prime, split.a, split.b) == []
-        # permutations only reorder; inverting them restores the operands
-        assert pair.S_prime.permute_rows(pair.sigma.inverted()) == S
-        assert pair.T_prime.permute_cols(pair.tau.inverted()) == T
-
-
-def test_sbmm_rejects_unbalanced():
-    n = 8
-    entries = [(i, j, 1) for i in range(4) for j in range(5)]
-    Sp = SparseMatrix.from_entries(n, COUNT, entries)   # 20 nz, all in band 0
-    Tp = SparseMatrix.from_entries(n, COUNT, [(i, i, 1) for i in range(n)])
-    assert check_balanced(Sp, Tp, 2, 1) != []
-    with pytest.raises(BalanceError):
-        sbmm(Sp, Tp, 2, 1)
-
-
-def test_sbmm_rejects_bad_split():
-    I = SparseMatrix.identity(4, COUNT)
-    with pytest.raises(ValueError):
-        sbmm(I, I, 3, 1)     # 3 does not divide 4
-    with pytest.raises(ValueError):
-        sbmm(I, I, 4, 2)     # ab > n
 
 
 # -- subsequence table ------------------------------------------------------
@@ -216,32 +179,17 @@ def test_smm_matches_oracle_across_semirings():
             assert res.product == oracle.dense_multiply(S, T), (sr.name, n)
 
 
-def test_sbmm_matches_smm_on_balanced_operands():
-    rng = random.Random(31)
-    for n, density in ((8, 0.3), (16, 0.6), (16, 1.0)):
-        S = random_matrix(n, COUNT, density, rng)
-        T = random_matrix(n, COUNT, density, rng)
-        res = smm(S, T)
-        Sp, Tp = S.permute_rows(res.sigma), T.permute_cols(res.tau)
-        got = sbmm(Sp, Tp, res.split.a, res.split.b)
-        assert got.product == res.product.permute_rows(res.sigma).permute_cols(res.tau)
-        assert [r.label for r in got.records][:3] == [
-            "sbmm.coldist", "sbmm.stats", "sbmm.subseq"]
-
-
 def test_dense_reduce_load():
-    # dense 8x8 with (a, b) = (2, 2): each node folds 16 output cells, but
-    # the 4 cells in its own row are delivered locally for free, leaving 12
-    # charged words; the n^2/(ab) accounting stays an upper bound
+    # dense 8x8 picks (a, b) = (2, 2): each node folds at most n^2/(ab) = 16
+    # output cells, so it sends and receives at most 16 partials
     D = dense(8, COUNT)
-    engine = CliqueEngine(8)
-    res = sbmm(D, D, 2, 2, engine)
+    res = smm(D, D)
+    assert res.split == SplitPair(2, 2)
     assert res.product == oracle.dense_multiply(D, D)
     rec = next(r for r in res.records if r.label == "sbmm.reduce")
-    assert rec.max_send == 12
-    assert rec.max_recv == 12
-    assert rec.rounds == 2   # ceil(12 / 7)
-    assert rec.rounds <= math.ceil((8 * 8 // 4) / 7)
+    assert rec.max_send <= 16
+    assert rec.max_recv <= 16
+    assert rec.rounds <= math.ceil(16 / 7)
 
 
 # -- sbmm.reduce: array kernel against the scalar fold ----------------------

@@ -147,3 +147,14 @@ def test_forwarding_receive_bound():
     for rec in res.records:
         if rec.label.endswith("le.alloc"):
             assert rec.max_recv <= m // n + 1
+
+
+def test_phase_list():
+    # One tri.lp.subseq deals the fragments from lines every node holds
+    # (no lp.coldist or lp.stats); both halves route from its buckets.
+    G = random_digraph(27, 120, random.Random(9))
+    halves = [f"tri.{t}.{p}" for t in (1, 2)
+              for p in ("le.load", "le.alloc", "le.forward", "psums",
+                        "lp.request", "lp.respond", "collect")]
+    assert [r.label for r in list_triangles(G).records] == [
+        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.ncounts"] + halves

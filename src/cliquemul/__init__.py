@@ -3,7 +3,7 @@ triangle listing, 4-cycle counting, and unweighted APSP."""
 
 from .engine import CliqueEngine, PhaseRecord, RoundLedger, SimulationError
 from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list, save_edge_list
-from .graph_suite import apsp, bfs_ecc, count_4_cycles, trace_product
+from .graph_suite import apsp, count_4_cycles
 from .semiring import (Semiring, boolean_semiring, counting_semiring,
                        min_plus_semiring, semiring_by_name)
 from .smm import SmmResult, SplitPair, choose_split, smm
@@ -17,7 +17,7 @@ __all__ = [
     "CliqueEngine", "PhaseRecord", "RoundLedger", "SimulationError",
     "Graph", "GraphError", "DisconnectedGraphError",
     "load_edge_list", "save_edge_list",
-    "apsp", "bfs_ecc", "count_4_cycles", "trace_product",
+    "apsp", "count_4_cycles",
     "Semiring", "boolean_semiring", "counting_semiring", "min_plus_semiring",
     "semiring_by_name",
     "SmmResult", "SplitPair", "choose_split", "smm",

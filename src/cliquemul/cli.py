@@ -359,7 +359,7 @@ def _cmd_apsp(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix_market(res.dist, out)
     _write_ledger(engine, args.ledger)
-    print(f"apsp: n={G.n} m={G.m // 2} ecc={res.ecc} "
+    print(f"apsp: n={G.n} m={G.m // 2} diameter={res.diameter} "
           f"multiplications={res.multiplications} "
           f"rounds={sum(r.rounds for r in res.records)} -> {out}")
     if args.verify:

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph
+from .graphs import Graph
 from .sparse import DimensionError, SparseMatrix
 
 # The numpy kernels are trusted only when |values| stay small enough that
@@ -174,15 +174,6 @@ def enumerate_4_cycles(G: Graph) -> int:
 def apsp_bfs(G: Graph) -> list[list[float]]:
     """All-pairs hop distances by BFS from every source; inf if unreachable."""
     return [apsp_bfs_row(G, s) for s in range(G.n)]
-
-
-def bfs_eccentricity(G: Graph, root: int) -> int:
-    """Eccentricity of root; raises if some vertex is unreachable."""
-    row = apsp_bfs_row(G, root)
-    ecc = max(row)
-    if ecc == math.inf:
-        raise DisconnectedGraphError(f"vertex unreachable from {root}")
-    return int(ecc)
 
 
 def apsp_bfs_row(G: Graph, s: int) -> list[float]:

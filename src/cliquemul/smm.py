@@ -510,8 +510,7 @@ def _kernel_partials(semiring: Semiring, n: int, tags, i1s, i2s, lhs: list,
 
 def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
                    a: int, b: int, row_dst: list[int], col_out: list[int]):
-    """Counts through reduce on dealt fragments; returns the gathered
-    product and the page assignments."""
+    """Counts through reduce on dealt fragments; returns the gathered product."""
     n = engine.n
     grid = [group_of(u, a, b, n)[:2] for u in range(n)]
     derived = compute_receiving(engine, ownership, a, b, grid)
@@ -529,8 +528,7 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     _reduce_phase(engine, semiring, row_dst, col_out)
     rows = [sorted(_fold_partials(semiring, box).items())
             for box in engine.drain_inboxes()]
-    pages = {group: assignment for group, (assignment, _) in derived.items()}
-    return SparseMatrix(engine.n, semiring, rows), pages
+    return SparseMatrix(engine.n, semiring, rows)
 
 
 def _fold_partials(semiring: Semiring, inbox) -> dict[int, object]:
@@ -552,8 +550,6 @@ class SmmResult:
     split: SplitPair
     sigma: Permutation
     tau: Permutation
-    ownership: SubseqOwnership
-    pages: dict[tuple[int, int], PageAssignment]
     records: list[PhaseRecord] = field(default_factory=list)
 
     def rounds(self) -> int:
@@ -624,8 +620,6 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
 
     ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
     # Partials go straight to the owner of the unpermuted result row.
-    product, pages = _balanced_core(engine, sr, ownership, a, b,
-                                    sigma.inverse, tau.inverse)
-    return SmmResult(product, split, sigma, tau, ownership, pages,
-                     engine.ledger.since(mark))
+    product = _balanced_core(engine, sr, ownership, a, b, sigma.inverse, tau.inverse)
+    return SmmResult(product, split, sigma, tau, engine.ledger.since(mark))
 

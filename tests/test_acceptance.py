@@ -18,7 +18,7 @@ import pytest
 
 from cliquemul import oracle
 from cliquemul.cli import generate_graph, generate_matrix
-from cliquemul.graph_suite import apsp, count_4_cycles, trace_product
+from cliquemul.graph_suite import apsp, count_4_cycles
 from cliquemul.graphs import Graph
 from cliquemul.semiring import semiring_by_name
 from cliquemul.smm import smm
@@ -230,12 +230,18 @@ def test_criterion_7_four_cycles():
         failures.append("C4 != 1")
     if count_4_cycles(K4).count != 3:
         failures.append("K4 != 3")
-    sr = semiring_by_name("count")
+    # On K_n, beyond the rows of its one smm, the count charges a single
+    # broadcast row of at most one round.
     for n in (5, 16, 48):
-        A = generate_matrix(n, n * n, 0, sr)      # fully dense
-        tr = trace_product(A, A)
-        if sum(r.rounds for r in tr.records) > 3:
-            failures.append(f"trace at n={n} charged > 3 waves")
+        K = Graph.undirected(n, list(itertools.combinations(range(n), 2)))
+        res = count_4_cycles(K)
+        A = K.to_adjacency(semiring_by_name("count"))
+        alone = smm(A, A).records
+        extra = res.records[len(alone):]
+        if res.records[:len(alone)] != alone:
+            failures.append(f"K{n}: smm rows differ from a lone smm(A, A)")
+        if [(r.label, r.rounds <= 1) for r in extra] != [("c4.terms", True)]:
+            failures.append(f"K{n}: rows beyond smm {extra}")
     report(7, "4-cycle counting", failures)
 
 
@@ -256,10 +262,12 @@ def test_criterion_8_apsp():
                          for i in range(n) for j in range(n))
             if not got_ok:
                 failures.append(f"G({n},{m}) distances differ")
-            expect = 2 * oracle.bfs_eccentricity(G, 0) - 1
-            if res.multiplications != expect:
+            diameter = int(max(map(max, want)))
+            expect = max(diameter - 1, 0)
+            if res.multiplications != expect or res.diameter != diameter:
                 failures.append(
-                    f"G({n},{m}): {res.multiplications} mults, expected {expect}")
+                    f"G({n},{m}): {res.multiplications} mults and diameter "
+                    f"{res.diameter}, expected {expect} and {diameter}")
     report(8, "apsp", failures)
 
 

@@ -206,7 +206,7 @@ def test_apsp_command(tmp_path, capsys):
     rc = cli.main(["apsp", "--graph", str(g), "--out", str(out), "--verify"])
     assert rc == 0
     assert out.exists()
-    assert "ecc=4" in capsys.readouterr().out
+    assert "diameter=4" in capsys.readouterr().out
 
 
 def test_apsp_disconnected(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
+import cliquemul
 from cliquemul.engine import CliqueEngine, RoundLedger, SimulationError
 
 
@@ -107,3 +111,13 @@ def test_single_node_clique():
     eng = CliqueEngine(1)
     assert eng.run_phase("solo", lambda v, st, box: [(0, 0, 0, 0, 0)]) == 0
     assert eng.inboxes[0] == [(0, 0, 0, 0, 0)]
+
+
+def test_only_the_engine_reads_mailboxes():
+    # A driver that peeks at the mailboxes learns what no phase charged;
+    # protocol code reads its mailbox only inside a handler.
+    package = Path(cliquemul.__file__).parent
+    peeking = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "engine.py"
+               and re.search(r"\.inboxes\b", path.read_text(encoding="utf-8"))]
+    assert peeking == []

@@ -3,10 +3,9 @@ import math
 import pytest
 
 from cliquemul import oracle
-from cliquemul.graph_suite import apsp, bfs_ecc, count_4_cycles, trace_product
+from cliquemul.engine import CliqueEngine
+from cliquemul.graph_suite import apsp, count_4_cycles
 from cliquemul.graphs import DisconnectedGraphError, Graph
-from cliquemul.semiring import counting_semiring
-from cliquemul.sparse import DimensionError
 
 
 def complete(n):
@@ -21,30 +20,9 @@ def path(n):
     return Graph.undirected(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def test_trace_product_values():
-    sr = counting_semiring()
-    A4 = complete(4).to_adjacency(sr)
-    sq = oracle.dense_multiply(A4, A4)
-    res = trace_product(sq, sq)
-    assert res.value == 84          # trace of A^4 on K4
-    resC = trace_product(*[oracle.dense_multiply(
-        cycle(4).to_adjacency(sr), cycle(4).to_adjacency(sr))] * 2)
-    assert resC.value == 32
-
-
-def test_trace_product_costs_two_cheap_phases():
-    sr = counting_semiring()
-    A = complete(4).to_adjacency(sr)
-    res = trace_product(A, A)
-    assert [r.label for r in res.records] == ["trace.coldist", "trace.diag"]
-    assert sum(r.rounds for r in res.records) <= 3
-
-
-def test_trace_product_rejects_wrong_semiring():
-    from cliquemul.semiring import boolean_semiring
-    B = complete(3).to_adjacency(boolean_semiring())
-    with pytest.raises(DimensionError):
-        trace_product(B, B)
+def test_four_cycle_trace_values():
+    assert count_4_cycles(complete(4)).trace4 == 84     # trace of A^4 on K4
+    assert count_4_cycles(cycle(4)).trace4 == 32
 
 
 def test_four_cycle_counts():
@@ -60,28 +38,30 @@ def test_four_cycles_reject_directed():
         count_4_cycles(Graph(3, [(0, 1)]))
 
 
-def test_bfs_ecc():
-    from cliquemul.engine import CliqueEngine
-    engine = CliqueEngine(4)
-    assert bfs_ecc(path(4), 0, engine=engine) == 3
-    # flooding advances one level per wave, each a constant-round phase
-    waves = [r for r in engine.ledger.records if r.label.startswith("bfs.wave")]
-    assert len(waves) == 3
-    assert bfs_ecc(path(4), 1) == 2
-    assert bfs_ecc(complete(5), 2) == 1
-    assert bfs_ecc(Graph.undirected(1, []), 0) == 0
-    with pytest.raises(DisconnectedGraphError):
-        bfs_ecc(Graph.undirected(4, [(0, 1), (2, 3)]), 0)
-
-
 def test_apsp_path():
     res = apsp(path(4))
-    assert res.ecc == 3
-    assert res.multiplications == 2 * 3 - 1
+    assert res.diameter == 3
+    assert res.multiplications == 2
     d = res.dist
     assert d.entry(0, 3) == 3 and d.entry(3, 0) == 3
     assert d.entry(0, 0) == 0
     assert d.entry(1, 2) == 1
+
+
+@pytest.mark.parametrize("G, products, diameter", [
+    (Graph.undirected(1, []), 0, 0),
+    (complete(5), 0, 1),
+    (path(7), 5, 6),
+], ids=["single-vertex", "K5", "P7"])
+def test_apsp_stops_at_the_diameter(G, products, diameter):
+    engine = CliqueEngine(G.n)
+    res = apsp(G, engine)
+    assert (res.multiplications, res.diameter) == (products, diameter)
+    status = [r for r in res.records if r.label == "apsp.status"]
+    assert len(status) == products + 1
+    assert all(r.rounds <= 1 for r in status)
+    assert res.records[0].label == res.records[-1].label == "apsp.status"
+    assert engine.inboxes == [[] for _ in range(G.n)]
 
 
 def test_apsp_matches_bfs_oracle():
@@ -98,3 +78,19 @@ def test_apsp_matches_bfs_oracle():
 def test_apsp_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         apsp(Graph.undirected(3, [(0, 1)]))
+
+
+def test_apsp_detects_disconnection_once_a_row_stops_growing():
+    # Two P3s: the middle rows hold their whole component after M^1, but
+    # only the product M^2 shows that they stopped growing.
+    engine = CliqueEngine(6)
+    with pytest.raises(DisconnectedGraphError):
+        apsp(Graph.undirected(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), engine)
+    labels = [r.label for r in engine.ledger.records]
+    assert labels.count("sbmm.reduce") == 1
+    assert labels.count("apsp.status") == 2
+    # An isolated vertex's row never grows: no product is made at all.
+    engine = CliqueEngine(3)
+    with pytest.raises(DisconnectedGraphError):
+        apsp(Graph.undirected(3, [(0, 1)]), engine)
+    assert [r.label for r in engine.ledger.records] == ["apsp.status"]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cliquemul import oracle
-from cliquemul.graphs import DisconnectedGraphError, Graph
+from cliquemul.graphs import Graph
 from cliquemul.semiring import boolean_semiring, counting_semiring, min_plus_semiring
 from cliquemul.sparse import SparseMatrix
 
@@ -127,12 +127,3 @@ def test_apsp_bfs():
     assert all(dk[i][j] == 1 for i in range(5) for j in range(5) if i != j)
     two = Graph.undirected(4, [(0, 1), (2, 3)])
     assert oracle.apsp_bfs(two)[0][2] == math.inf
-
-
-def test_bfs_eccentricity():
-    assert oracle.bfs_eccentricity(path4(), 0) == 3
-    assert oracle.bfs_eccentricity(path4(), 1) == 2
-    star = Graph.undirected(5, [(0, i) for i in range(1, 5)])
-    assert oracle.bfs_eccentricity(star, 1) == 2
-    with pytest.raises(DisconnectedGraphError):
-        oracle.bfs_eccentricity(Graph.undirected(3, [(0, 1)]), 0)

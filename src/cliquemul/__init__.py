@@ -7,8 +7,8 @@ from .graph_suite import apsp, count_4_cycles
 from .semiring import (Semiring, boolean_semiring, counting_semiring,
                        min_plus_semiring, semiring_by_name)
 from .smm import SmmResult, SplitPair, choose_split, smm
-from .sparse import (DimensionError, FormatError, Permutation, SparseMatrix,
-                     load_matrix_market, save_matrix_market)
+from .sparse import (DimensionError, FormatError, SparseMatrix, load_matrix_market,
+                     save_matrix_market)
 from .triangles import TriangleResult, list_triangles
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "Semiring", "boolean_semiring", "counting_semiring", "min_plus_semiring",
     "semiring_by_name",
     "SmmResult", "SplitPair", "choose_split", "smm",
-    "DimensionError", "FormatError", "Permutation", "SparseMatrix",
+    "DimensionError", "FormatError", "SparseMatrix",
     "load_matrix_market", "save_matrix_market",
     "TriangleResult", "list_triangles",
 ]

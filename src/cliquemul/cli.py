@@ -82,27 +82,7 @@ def generate_graph(n: int, m_target: int, seed: int, directed: bool = False) -> 
     return Graph.undirected(n, rng.sample(pairs, m_target))
 
 
-def generate_instance(n: int, target: int, seed: int, *, suite: str = "smm",
-                      semiring: Semiring | None = None, directed: bool = False):
-    if suite == "smm":
-        sr = semiring if semiring is not None else semiring_by_name("count")
-        return generate_matrix(n, target, seed, sr)
-    return generate_graph(n, target, seed, directed)
-
-
 # -- benchmark driver -------------------------------------------------------
-
-_SMM_PHASES = [
-    "distribute", "stats", "sbmm.subseq", "sbmm.counts",
-    "sbmm.request", "sbmm.respond", "sbmm.reduce",
-]
-_TRI_PHASES = [
-    "degrees", "vcounts", "ncounts",
-    "le.load", "le.alloc", "le.forward", "psums",
-    "lp.subseq", "lp.request", "lp.respond",
-    "collect",
-]
-
 
 @dataclass
 class BenchConfig:
@@ -148,29 +128,42 @@ def _tri_group(label: str) -> str:
     return rest
 
 
+def _phase_rounds(records, group=lambda label: label) -> dict[str, int]:
+    """``rounds_<group>`` columns summed over the records, in order of
+    first appearance."""
+    cols: dict[str, int] = {}
+    for rec in records:
+        col = "rounds_" + group(rec.label).replace(".", "_")
+        cols[col] = cols.get(col, 0) + rec.rounds
+    return cols
+
+
 def run_bench(config: BenchConfig) -> list[dict]:
-    """One pipeline run per (n, target); returns rows and writes the CSV."""
+    """One pipeline run per (n, target); returns rows and writes the CSV.
+
+    The phase columns are the ledger's phase groups in order of first
+    appearance over all rows; a row without a group reads 0 there.
+    """
     config.validate()
-    if config.suite == "smm":
-        phase_cols = [f"rounds_{p.replace('.', '_')}" for p in _SMM_PHASES]
-    else:
-        phase_cols = [f"rounds_{p.replace('.', '_')}" for p in _TRI_PHASES]
-    header = (["n", "m", "nz_lhs", "nz_rhs", "a", "b", "rounds_total"]
-              + phase_cols + ["bound_value", "ratio"])
     rows: list[dict] = []
+    phase_cols: dict[str, None] = {}
     counter = 0
     for n in config.sizes:
         for target in config.targets_for(n):
             seed = config.seed + counter
             counter += 1
             if config.suite == "smm":
-                rows.append(_bench_smm(n, target, seed, phase_cols))
+                row, phases = _bench_smm(n, target, seed)
             else:
-                rows.append(_bench_triangles(n, target, seed, config.pad, phase_cols))
+                row, phases = _bench_triangles(n, target, seed, config.pad)
+            phase_cols.update(dict.fromkeys(phases))
+            rows.append({**row, **phases})
+    header = (["n", "m", "nz_lhs", "nz_rhs", "a", "b", "rounds_total"]
+              + list(phase_cols) + ["bound_value", "ratio"])
     out = Path(config.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=header, restval=0)
         writer.writeheader()
         writer.writerows(rows)
     return rows
@@ -180,7 +173,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _bench_smm(n: int, nz_target: int, seed: int, phase_cols: list[str]) -> dict:
+def _bench_smm(n: int, nz_target: int, seed: int) -> tuple[dict, dict]:
     sr = semiring_by_name("count")
     S = generate_matrix(n, nz_target, seed, sr)
     T = generate_matrix(n, nz_target, seed + 1, sr)
@@ -190,19 +183,13 @@ def _bench_smm(n: int, nz_target: int, seed: int, phase_cols: list[str]) -> dict
         "n": n, "m": "", "nz_lhs": S.nz(), "nz_rhs": T.nz(),
         "a": res.split.a, "b": res.split.b, "rounds_total": total,
     }
-    by_label = {p: 0 for p in _SMM_PHASES}
-    for rec in res.records:
-        by_label[rec.label] += rec.rounds
-    for p, col in zip(_SMM_PHASES, phase_cols):
-        row[col] = by_label[p]
     bound = (S.nz() ** (1 / 3)) * (T.nz() ** (1 / 3)) / n + 1
     row["bound_value"] = _fmt(bound)
     row["ratio"] = _fmt(total / bound)
-    return row
+    return row, _phase_rounds(res.records)
 
 
-def _bench_triangles(n: int, m_target: int, seed: int, pad: str,
-                     phase_cols: list[str]) -> dict:
+def _bench_triangles(n: int, m_target: int, seed: int, pad: str) -> tuple[dict, dict]:
     G = generate_graph(n, m_target, seed, directed=False)
     res = list_triangles(G, pad_cube=(pad == "cube"))
     total = res.rounds()
@@ -212,15 +199,10 @@ def _bench_triangles(n: int, m_target: int, seed: int, pad: str,
         "n": n_run, "m": m_arcs, "nz_lhs": "", "nz_rhs": "",
         "a": "", "b": "", "rounds_total": total,
     }
-    by_group = {p: 0 for p in _TRI_PHASES}
-    for rec in res.records:
-        by_group[_tri_group(rec.label)] += rec.rounds
-    for p, col in zip(_TRI_PHASES, phase_cols):
-        row[col] = by_group[p]
     bound = m_arcs / n_run ** (5 / 3) + 1
     row["bound_value"] = _fmt(bound)
     row["ratio"] = _fmt(total / bound)
-    return row
+    return row, _phase_rounds(res.records, _tri_group)
 
 
 # -- partition property suite ----------------------------------------------
@@ -235,7 +217,7 @@ def run_partition_suite(seed: int = 0) -> tuple[int, list[str]]:
             ws = list(weights)
             total = sum(ws)
             for k in ks:
-                parts = weight_balanced_partition(ws, k, 4).parts
+                parts = weight_balanced_partition(ws, k, 4)
                 checked += 1
                 for part in parts:
                     if len(part) != n // k:
@@ -246,9 +228,9 @@ def run_partition_suite(seed: int = 0) -> tuple[int, list[str]]:
     for _ in range(1000):
         n = rng.randint(1, 16)
         sizes = [rng.randint(0, 20) for _ in range(n)]
-        spec = avg_partition(sizes)
+        chunks = avg_partition(sizes)
         checked += 1
-        total_parts = sum(len(s.sizes()) for s in spec)
+        total_parts = sum(len(c) for c in chunks)
         if total_parts > 2 * n:
             failures.append(f"avg_partition {sizes}: {total_parts} > 2n")
     return checked, failures
@@ -276,12 +258,7 @@ def _cmd_multiply(args) -> int:
     if S.n != T.n:
         raise DimensionError(f"operand sizes differ ({S.n} vs {T.n})")
     n = S.n
-    if args.pad == "pow2":
-        padded_n = _next_pow2(n)
-    elif args.pad == "cube":
-        padded_n = next_cube(n)
-    else:
-        padded_n = n
+    padded_n = _next_pow2(n) if args.pad == "pow2" else n
     engine = CliqueEngine(padded_n)
     res = smm(S.padded(padded_n), T.padded(padded_n), engine)
     product = res.product.truncated(n)
@@ -410,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--rhs", type=Path, required=True)
     mp.add_argument("--semiring", choices=["bool", "count", "minplus"],
                     required=True)
-    mp.add_argument("--pad", choices=["none", "pow2", "cube"], default="none")
+    mp.add_argument("--pad", choices=["none", "pow2"], default="none")
     mp.add_argument("--out", type=Path, default=None)
     _add_common(mp)
     mp.set_defaults(func=_cmd_multiply)
@@ -452,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Faults of the input, not of the program.
-_INPUT_ERRORS = (OSError, FormatError, GraphError, DimensionError,
-                 DisconnectedGraphError)
+# Faults of the input, not of the program; both readers take ASCII only.
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, FormatError, GraphError,
+                 DimensionError, DisconnectedGraphError)
 
 
 def main(argv=None) -> int:

@@ -9,11 +9,10 @@ bits: a field may pack two counts that are each at most n as
 counts each.
 
 Round cost per phase is the routing charge ceil(max(max_send, max_recv) /
-(n - 1)) times a configurable constant (default 1), and at least one
-round whenever any message crosses a link.  This models the standard
-routing result where any pattern in which every node sends and receives
-at most n-1 words is deliverable in O(1) rounds; the charge is the
-number of such batches.
+(n - 1)), and at least one round whenever any message crosses a link.
+This models the standard routing result where any pattern in which every
+node sends and receives at most n-1 words is deliverable in O(1) rounds;
+the charge is the number of such batches, each counted as one round.
 
 Handlers must derive everything, including message destinations, from
 the node id, the node's private state, the delivered mailbox, and data
@@ -51,10 +50,7 @@ class PhaseRecord:
 class RoundLedger:
     """Per-phase communication loads and the rounds charged for them."""
 
-    def __init__(self, lenzen_constant: int = 1):
-        if lenzen_constant < 1:
-            raise ValueError("routing constant must be >= 1")
-        self.lenzen_constant = lenzen_constant
+    def __init__(self):
         self.records: list[PhaseRecord] = []
 
     def charge_for_loads(
@@ -63,17 +59,9 @@ class RoundLedger:
         if total_msgs == 0:
             rounds = 0
         else:
-            rounds = self.lenzen_constant * math.ceil(max(max_send, max_recv) / (n - 1))
-            rounds = max(rounds, 1)
+            rounds = max(1, math.ceil(max(max_send, max_recv) / (n - 1)))
         self.records.append(PhaseRecord(label, rounds, max_send, max_recv, total_msgs))
         return rounds
-
-    def total_rounds(self, prefix: str | None = None) -> int:
-        return sum(r.rounds for r in self.records
-                   if prefix is None or r.label.startswith(prefix))
-
-    def records_for(self, prefix: str) -> list[PhaseRecord]:
-        return [r for r in self.records if r.label.startswith(prefix)]
 
     def mark(self) -> int:
         """Index of the next record; use with ``since`` to slice one run."""
@@ -96,13 +84,13 @@ class RoundLedger:
 class CliqueEngine:
     """Holds per-node state dicts and mailboxes; executes phases."""
 
-    def __init__(self, n: int, lenzen_constant: int = 1):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one node")
         self.n = n
         self.states: list[dict] = [{} for _ in range(n)]
         self.inboxes: list[list] = [[] for _ in range(n)]
-        self.ledger = RoundLedger(lenzen_constant)
+        self.ledger = RoundLedger()
 
     def run_phase(self, label: str, handler: Handler) -> int:
         """Run one phase; returns rounds charged.

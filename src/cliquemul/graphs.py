@@ -71,9 +71,6 @@ class Graph:
     def d_in(self, v: int) -> int:
         return len(self.in_adj[v])
 
-    def degree_sum(self, v: int) -> int:
-        return len(self.out_adj[v]) + len(self.in_adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         adj = self.out_adj[u]
         lo, hi = 0, len(adj)
@@ -133,7 +130,10 @@ def load_edge_list(path, n: int | None = None, directed: bool = False) -> Graph:
             toks = line.split()
             if len(toks) != 2:
                 raise FormatError(f"line {lineno}: expected two endpoints, got {line!r}")
-            u, v = int(toks[0]), int(toks[1])
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
             if u < 0 or v < 0:
                 raise FormatError(f"line {lineno}: negative vertex id")
             pairs.append((u, v))

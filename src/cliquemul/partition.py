@@ -15,23 +15,11 @@ Three primitives, all exact (rational arithmetic, no floats):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
 class PartitionError(ValueError):
     """Inputs violate a partition precondition."""
-
-
-@dataclass
-class PartitionSpec:
-    """Parts as index lists plus the parameters that produced them."""
-
-    parts: list[list[int]]
-    params: dict = field(default_factory=dict)
-
-    def sizes(self) -> list[int]:
-        return [len(p) for p in self.parts]
 
 
 def chunk_sizes(t: int, c) -> list[int]:
@@ -59,36 +47,25 @@ def chunk_sizes(t: int, c) -> list[int]:
     return sizes
 
 
-def avg_partition(set_sizes: list[int]) -> list[PartitionSpec]:
-    """Chunk each of n sets with capacity equal to the exact mean set size.
+def avg_partition(set_sizes: list[int]) -> list[list[int]]:
+    """Chunk sizes of each of n sets, with capacity the exact mean set size.
 
     The mean is kept as a Fraction, so every node computing it from the
     same size vector agrees on every block count.  Total block count over
-    the family is at most 2n.  A zero mean (all sets empty) yields empty
-    partitions.
+    the family is at most 2n.  A zero mean (all sets empty) yields no
+    blocks.
     """
     if not set_sizes:
         raise PartitionError("need at least one set")
     if any(t < 0 for t in set_sizes):
         raise PartitionError("set sizes must be nonnegative")
-    n = len(set_sizes)
-    avg = Fraction(sum(set_sizes), n)
-    specs = []
-    for t in set_sizes:
-        if avg == 0:
-            specs.append(PartitionSpec([], {"t": t, "avg": avg}))
-            continue
-        sizes = chunk_sizes(t, avg)
-        parts = []
-        start = 0
-        for s in sizes:
-            parts.append(list(range(start, start + s)))
-            start += s
-        specs.append(PartitionSpec(parts, {"t": t, "avg": avg}))
-    return specs
+    avg = Fraction(sum(set_sizes), len(set_sizes))
+    if avg == 0:
+        return [[] for _ in set_sizes]
+    return [chunk_sizes(t, avg) for t in set_sizes]
 
 
-def weight_balanced_partition(weights: list[int], k: int, x: int) -> PartitionSpec:
+def weight_balanced_partition(weights: list[int], k: int, x: int) -> list[list[int]]:
     """Strided split of an ascending weight list into k parts of n/k items.
 
     Part j takes positions j, j+k, j+2k, ...; each part sum is at most
@@ -104,8 +81,7 @@ def weight_balanced_partition(weights: list[int], k: int, x: int) -> PartitionSp
         raise PartitionError("weights must be sorted ascending")
     if weights and weights[-1] > x:
         raise PartitionError(f"weight {weights[-1]} exceeds bound x={x}")
-    parts = [list(range(j, n, k)) for j in range(k)]
-    return PartitionSpec(parts, {"k": k, "x": x, "total": sum(weights)})
+    return [list(range(j, n, k)) for j in range(k)]
 
 
 def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
@@ -116,8 +92,8 @@ def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
     obey the same sum/k + x bound.
     """
     order = sorted(range(len(weights)), key=lambda i: (weights[i], i))
-    spec = weight_balanced_partition([weights[i] for i in order], k, x)
-    return [sorted(order[pos] for pos in part) for part in spec.parts]
+    parts = weight_balanced_partition([weights[i] for i in order], k, x)
+    return [sorted(order[pos] for pos in part) for part in parts]
 
 
 def padded_balanced_groups(items: list[int], weights: list[int], k: int) -> list[list[int]]:

@@ -50,7 +50,7 @@ import numpy as np
 from .engine import CliqueEngine, PhaseRecord, SimulationError
 from .partition import avg_partition, balanced_assignment
 from .semiring import Semiring
-from .sparse import DimensionError, SparseMatrix, Permutation
+from .sparse import DimensionError, SparseMatrix
 
 # message tags
 (_S_COL, _T_COL, _NZ, _SUB_S, _SUB_T, _CNT,
@@ -150,17 +150,14 @@ class SubseqSide:
     not the occupied count.
     """
 
-    avg: Fraction
     block: int                    # largest fragment, the slicing stride
-    counts: list[int]             # fragments per line
     origin: list[int]             # fragment id -> line
     owner: list[int]              # fragment id -> owning node
     owned: list[list[int]]        # node -> fragment ids it owns
-    by_line: list[list[int]]      # line -> fragment ids
-    line_start: list[int]         # fragment id of a line's first fragment
+    by_line: list[list[int]]      # line -> fragment ids, ascending
 
     def slice_bounds(self, q: int) -> tuple[int, int]:
-        p = q - self.line_start[self.origin[q]]
+        p = q - self.by_line[self.origin[q]][0]
         return p * self.block, (p + 1) * self.block
 
 
@@ -171,19 +168,16 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     every line is one fragment and stays on its node); otherwise (at
     most 2n) they are dealt two per node.
     """
-    specs = avg_partition(nz_per_line)
-    counts = [len(spec.parts) for spec in specs]
+    sizes = avg_partition(nz_per_line)
     # Chunking fills every fragment of a line but its last nonempty one, so
     # the largest fragment is the stride (floor(avg) + 1 once any line is
     # cut in two).
-    block = max((size for spec in specs for size in spec.sizes()), default=0)
+    block = max((size for line in sizes for size in line), default=0)
     origin: list[int] = []
     by_line: list[list[int]] = []
-    line_start = []
-    for line, cnt in enumerate(counts):
-        line_start.append(len(origin))
-        by_line.append(list(range(len(origin), len(origin) + cnt)))
-        origin.extend([line] * cnt)
+    for line, frags in enumerate(sizes):
+        by_line.append(list(range(len(origin), len(origin) + len(frags))))
+        origin.extend([line] * len(frags))
     total_frags = len(origin)
     assert total_frags <= 2 * n
     per_node = 1 if total_frags <= n else 2
@@ -191,8 +185,7 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     owned: list[list[int]] = [[] for _ in range(n)]
     for q, u in enumerate(owner):
         owned[u].append(q)
-    return SubseqSide(Fraction(sum(nz_per_line), n), block, counts, origin, owner,
-                      owned, by_line, line_start)
+    return SubseqSide(block, origin, owner, owned, by_line)
 
 
 @dataclass
@@ -203,22 +196,11 @@ class SubseqOwnership:
 
 # -- page assignment --------------------------------------------------------
 
-@dataclass
-class PageAssignment:
-    """Pages (rank-1 slices) of one sub-matrix group, striped over its nodes."""
-
-    weights: list[int]            # page ell -> fragment-entry cost
-    parts: list[list[int]]        # k -> sorted page list, |part| = ab
-
-    def part_sum(self, k: int) -> int:
-        return sum(self.weights[ell] for ell in self.parts[k])
-
-
-def build_page_assignment(weights: list[int], n: int, a: int, b: int) -> PageAssignment:
-    """Weight-balanced striding of the n pages over the n/(ab) group nodes."""
-    k = n // (a * b)
-    groups = balanced_assignment(weights, k, 2 * n)
-    return PageAssignment(list(weights), groups)
+def build_page_assignment(weights: list[int], n: int, a: int, b: int) -> list[list[int]]:
+    """Weight-balanced striding of the n pages (rank-1 slices) of one
+    sub-matrix group over its n/(ab) nodes: node k of the group gets the
+    sorted page list at index k, ab pages."""
+    return balanced_assignment(weights, n // (a * b), 2 * n)
 
 
 # -- protocol helpers -------------------------------------------------------
@@ -372,7 +354,7 @@ def _count_fields(buckets: dict[int, list[list]], bands: int, n: int) -> list[in
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
                       a: int, b: int, grid: list[tuple[int, int]]
-                      ) -> dict[tuple[int, int], tuple[PageAssignment, tuple[bytes, bytes]]]:
+                      ) -> dict[tuple[int, int], tuple[list[list[int]], tuple[bytes, bytes]]]:
     """Band-count exchange and per-group page assignment.
 
     Each fragment owner sends every node one word holding how many
@@ -520,7 +502,7 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     def request(v, state, inbox):
         i, j, k = group_of(v, a, b, n)
         assignment, wanted = derived[(i, j)]
-        state["my_pages"] = assignment.parts[k]
+        state["my_pages"] = assignment[k]
         return fragment_requests(ownership, state["my_pages"], wanted)
 
     engine.run_phase("sbmm.request", request)
@@ -548,16 +530,15 @@ def _fold_partials(semiring: Semiring, inbox) -> dict[int, object]:
 class SmmResult:
     product: SparseMatrix
     split: SplitPair
-    sigma: Permutation
-    tau: Permutation
+    sigma: list[int]              # lhs row r -> permuted row sigma[r]
+    tau: list[int]                # rhs column c -> permuted column tau[c]
     records: list[PhaseRecord] = field(default_factory=list)
 
     def rounds(self) -> int:
         return sum(r.rounds for r in self.records)
 
 
-def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
-        lenzen_constant: int = 1) -> SmmResult:
+def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) -> SmmResult:
     """Product S*T via the full pipeline; result rows gathered from nodes.
 
     With an engine supplied, phases append to its ledger (used by the
@@ -571,7 +552,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
     n = S.n
     sr = S.semiring
     if engine is None:
-        engine = CliqueEngine(n, lenzen_constant)
+        engine = CliqueEngine(n)
     elif engine.n != n:
         raise DimensionError("engine size does not match operands")
     mark = engine.ledger.mark()
@@ -608,18 +589,21 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None,
     s_col_nz, t_row_nz = zip(*(divmod(w[3], base) for w in words))
     split = choose_split(sum(row_nz), sum(col_nz), n)
     a, b = split.a, split.b
-    sigma_l, tau_l = _balance_permutations(row_nz, col_nz, a, b)
-    sigma = Permutation(sigma_l)
-    tau = Permutation(tau_l)
+    sigma, tau = _balance_permutations(row_nz, col_nz, a, b)
 
-    # Permutation keeps column v of S' = sigma(S) and row v of T' = T tau
+    # Permuting keeps column v of S' = sigma(S) and row v of T' = T tau
     # on node v: both are local relabels.
     def relabel(v, state, inbox):
-        state["Sp_col"] = sorted((sigma_l[r], val) for r, val in state["S_col"])
-        state["Tp_row"] = sorted((tau_l[c], val) for c, val in state["T_row"])
+        state["Sp_col"] = sorted((sigma[r], val) for r, val in state["S_col"])
+        state["Tp_row"] = sorted((tau[c], val) for c, val in state["T_row"])
 
     ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
-    # Partials go straight to the owner of the unpermuted result row.
-    product = _balanced_core(engine, sr, ownership, a, b, sigma.inverse, tau.inverse)
+    # Partials go straight to the owner of the unpermuted result row, as
+    # the unpermuted result column.
+    row_dst, col_out = [0] * n, [0] * n
+    for line in range(n):
+        row_dst[sigma[line]] = line
+        col_out[tau[line]] = line
+    product = _balanced_core(engine, sr, ownership, a, b, row_dst, col_out)
     return SmmResult(product, split, sigma, tau, engine.ledger.since(mark))
 

@@ -1,4 +1,4 @@
-"""Square sparse matrices in row-major coordinate form, plus permutations.
+"""Square sparse matrices in row-major coordinate form, and Matrix Market IO.
 
 Matrices are n-by-n over a semiring; entries equal to the semiring's
 omitted value are never stored.  Row lists are kept sorted by column so
@@ -16,45 +16,6 @@ class FormatError(ValueError):
 
 class DimensionError(ValueError):
     """Operands disagree on size or semiring."""
-
-
-class Permutation:
-    """Bijection on [0, n); ``p(i)`` is the image of i."""
-
-    __slots__ = ("forward", "inverse")
-
-    def __init__(self, forward):
-        forward = list(forward)
-        n = len(forward)
-        inverse = [-1] * n
-        for i, j in enumerate(forward):
-            if not (0 <= j < n) or inverse[j] != -1:
-                raise ValueError("not a permutation of 0..n-1")
-            inverse[j] = i
-        self.forward = forward
-        self.inverse = inverse
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    def __call__(self, i: int) -> int:
-        return self.forward[i]
-
-    def inverted(self) -> "Permutation":
-        inv = Permutation.__new__(Permutation)
-        inv.forward = list(self.inverse)
-        inv.inverse = list(self.forward)
-        return inv
-
-    def __len__(self) -> int:
-        return len(self.forward)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.forward == other.forward
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.forward})"
 
 
 class SparseMatrix:
@@ -99,47 +60,10 @@ class SparseMatrix:
         ]
         return cls(n, semiring, rows)
 
-    @classmethod
-    def identity(cls, n: int, semiring: Semiring) -> "SparseMatrix":
-        one = semiring.one
-        rows = [[(i, one)] for i in range(n)]
-        return cls(n, semiring, rows)
-
-    # -- statistics ---------------------------------------------------------
+    # -- access -------------------------------------------------------------
 
     def nz(self) -> int:
         return sum(len(r) for r in self.rows)
-
-    def nz_by_row(self) -> list[int]:
-        return [len(r) for r in self.rows]
-
-    def nz_by_col(self) -> list[int]:
-        counts = [0] * self.n
-        for row in self.rows:
-            for j, _ in row:
-                counts[j] += 1
-        return counts
-
-    def band_row_counts(self, bands: int) -> list[int]:
-        """Entry counts per horizontal band of n/bands consecutive rows."""
-        h = self.n // bands
-        return [
-            sum(len(self.rows[r]) for r in range(i * h, (i + 1) * h))
-            for i in range(bands)
-        ]
-
-    def band_col_counts(self, bands: int) -> list[int]:
-        w = self.n // bands
-        counts = [0] * bands
-        for row in self.rows:
-            for j, _ in row:
-                counts[j // w] += 1
-        return counts
-
-    # -- access -------------------------------------------------------------
-
-    def row(self, i: int):
-        return self.rows[i]
 
     def entry(self, i: int, j: int):
         for c, v in self.rows[i]:
@@ -162,24 +86,7 @@ class SparseMatrix:
                 dense[i][j] = v
         return dense
 
-    # -- structural transforms ---------------------------------------------
-
-    def permute_rows(self, perm: Permutation) -> "SparseMatrix":
-        """Result[perm(i)][j] = self[i][j]."""
-        if len(perm) != self.n:
-            raise DimensionError("permutation size mismatch")
-        rows: list[list] = [None] * self.n  # type: ignore[list-item]
-        for i, row in enumerate(self.rows):
-            rows[perm(i)] = list(row)
-        return SparseMatrix(self.n, self.semiring, rows)
-
-    def permute_cols(self, perm: Permutation) -> "SparseMatrix":
-        """Result[i][perm(j)] = self[i][j]."""
-        if len(perm) != self.n:
-            raise DimensionError("permutation size mismatch")
-        fwd = perm.forward
-        rows = [sorted((fwd[j], v) for j, v in row) for row in self.rows]
-        return SparseMatrix(self.n, self.semiring, rows)
+    # -- padding ------------------------------------------------------------
 
     def padded(self, new_n: int) -> "SparseMatrix":
         if new_n < self.n:
@@ -211,6 +118,13 @@ class SparseMatrix:
 _READ_FIELDS = {"integer", "real", "pattern"}
 
 
+def _ints(tokens, lineno: int, what: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad {what} {' '.join(tokens)!r}") from None
+
+
 def load_matrix_market(path, semiring: Semiring) -> SparseMatrix:
     """Read a square coordinate-format Matrix Market file (1-indexed).
 
@@ -236,37 +150,46 @@ def load_matrix_market(path, semiring: Semiring) -> SparseMatrix:
 
         size_line = None
         data_lines = []
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
             if size_line is None:
-                size_line = line
+                size_line = (lineno, line)
             else:
-                data_lines.append(line)
+                data_lines.append((lineno, line))
 
     if size_line is None:
         raise FormatError("missing size line")
-    parts = size_line.split()
+    lineno, line = size_line
+    parts = line.split()
     if len(parts) != 3:
-        raise FormatError(f"bad size line {size_line!r}")
-    n_rows, n_cols, nnz = (int(p) for p in parts)
+        raise FormatError(f"line {lineno}: bad size line {line!r}")
+    n_rows, n_cols, nnz = _ints(parts, lineno, "size line")
     if n_rows != n_cols:
-        raise FormatError("only square matrices are supported")
+        raise FormatError(f"line {lineno}: only square matrices are supported")
+    if n_rows < 1:
+        raise FormatError(f"line {lineno}: matrix size must be at least 1")
     if len(data_lines) != nnz:
         raise FormatError(f"size line promises {nnz} entries, found {len(data_lines)}")
 
     pattern = field == "pattern"
+    want = 2 if pattern else 3
     entries = []
-    for line in data_lines:
+    for lineno, line in data_lines:
         toks = line.split()
-        want = 2 if pattern else 3
         if len(toks) != want:
-            raise FormatError(f"bad entry line {line!r}")
-        i, j = int(toks[0]) - 1, int(toks[1]) - 1
+            raise FormatError(f"line {lineno}: bad entry line {line!r}")
+        i, j = (x - 1 for x in _ints(toks[:2], lineno, "coordinate"))
         if not (0 <= i < n_rows and 0 <= j < n_rows):
-            raise FormatError(f"coordinate ({toks[0]}, {toks[1]}) out of range")
-        v = semiring.one if pattern else semiring.parse_value(toks[2])
+            raise FormatError(f"line {lineno}: coordinate ({toks[0]}, {toks[1]}) out of range")
+        if pattern:
+            v = semiring.one
+        else:
+            try:
+                v = semiring.parse_value(toks[2])
+            except (ValueError, OverflowError):
+                raise FormatError(f"line {lineno}: bad value {toks[2]!r}") from None
         entries.append((i, j, v))
         if symmetry == "symmetric" and i != j:
             entries.append((j, i, v))

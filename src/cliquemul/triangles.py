@@ -126,8 +126,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
     # --- degree broadcast: the V-partition becomes common knowledge -------
     words = engine.run_broadcast(
         "tri.degrees", lambda v, state: (_LOAD, G.d_in(v), G.d_out(v), 0))
-    degree_sums = [w[1] + w[2] for w in words]
-    v_sets = balanced_assignment(degree_sums, q, 2 * n)
+    degrees = [w[1] + w[2] for w in words]      # in- plus out-degree
+    v_sets = balanced_assignment(degrees, q, 2 * n)
     v_of = [0] * n
     member_pos = [0] * n
     for i, members in enumerate(v_sets):

@@ -8,14 +8,17 @@ the balance and load-ledger criteria.
 
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliquemul
 from cliquemul import oracle
 from cliquemul.cli import generate_graph, generate_matrix
 from cliquemul.graph_suite import apsp, count_4_cycles
@@ -100,6 +103,15 @@ def load_failures(key, records, n, a, b, nzS, nzT) -> tuple[list[str], set[str]]
             if rec.max_send > respond_send:
                 failures.append(
                     f"{key} respond send {rec.max_send} > {respond_send}")
+        elif rec.label == "sbmm.reduce":
+            # Send: a node of group (i, j) computes at most the (n/a)(n/b)
+            # cells of row band i and column band j, one partial each.
+            # Receive: a row owner hears from the n/(ab) nodes of each of
+            # the b groups (i, *), about at most n/b columns each.  Both
+            # come to n^2/(ab), reached at full density.
+            for side, load in (("send", rec.max_send), ("recv", rec.max_recv)):
+                if load * a * b > n * n:
+                    failures.append(f"{key} reduce {side} {load} > n^2/(ab)")
         else:
             continue
         checked.add(rec.label)
@@ -118,13 +130,18 @@ def test_criterion_2_balance_condition(smm_corpus):
     failures = []
     for name, n, dens, S, T, res in smm_corpus:
         a, b = res.split.a, res.split.b
-        Sp = S.permute_rows(res.sigma)
-        Tp = T.permute_cols(res.tau)
-        for i, cnt in enumerate(Sp.band_row_counts(a)):
-            if cnt * a > Sp.nz() + n * a:
+        # Row r of S lands in row band sigma[r] // (n/a) of sigma(S), and
+        # column c of T in column band tau[c] // (n/b) of T tau.
+        row_bands, col_bands = [0] * a, [0] * b
+        for r, row in enumerate(S.rows):
+            row_bands[res.sigma[r] // (n // a)] += len(row)
+        for _, c, _ in T.entries():
+            col_bands[res.tau[c] // (n // b)] += 1
+        for i, cnt in enumerate(row_bands):
+            if cnt * a > S.nz() + n * a:
                 failures.append(f"{name} n={n} d={dens}: row band {i}")
-        for j, cnt in enumerate(Tp.band_col_counts(b)):
-            if cnt * b > Tp.nz() + n * b:
+        for j, cnt in enumerate(col_bands):
+            if cnt * b > T.nz() + n * b:
                 failures.append(f"{name} n={n} d={dens}: col band {j}")
     report(2, "sparsity balance", failures)
 
@@ -139,7 +156,7 @@ def test_criterion_3_load_lemmas(smm_corpus):
         failures += found
         checked |= labels
     for label in ("distribute", "sbmm.subseq", "sbmm.counts",
-                  "sbmm.request", "sbmm.respond"):
+                  "sbmm.request", "sbmm.respond", "sbmm.reduce"):
         if label not in checked:
             failures.append(f"no {label} phase was checked")
     report(3, "communication load lemmas", failures)
@@ -283,6 +300,10 @@ def test_criterion_10_determinism(tmp_path):
     sr = semiring_by_name("count")
     save_matrix_market(generate_matrix(12, 40, 5, sr), lhs)
     save_matrix_market(generate_matrix(12, 40, 6, sr), rhs)
+    # The CLI runs the package these tests imported, installed or not.
+    package_root = str(Path(cliquemul.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     failures = []
     outputs = []
     for run in range(3):
@@ -293,7 +314,7 @@ def test_criterion_10_determinism(tmp_path):
              "--lhs", str(lhs), "--rhs", str(rhs), "--semiring", "count",
              "--pad", "pow2",
              "--out", str(out), "--ledger", str(ledger)],
-            capture_output=True, text=True, check=False)
+            capture_output=True, text=True, check=False, env=env)
         if proc.returncode != 0:
             failures.append(f"run {run} exited {proc.returncode}: {proc.stderr}")
             continue

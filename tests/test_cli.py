@@ -6,7 +6,6 @@ from cliquemul import cli
 from cliquemul.cli import (
     BenchConfig,
     generate_graph,
-    generate_instance,
     generate_matrix,
     run_bench,
     run_partition_suite,
@@ -50,11 +49,6 @@ def test_generate_graph():
         generate_graph(4, 7, 0)          # > C(4,2)
     with pytest.raises(ValueError):
         generate_graph(4, 13, 0, directed=True)
-
-
-def test_generate_instance_dispatch():
-    assert generate_instance(4, 5, 0, suite="smm").nz() == 5
-    assert generate_instance(8, 5, 0, suite="triangles").m == 10
 
 
 # -- bench ------------------------------------------------------------------
@@ -145,6 +139,17 @@ def test_multiply_command(tmp_path, capsys):
     assert "verify: ok" in capsys.readouterr().out
 
 
+def test_multiply_pads_only_to_powers_of_two(tmp_path, capsys):
+    lhs, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix(lhs, 5, 6, 0)
+    write_matrix(rhs, 5, 6, 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["multiply", "--lhs", str(lhs), "--rhs", str(rhs),
+                  "--semiring", "count", "--pad", "cube"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cube'" in capsys.readouterr().err
+
+
 def test_multiply_verify_mismatch(tmp_path, monkeypatch, capsys):
     lhs, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
     write_matrix(lhs, 4, 6, 0)
@@ -224,13 +229,23 @@ def test_apsp_disconnected(tmp_path, capsys):
     ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
                  "2 2 1\n3 1 5\n", "--lhs"),      # row out of range
     ("multiply", None, "--lhs"),                  # missing file
+    ("triangles", "0 1\nx y\n", "--graph"),       # non-numeric endpoints
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "2 2 1\n1 1 abc\n", "--lhs"),    # non-numeric value
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "2 two 1\n", "--lhs"),           # non-numeric size
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "0 0 0\n", "--lhs"),             # empty matrix
+    ("apsp", "0 1\n1 \u00e9\n", "--graph"),       # not ASCII
 ], ids=["self-loop-triangles", "self-loop-apsp", "three-tokens-four-cycles",
-        "mtx-out-of-range", "missing-file"])
+        "mtx-out-of-range", "missing-file", "edge-list-non-numeric",
+        "mtx-value-non-numeric", "mtx-size-non-numeric", "mtx-size-zero",
+        "edge-list-non-ascii"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
                                              flag):
     path = tmp_path / "input.txt"
     if content is not None:
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
     argv = [command, flag, str(path)]
     if command == "multiply":
         write_matrix(tmp_path / "b.mtx", 2, 2, 0)

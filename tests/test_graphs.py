@@ -47,8 +47,6 @@ def test_degrees():
     G = Graph(4, [(0, 1), (0, 2), (3, 0)])
     assert G.d_out(0) == 2
     assert G.d_in(0) == 1
-    assert G.degree_sum(0) == 3
-    assert G.degree_sum(1) == 1
     assert G.out_adj[0] == [1, 2]
     assert G.in_adj[0] == [3]
 
@@ -104,4 +102,7 @@ def test_edge_list_comments_and_inference(tmp_path):
         load_edge_list(bad)
     bad.write_text("0 -1\n")
     with pytest.raises(FormatError):
+        load_edge_list(bad)
+    bad.write_text("0 1\nx y\n")
+    with pytest.raises(FormatError, match="^line 2: "):
         load_edge_list(bad)

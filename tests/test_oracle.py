@@ -19,7 +19,7 @@ def path4():
 
 def test_identity_times_matrix():
     M = SparseMatrix.from_entries(4, COUNT, [(0, 2, 5), (3, 1, -2)])
-    I = SparseMatrix.identity(4, COUNT)
+    I = SparseMatrix.from_entries(4, COUNT, [(i, i, 1) for i in range(4)])
     assert oracle.dense_multiply(I, M) == M
     assert oracle.dense_multiply(M, I) == M
 

@@ -16,46 +16,37 @@ def test_chunk_examples():
 
 
 def test_avg_partition_examples():
-    uniform = avg_partition([4, 4, 4, 4])
-    assert [len(s.sizes()) for s in uniform] == [1, 1, 1, 1]
-
-    skew = avg_partition([8, 0, 0, 0])       # avg = 2
-    assert len(skew[0].sizes()) == 4
-    assert max(skew[0].sizes()) <= 3
-    assert [len(s.sizes()) for s in skew[1:]] == [0, 0, 0]
-
-    pair = avg_partition([1, 1])
-    assert sum(len(s.sizes()) for s in pair) == 2
-
-    empty = avg_partition([0, 0, 0])
-    assert all(s.sizes() == [] for s in empty)
+    assert avg_partition([4, 4, 4, 4]) == [[4], [4], [4], [4]]
+    assert avg_partition([8, 0, 0, 0]) == [[3, 3, 2, 0], [], [], []]   # avg = 2
+    assert avg_partition([1, 1]) == [[1], [1]]
+    assert avg_partition([0, 0, 0]) == [[], [], []]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
 def test_avg_partition_bounds(sizes):
     n = len(sizes)
-    specs = avg_partition(sizes)
+    chunks = avg_partition(sizes)
     total = sum(sizes)
-    assert sum(len(s.sizes()) for s in specs) <= 2 * n
-    for t, spec in zip(sizes, specs):
-        assert sum(spec.sizes()) == t
+    assert sum(len(c) for c in chunks) <= 2 * n
+    for t, chunk in zip(sizes, chunks):
+        assert sum(chunk) == t
         if total:
             # exact rational size bound: |part| <= avg + 1
-            for size in spec.sizes():
+            for size in chunk:
                 assert Fraction(size) <= Fraction(total, n) + 1
 
 
 def test_weight_balanced_examples():
-    spec = weight_balanced_partition([1, 2, 3, 4], 2, 4)
-    assert spec.parts == [[0, 2], [1, 3]]
-    sums = [sum([1, 2, 3, 4][i] for i in p) for p in spec.parts]
+    parts = weight_balanced_partition([1, 2, 3, 4], 2, 4)
+    assert parts == [[0, 2], [1, 3]]
+    sums = [sum([1, 2, 3, 4][i] for i in p) for p in parts]
     assert sums == [4, 6] and max(sums) <= 10 / 2 + 4
 
-    spec = weight_balanced_partition([0, 0, 0, 5], 4, 5)
-    assert [len(p) for p in spec.parts] == [1, 1, 1, 1]
+    parts = weight_balanced_partition([0, 0, 0, 5], 4, 5)
+    assert [len(p) for p in parts] == [1, 1, 1, 1]
 
     uniform = weight_balanced_partition([3] * 6, 3, 3)
-    assert all(sum(3 for _ in p) == 6 for p in uniform.parts)
+    assert all(sum(3 for _ in p) == 6 for p in uniform)
 
 
 def test_weight_balanced_preconditions():

@@ -88,15 +88,12 @@ def test_node_aliasing_bijection():
 # -- subsequence table ------------------------------------------------------
 
 def test_build_subsequences_frozen():
-    side = build_subsequences([3, 1, 0, 2], 4)
-    assert side.avg == Fraction(3, 2)
+    side = build_subsequences([3, 1, 0, 2], 4)    # avg 3/2
     assert side.block == 2
-    assert side.counts == [2, 1, 0, 2]
     assert side.origin == [0, 0, 1, 3, 3]
     assert side.owner == [0, 0, 1, 1, 2]
     assert side.owned == [[0, 1], [2, 3], [4], []]
     assert side.by_line == [[0, 1], [2], [], [3, 4]]
-    assert side.line_start == [0, 2, 3, 3]
     assert side.slice_bounds(1) == (2, 4)
     assert side.slice_bounds(3) == (0, 2)
     assert side.slice_bounds(4) == (2, 4)
@@ -105,7 +102,7 @@ def test_build_subsequences_frozen():
 def test_build_subsequences_one_per_node():
     # avg 1, so 4 fragments on 4 nodes: each gets its own owner
     side = build_subsequences([3, 1, 0, 0], 4)
-    assert side.counts == [3, 1, 0, 0]
+    assert [len(frags) for frags in side.by_line] == [3, 1, 0, 0]
     assert side.origin == [0, 0, 0, 1]
     assert side.owner == [0, 1, 2, 3]
     assert side.owned == [[0], [1], [2], [3]]
@@ -119,7 +116,7 @@ def test_build_subsequences_one_per_node():
 
 def test_build_subsequences_empty():
     side = build_subsequences([0] * 4, 4)
-    assert side.block == 0 and side.origin == [] and side.counts == [0] * 4
+    assert side.block == 0 and side.origin == [] and side.by_line == [[]] * 4
 
 
 def test_build_subsequences_properties():
@@ -133,21 +130,20 @@ def test_build_subsequences_properties():
         if sum(nz):
             for line, t in enumerate(nz):
                 # enough capacity for the line's entries
-                assert side.counts[line] * side.block >= t
+                assert len(side.by_line[line]) * side.block >= t
 
 
 def test_build_page_assignment_uniform():
-    pa = build_page_assignment([4] * 8, 8, 2, 2)
-    assert sorted(x for part in pa.parts for x in part) == list(range(8))
-    assert all(len(part) == 4 for part in pa.parts)
-    assert pa.part_sum(0) == pa.part_sum(1) == 16
+    parts = build_page_assignment([4] * 8, 8, 2, 2)
+    assert sorted(x for part in parts for x in part) == list(range(8))
+    assert [len(part) for part in parts] == [4, 4]      # ab pages per node
 
 
 # -- end to end -------------------------------------------------------------
 
 def test_smm_identity():
     M = random_matrix(8, COUNT, 0.3, random.Random(11))
-    I = SparseMatrix.identity(8, COUNT)
+    I = SparseMatrix.from_entries(8, COUNT, [(i, i, 1) for i in range(8)])
     res = smm(I, M)
     assert res.product == M
     labels = [r.label for r in res.records]
@@ -177,6 +173,9 @@ def test_smm_matches_oracle_across_semirings():
             T = random_matrix(n, sr, 0.3, rng)
             res = smm(S, T)
             assert res.product == oracle.dense_multiply(S, T), (sr.name, n)
+            # smm sends each partial to the preimage of its row under sigma
+            # and column under tau, so both must be bijections
+            assert sorted(res.sigma) == sorted(res.tau) == list(range(n))
 
 
 def test_dense_reduce_load():

@@ -3,15 +3,15 @@ import math
 import pytest
 
 from cliquemul.semiring import boolean_semiring, counting_semiring, min_plus_semiring
-from cliquemul.sparse import (DimensionError, FormatError, Permutation,
-                              SparseMatrix, load_matrix_market,
+from cliquemul.sparse import (FormatError, SparseMatrix, load_matrix_market,
                               save_matrix_market)
 
 COUNT = counting_semiring()
 
 
 def test_nz_identity_and_empty():
-    assert SparseMatrix.identity(4, COUNT).nz() == 4
+    identity = SparseMatrix.from_entries(4, COUNT, [(i, i, 1) for i in range(4)])
+    assert identity.nz() == 4
     assert SparseMatrix.from_entries(4, COUNT, []).nz() == 0
 
 
@@ -29,43 +29,9 @@ def test_from_entries_drops_omitted_but_rejects_bad_input():
 
 def test_row_and_column_views():
     M = SparseMatrix.from_entries(4, COUNT, [(0, 3, 2), (2, 0, 1), (2, 3, 4)])
-    assert M.row(2) == [(0, 1), (3, 4)]
-    assert M.nz_by_row() == [1, 0, 2, 0]
-    assert M.nz_by_col() == [1, 0, 0, 2]
+    assert M.rows == [[(3, 2)], [], [(0, 1), (3, 4)], []]
     assert M.entry(2, 3) == 4
     assert M.entry(1, 1) == COUNT.omitted
-
-
-def test_band_counts():
-    M = SparseMatrix.from_entries(4, COUNT, [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 3, 1)])
-    assert M.band_row_counts(2) == [2, 2]
-    assert M.band_col_counts(2) == [3, 1]
-    assert M.band_row_counts(4) == [1, 1, 1, 1]
-
-
-def test_permute_rows_moves_single_entry():
-    M = SparseMatrix.from_entries(4, COUNT, [(0, 3, 9)])
-    swap = Permutation([1, 0, 2, 3])
-    assert M.permute_rows(swap).entry(1, 3) == 9
-
-
-def test_permutation_round_trip():
-    M = SparseMatrix.from_entries(4, COUNT, [(0, 1, 2), (2, 3, 5), (3, 0, 7)])
-    sigma = Permutation([2, 0, 3, 1])
-    assert M.permute_rows(Permutation.identity(4)) == M
-    assert M.permute_rows(sigma).permute_rows(sigma.inverted()) == M
-    assert M.permute_cols(sigma).permute_cols(sigma.inverted()) == M
-    assert M.permute_rows(sigma).nz() == M.nz()
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    p = Permutation([2, 0, 1])
-    assert [p.inverse[p(i)] for i in range(3)] == [0, 1, 2]
-    M = SparseMatrix.from_entries(4, COUNT, [(0, 1, 2)])
-    with pytest.raises(DimensionError):
-        M.permute_rows(p)
 
 
 def test_padded_and_truncated():
@@ -144,3 +110,15 @@ def test_matrix_market_bad_inputs(tmp_path):
                             "2 2 1\n3 1 4\n")
     with pytest.raises(FormatError):
         load_matrix_market(out_of_range, COUNT)
+    # non-numeric and empty inputs name the offending line
+    header = "%%MatrixMarket matrix coordinate integer general\n"
+    for body, line in (("2 2 1\n1 1 abc\n", 3), ("2 two 1\n", 2),
+                       ("% comment\n0 0 0\n", 3), ("2 2 1\nx 1 4\n", 3)):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(header + body)
+        with pytest.raises(FormatError, match=f"^line {line}: "):
+            load_matrix_market(bad, COUNT)
+    # min-plus parses through float; infinity is not an entry value
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n")
+    with pytest.raises(FormatError, match="^line 3: bad value 'inf'"):
+        load_matrix_market(bad, min_plus_semiring())

@@ -116,7 +116,7 @@ def test_partition_state_invariants():
 
         # class degree mass stays within twice the target load
         for cls in S.v_sets:
-            assert sum(G.degree_sum(v) for v in cls) <= 2 * S.alpha
+            assert sum(G.d_out(v) + G.d_in(v) for v in cls) <= 2 * S.alpha
 
         # every N-set carries at most beta edges into its target class
         for (i, j), groups in S.n_sets.items():

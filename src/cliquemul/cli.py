@@ -3,11 +3,14 @@
 Subcommands: multiply, triangles, four-cycles, apsp, bench,
 verify-partitions.  multiply, triangles, four-cycles and apsp accept
 --verify, which re-runs the sequential oracle and exits 1 on any
-difference, and --ledger; they run no randomized step, so only bench and
-verify-partitions take --seed for the instances they generate.  A bad
-input (missing or malformed file, mismatched operands, disconnected
-graph for apsp) exits 2 with a one-line message.  Files land in --out
-when given, else under $CLIQUEMUL_OUT_DIR (default ".").
+difference, and --ledger, which writes the ledger the entry point
+returns; they run no randomized step, so only bench and
+verify-partitions take --seed for the instances they generate.  The
+entry points size their own engines: triangles on a non-cube graph runs
+on the next cube of nodes.  A bad input (missing or malformed file,
+mismatched operands, disconnected graph for apsp) exits 2 with a
+one-line message.  Files land in --out when given, else under
+$CLIQUEMUL_OUT_DIR (default ".").
 """
 
 from __future__ import annotations
@@ -23,15 +26,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import oracle
-from .engine import CliqueEngine
+from .engine import RoundLedger
 from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list
 from .graph_suite import apsp, count_4_cycles
-from .partition import avg_partition, weight_balanced_partition
+from .partition import avg_partition, balanced_assignment
 from .semiring import Semiring, semiring_by_name
 from .sparse import (DimensionError, FormatError, SparseMatrix, load_matrix_market,
                      save_matrix_market)
 from .smm import smm
-from .triangles import cube_root, list_triangles, next_cube
+from .triangles import list_triangles
 
 OUT_DIR_ENV = "CLIQUEMUL_OUT_DIR"
 
@@ -91,7 +94,6 @@ class BenchConfig:
     densities: list[float] | None = None
     edges: list[int] | None = None
     seed: int = 0
-    pad: str = "none"             # triangles: pad non-cube n to the next cube
     out: Path = field(default_factory=lambda: Path("bench.csv"))
 
     def validate(self) -> None:
@@ -105,11 +107,6 @@ class BenchConfig:
                     raise ValueError(f"density {d} outside (0, 1]")
         if any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
-        if self.suite == "triangles" and self.pad == "none":
-            bad = [n for n in self.sizes if cube_root(n) is None]
-            if bad:
-                raise ValueError(
-                    f"sizes {bad} are not perfect cubes; use pad='cube'")
 
     def targets_for(self, n: int) -> list[int]:
         if self.edges is not None:
@@ -155,7 +152,7 @@ def run_bench(config: BenchConfig) -> list[dict]:
             if config.suite == "smm":
                 row, phases = _bench_smm(n, target, seed)
             else:
-                row, phases = _bench_triangles(n, target, seed, config.pad)
+                row, phases = _bench_triangles(n, target, seed)
             phase_cols.update(dict.fromkeys(phases))
             rows.append({**row, **phases})
     header = (["n", "m", "nz_lhs", "nz_rhs", "a", "b", "rounds_total"]
@@ -189,9 +186,9 @@ def _bench_smm(n: int, nz_target: int, seed: int) -> tuple[dict, dict]:
     return row, _phase_rounds(res.records)
 
 
-def _bench_triangles(n: int, m_target: int, seed: int, pad: str) -> tuple[dict, dict]:
+def _bench_triangles(n: int, m_target: int, seed: int) -> tuple[dict, dict]:
     G = generate_graph(n, m_target, seed, directed=False)
-    res = list_triangles(G, pad_cube=(pad == "cube"))
+    res = list_triangles(G)
     total = res.rounds()
     n_run = res.state.n
     m_arcs = res.state.m
@@ -212,17 +209,18 @@ def run_partition_suite(seed: int = 0) -> tuple[int, list[str]]:
     checked = 0
     failures: list[str] = []
     for n in range(1, 9):
-        ks = [k for k in range(1, n + 1) if n % k == 0]
         for weights in itertools.combinations_with_replacement(range(5), n):
             ws = list(weights)
             total = sum(ws)
-            for k in ks:
-                parts = weight_balanced_partition(ws, k, 4)
+            for k in range(1, n + 1):
+                parts = balanced_assignment(ws, k, 4)
                 checked += 1
+                if sorted(i for part in parts for i in part) != list(range(n)):
+                    failures.append(f"cover {ws} k={k}: not a partition")
                 for part in parts:
-                    if len(part) != n // k:
-                        failures.append(f"size {ws} k={k}: |part| != n/k")
-                    if Fraction(sum(ws[i] for i in part)) > Fraction(total, k) + 4:
+                    if len(part) not in (n // k, -(-n // k)):
+                        failures.append(f"size {ws} k={k}: |part| not n/k rounded")
+                    if sum(ws[i] for i in part) > Fraction(total, k) + max(ws):
                         failures.append(f"sum {ws} k={k}: part over bound")
     rng = random.Random(seed)
     for _ in range(1000):
@@ -245,10 +243,12 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="write per-phase round accounting to this CSV")
 
 
-def _write_ledger(engine: CliqueEngine, path: Path | None) -> None:
+def _write_ledger(records, path: Path | None) -> None:
     if path is not None:
+        ledger = RoundLedger()
+        ledger.records = list(records)
         path.parent.mkdir(parents=True, exist_ok=True)
-        engine.ledger.write_csv(path)
+        ledger.write_csv(path)
 
 
 def _cmd_multiply(args) -> int:
@@ -259,13 +259,12 @@ def _cmd_multiply(args) -> int:
         raise DimensionError(f"operand sizes differ ({S.n} vs {T.n})")
     n = S.n
     padded_n = _next_pow2(n) if args.pad == "pow2" else n
-    engine = CliqueEngine(padded_n)
-    res = smm(S.padded(padded_n), T.padded(padded_n), engine)
+    res = smm(S.padded(padded_n), T.padded(padded_n))
     product = res.product.truncated(n)
     out = args.out if args.out else _out_dir() / (Path(args.lhs).stem + ".product.mtx")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix_market(product, out)
-    _write_ledger(engine, args.ledger)
+    _write_ledger(res.records, args.ledger)
     print(f"multiply: n={n} nz_lhs={S.nz()} nz_rhs={T.nz()} "
           f"split=({res.split.a},{res.split.b}) rounds={res.rounds()} "
           f"nz_out={product.nz()} -> {out}")
@@ -284,12 +283,7 @@ def _canonical_undirected(tris) -> list[tuple[int, int, int]]:
 
 def _cmd_triangles(args) -> int:
     G = load_edge_list(args.graph, directed=args.directed)
-    if cube_root(G.n) is None and not args.pad_cube:
-        print(f"error: n={G.n} is not a perfect cube; pass --pad-cube",
-              file=sys.stderr)
-        return 2
-    engine = CliqueEngine(G.n if cube_root(G.n) else next_cube(G.n))
-    res = list_triangles(G, engine, pad_cube=args.pad_cube)
+    res = list_triangles(G)
     if args.directed:
         listed = sorted(res.triangles)
     else:
@@ -298,7 +292,7 @@ def _cmd_triangles(args) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as fh:
             fh.writelines(f"{u} {v} {w}\n" for u, v, w in listed)
-    _write_ledger(engine, args.ledger)
+    _write_ledger(res.records, args.ledger)
     print(f"triangles: n={G.n} m={G.m} count={len(listed)} rounds={res.rounds()}"
           + (f" -> {args.out}" if args.out else ""))
     if args.verify:
@@ -313,9 +307,8 @@ def _cmd_triangles(args) -> int:
 
 def _cmd_four_cycles(args) -> int:
     G = load_edge_list(args.graph, directed=False)
-    engine = CliqueEngine(G.n)
-    res = count_4_cycles(G, engine)
-    _write_ledger(engine, args.ledger)
+    res = count_4_cycles(G)
+    _write_ledger(res.records, args.ledger)
     print(f"four-cycles: n={G.n} m={G.m // 2} count={res.count} "
           f"rounds={sum(r.rounds for r in res.records)}")
     if args.verify:
@@ -330,12 +323,11 @@ def _cmd_four_cycles(args) -> int:
 
 def _cmd_apsp(args) -> int:
     G = load_edge_list(args.graph, directed=False)
-    engine = CliqueEngine(G.n)
-    res = apsp(G, engine)
+    res = apsp(G)
     out = args.out if args.out else _out_dir() / (Path(args.graph).stem + ".dist.mtx")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix_market(res.dist, out)
-    _write_ledger(engine, args.ledger)
+    _write_ledger(res.records, args.ledger)
     print(f"apsp: n={G.n} m={G.m // 2} diameter={res.diameter} "
           f"multiplications={res.multiplications} "
           f"rounds={sum(r.rounds for r in res.records)} -> {out}")
@@ -353,7 +345,7 @@ def _cmd_bench(args) -> int:
     out = args.out if args.out else _out_dir() / f"bench-{args.suite}.csv"
     config = BenchConfig(suite=args.suite, sizes=args.sizes,
                          densities=args.densities, edges=args.edges,
-                         seed=args.seed, pad=args.pad, out=out)
+                         seed=args.seed, out=out)
     try:
         rows = run_bench(config)
     except ValueError as exc:
@@ -395,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("triangles", help="list all triangles of a graph")
     tp.add_argument("--graph", type=Path, required=True)
     tp.add_argument("--directed", action="store_true")
-    tp.add_argument("--pad-cube", action="store_true")
     tp.add_argument("--out", type=Path, default=None)
     _add_common(tp)
     tp.set_defaults(func=_cmd_triangles)
@@ -417,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = bp.add_mutually_exclusive_group(required=True)
     group.add_argument("--densities", type=float, nargs="+")
     group.add_argument("--edges", type=int, nargs="+")
-    bp.add_argument("--pad", choices=["none", "cube"], default="none")
     bp.add_argument("--out", type=Path, default=None)
     bp.add_argument("--seed", type=int, default=0)
     bp.set_defaults(func=_cmd_bench)

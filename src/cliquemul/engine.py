@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .sparse import DimensionError
+
 Handler = Callable[[int, dict, list], list]
 
 
@@ -173,3 +175,16 @@ class CliqueEngine:
     def drain_inboxes(self) -> list[list]:
         boxes, self.inboxes = self.inboxes, [[] for _ in range(self.n)]
         return boxes
+
+
+def engine_for(n: int, engine: CliqueEngine | None) -> CliqueEngine:
+    """A fresh n-node engine, or ``engine`` once it is checked to have n nodes.
+
+    Every protocol entry point gets its engine here, so a wrong size
+    raises before any phase is charged.
+    """
+    if engine is None:
+        return CliqueEngine(n)
+    if engine.n != n:
+        raise DimensionError(f"engine has {engine.n} nodes, the input needs {n}")
+    return engine

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import CliqueEngine, PhaseRecord
+from .engine import CliqueEngine, PhaseRecord, engine_for
 from .graphs import DisconnectedGraphError, Graph
 from .semiring import counting_semiring, min_plus_semiring
 from .smm import smm
@@ -44,8 +44,7 @@ def count_4_cycles(G: Graph, engine: CliqueEngine | None = None) -> FourCycleRes
     """Number of simple 4-cycles in an undirected graph."""
     if not G.is_symmetric():
         raise ValueError("4-cycle counting expects both orientations of every edge")
-    if engine is None:
-        engine = CliqueEngine(G.n)
+    engine = engine_for(G.n, engine)
     mark = engine.ledger.mark()
     A = G.to_adjacency(counting_semiring())
     sq = smm(A, A, engine=engine).product
@@ -79,8 +78,7 @@ def apsp(G: Graph, engine: CliqueEngine | None = None) -> ApspResult:
     if not G.is_symmetric():
         raise ValueError("shortest paths expect an undirected graph")
     n = G.n
-    if engine is None:
-        engine = CliqueEngine(n)
+    engine = engine_for(n, engine)
     mark = engine.ledger.mark()
     M = G.to_adjacency(min_plus_semiring(), explicit_diagonal=True)
     power = M

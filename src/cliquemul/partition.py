@@ -7,9 +7,9 @@ Three primitives, all exact (rational arithmetic, no floats):
   is agreed upon by every node that knows t and c.
 * average chunking over a family of sets, with c fixed to the exact mean
   set size; the family-wide block count never exceeds 2n.
-* weight-balanced strided partition of a sorted weight multiset into k
-  equal-cardinality parts whose sums exceed the mean part sum by at most
-  one maximal element.
+* weight-balanced strided assignment of any weight list into k groups
+  whose sizes differ by at most one and whose sums exceed the mean group
+  sum by at most one maximal element.
 """
 
 from __future__ import annotations
@@ -65,57 +65,22 @@ def avg_partition(set_sizes: list[int]) -> list[list[int]]:
     return [chunk_sizes(t, avg) for t in set_sizes]
 
 
-def weight_balanced_partition(weights: list[int], k: int, x: int) -> list[list[int]]:
-    """Strided split of an ascending weight list into k parts of n/k items.
-
-    Part j takes positions j, j+k, j+2k, ...; each part sum is at most
-    sum(weights)/k + x provided every weight is at most x.  Preconditions
-    (sortedness, k divides n, weight bound) are enforced.
-    """
-    n = len(weights)
-    if k < 1 or n % k != 0:
-        raise PartitionError(f"k={k} must be a positive divisor of n={n}")
-    if any(w < 0 for w in weights):
-        raise PartitionError("weights must be nonnegative")
-    if any(weights[i] > weights[i + 1] for i in range(n - 1)):
-        raise PartitionError("weights must be sorted ascending")
-    if weights and weights[-1] > x:
-        raise PartitionError(f"weight {weights[-1]} exceeds bound x={x}")
-    return [list(range(j, n, k)) for j in range(k)]
-
-
 def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
-    """Partition arbitrary-order items into k weight-balanced groups.
+    """Split item indices into k weight-balanced groups, each ascending.
 
-    Sorts items by (weight, index), applies the strided split, and maps
-    back to original indices; each returned group is ascending.  Part sums
-    obey the same sum/k + x bound.
-    """
-    order = sorted(range(len(weights)), key=lambda i: (weights[i], i))
-    parts = weight_balanced_partition([weights[i] for i in order], k, x)
-    return [sorted(order[pos] for pos in part) for part in parts]
-
-
-def padded_balanced_groups(items: list[int], weights: list[int], k: int) -> list[list[int]]:
-    """Weight-balanced grouping when k need not divide the item count.
-
-    Zero-weight placeholders pad the multiset up to a multiple of k before
-    the strided split; placeholders are dropped afterwards.  Padding keeps
-    the sum/k + max-weight guarantee since it only adds zeros.
+    Zero-weight placeholders pad the items to a multiple of k and sort
+    before every real item; the items then sort by (weight, index), and
+    group j takes sorted positions j, j+k, j+2k, ...  Placeholders are
+    dropped, so groups differ in size by at most one.  Each group sum is
+    at most sum(weights)/k + x, the strided split's bound, since padding
+    only adds zeros; every weight must lie in [0, x].
     """
     if k < 1:
-        raise PartitionError("k must be positive")
-    if len(items) != len(weights):
-        raise PartitionError("items and weights must align")
-    pad = (-len(items)) % k
-    # Placeholders sort before every real item: weight 0 and a key below
-    # any real identifier.
-    keyed = [(0, -1, None)] * pad + [
-        (w, it, it) for w, it in zip(weights, items)
-    ]
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    groups = []
-    for j in range(k):
-        groups.append(sorted(keyed[pos][2] for pos in range(j, len(keyed), k)
-                             if keyed[pos][2] is not None))
-    return groups
+        raise PartitionError(f"k={k} must be positive")
+    if any(w < 0 for w in weights):
+        raise PartitionError("weights must be nonnegative")
+    if weights and max(weights) > x:
+        raise PartitionError(f"weight {max(weights)} exceeds bound x={x}")
+    pad = (-len(weights)) % k
+    order = [None] * pad + sorted(range(len(weights)), key=lambda i: (weights[i], i))
+    return [sorted(i for i in order[j::k] if i is not None) for j in range(k)]

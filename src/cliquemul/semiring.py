@@ -130,7 +130,11 @@ def _minplus_mul(x, y):
 
 
 def _minplus_parse(tok: str):
+    # inf is the omitted value, dropped like an explicit 0 under counting;
+    # int() refuses -inf (OverflowError) and nan (ValueError).
     f = float(tok)
+    if f == math.inf:
+        return f
     return int(f) if f == int(f) else f
 
 

@@ -47,7 +47,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .engine import CliqueEngine, PhaseRecord, SimulationError
+from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for
 from .partition import avg_partition, balanced_assignment
 from .semiring import Semiring
 from .sparse import DimensionError, SparseMatrix
@@ -551,10 +551,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
             f"operand semirings differ: {S.semiring.name} vs {T.semiring.name}")
     n = S.n
     sr = S.semiring
-    if engine is None:
-        engine = CliqueEngine(n)
-    elif engine.n != n:
-        raise DimensionError("engine size does not match operands")
+    engine = engine_for(n, engine)
     mark = engine.ledger.mark()
 
     for v in range(n):

@@ -130,7 +130,8 @@ def load_matrix_market(path, semiring: Semiring) -> SparseMatrix:
 
     Accepts integer, real, and pattern fields with general or symmetric
     symmetry.  Duplicate coordinates raise FormatError; entries equal to
-    the semiring's omitted value are dropped after validation.
+    the semiring's omitted value (0 under counting, ``inf`` under
+    min-plus) are dropped after validation.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()

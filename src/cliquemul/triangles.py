@@ -1,12 +1,16 @@
 """Deterministic distributed triangle listing.
 
-The vertex set is cut three ways (n must be a perfect cube, q = n^(1/3)):
+The vertex set is cut three ways, so n must be a cube, q = n^(1/3); any
+other graph runs padded with isolated vertices up to the next cube:
 
 * V-partition: q degree-balanced vertex classes;
 * D-partition: n^(2/3) fixed consecutive blocks of q nodes, the worker
   teams;
 * N-sets: each (V_i, V_j) class pair is split into node groups whose
   outgoing edge mass into V_j is bounded by beta = m/n^(2/3) + n.
+
+All three balanced splits (classes, N-sets, team path parts) are
+``partition.balanced_assignment``.
 
 Every triangle (x, y, z) with x in some N-set assigned to team D_k and
 y in the matching V_j is found by the team member responsible for the
@@ -29,29 +33,22 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import CliqueEngine, PhaseRecord, SimulationError
+from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for
 from .graphs import Graph
 from .oracle import canonical_triangle
-from .partition import balanced_assignment, padded_balanced_groups
+from .partition import balanced_assignment
 from .smm import (_ENT_S, _ENT_T, SubseqOwnership, bucket_fragments,
                   deal_fragments, fragment_requests, fragment_responder)
 
 _VC, _NC, _LOAD, _PKT, _EDGE, _PSUM = range(200, 206)
 
 
-def cube_root(n: int) -> int | None:
-    q = round(n ** (1 / 3))
-    for cand in (q - 1, q, q + 1):
-        if cand >= 1 and cand ** 3 == n:
-            return cand
-    return None
-
-
-def next_cube(n: int) -> int:
+def _cube_side(n: int) -> int:
+    """The least q with q^3 >= n: the class count of the padded graph."""
     q = 1
     while q ** 3 < n:
         q += 1
-    return q ** 3
+    return q
 
 
 def packet_allocation(loads: list[int]) -> tuple[int, list[int]]:
@@ -102,23 +99,20 @@ class TriangleResult:
         return sum(r.rounds for r in self.records)
 
 
-def list_triangles(G: Graph, engine: CliqueEngine | None = None,
-                   pad_cube: bool = False) -> TriangleResult:
-    """All directed triangles of G, canonicalized and deduplicated."""
-    q = cube_root(G.n)
-    if q is None:
-        if not pad_cube:
-            raise ValueError(
-                f"vertex count {G.n} is not a perfect cube; enable padding")
-        G = G.padded(next_cube(G.n))
-        q = cube_root(G.n)
+def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResult:
+    """All directed triangles of G, canonicalized and deduplicated.
+
+    A graph whose vertex count is not a cube runs padded with isolated
+    vertices, which lie on no triangle, up to the next cube; ``engine``
+    must have that many nodes.
+    """
+    q = _cube_side(G.n)
+    if q ** 3 != G.n:
+        G = G.padded(q ** 3)
     n = G.n
     Q = q * q                     # n^(2/3): team count and class size
     m = G.m
-    if engine is None:
-        engine = CliqueEngine(n)
-    elif engine.n != n:
-        raise ValueError("engine size does not match the (padded) graph")
+    engine = engine_for(n, engine)
     mark = engine.ledger.mark()
     alpha = Fraction(m, q) + n
     beta = Fraction(m, Q) + n
@@ -135,11 +129,18 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
             v_of[u] = i
             member_pos[u] = pos
 
+    # Per-class degree profiles: node v's arcs from and to each class.
+    in_cls = [[0] * q for _ in range(n)]
+    out_cls = [[0] * q for _ in range(n)]
+    for v in range(n):
+        for u in G.in_adj[v]:
+            in_cls[v][v_of[u]] += 1
+        for u in G.out_adj[v]:
+            out_cls[v][v_of[u]] += 1
+
     # --- per-class out-edge counts feed the N-set partitions --------------
     def emit_vcounts(v, state):
-        counts = [0] * q
-        for u in G.out_adj[v]:
-            counts[v_of[u]] += 1
+        counts = out_cls[v]
         # Own class only; the free self-message keeps every member's table
         # complete.
         return [(u, _VC, j, counts[j], 0)
@@ -161,8 +162,9 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
                 groups.append([])
                 continue
             parts = math.ceil(Fraction(m_ij * Q, m))
-            groups.append(padded_balanced_groups(
-                members, [table[u][j] for u in members], parts))
+            weights = [table[u][j] for u in members]
+            groups.append([[members[idx] for idx in grp]
+                           for grp in balanced_assignment(weights, parts, max(weights))])
         return groups
 
     # Members of one class all receive the same count table.
@@ -218,15 +220,6 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None,
     state_view = TriplePartitionState(
         n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,
         n_sets=n_sets, n_ids=n_ids, halves=halves, assignments=assignments)
-
-    # Per-class degree profiles, reused by both halves' path-count phases.
-    in_cls = [[0] * q for _ in range(n)]
-    out_cls = [[0] * q for _ in range(n)]
-    for v in range(n):
-        for u in G.in_adj[v]:
-            in_cls[v][v_of[u]] += 1
-        for u in G.out_adj[v]:
-            out_cls[v][v_of[u]] += 1
 
     found: set[tuple[int, int, int]] = set()
     for t in range(2):

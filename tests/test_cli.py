@@ -65,8 +65,9 @@ def test_bench_config_validation(tmp_path):
     with pytest.raises(ValueError):
         BenchConfig("nope", [4], densities=[0.5]).validate()
     with pytest.raises(ValueError):
-        BenchConfig("triangles", [10], edges=[5]).validate()
-    BenchConfig("triangles", [10], edges=[5], pad="cube").validate()
+        BenchConfig("triangles", [0], edges=[5]).validate()
+    # A non-cube size is valid: the run pads it to the next cube.
+    BenchConfig("triangles", [10], edges=[5]).validate()
 
 
 def test_bench_targets_rounding():
@@ -104,6 +105,12 @@ def test_run_bench_triangles(tmp_path):
     parts = sum(v for k, v in rows[0].items()
                 if k.startswith("rounds_") and k != "rounds_total")
     assert parts == rows[0]["rounds_total"]
+
+
+def test_run_bench_triangles_non_cube_runs_on_the_next_cube(tmp_path):
+    rows = run_bench(BenchConfig("triangles", [10], edges=[12], seed=1,
+                                 out=tmp_path / "t.csv"))
+    assert [(r["n"], r["m"]) for r in rows] == [(27, 24)]
 
 
 def test_run_bench_empty_sizes_writes_header(tmp_path):
@@ -150,6 +157,19 @@ def test_multiply_pads_only_to_powers_of_two(tmp_path, capsys):
     assert "invalid choice: 'cube'" in capsys.readouterr().err
 
 
+def test_multiply_minplus_inf_is_an_omitted_entry(tmp_path, capsys):
+    header = "%%MatrixMarket matrix coordinate real general\n"
+    lhs, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    lhs.write_text(header + "2 2 3\n1 1 inf\n1 2 1\n2 1 2\n")
+    rhs.write_text(header + "2 2 2\n1 1 0\n2 2 inf\n")
+    out = tmp_path / "p.mtx"
+    rc = cli.main(["multiply", "--lhs", str(lhs), "--rhs", str(rhs),
+                   "--semiring", "minplus", "--out", str(out), "--verify"])
+    assert rc == 0
+    assert "nz_lhs=2 nz_rhs=1" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1:] == ["2 2 1", "2 1 2"]
+
+
 def test_multiply_verify_mismatch(tmp_path, monkeypatch, capsys):
     lhs, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
     write_matrix(lhs, 4, 6, 0)
@@ -185,13 +205,15 @@ def test_triangles_command(tmp_path, capsys):
 
 
 def test_triangles_non_cube(tmp_path, capsys):
+    # A non-cube graph runs on the next cube of nodes; there is no flag.
     g = tmp_path / "g.txt"
     save_edge_list(generate_graph(10, 12, 0), g, directed=False)
-    rc = cli.main(["triangles", "--graph", str(g)])
-    assert rc == 2
-    assert "pad-cube" in capsys.readouterr().err
-    rc = cli.main(["triangles", "--graph", str(g), "--pad-cube", "--verify"])
+    rc = cli.main(["triangles", "--graph", str(g), "--verify"])
     assert rc == 0
+    assert "verify: ok" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["triangles", "--graph", str(g), "--pad-cube"])
+    assert exc.value.code == 2
 
 
 def test_four_cycles_command(tmp_path, capsys):
@@ -271,10 +293,14 @@ def test_seed_rejected_where_nothing_is_random(argv, capsys):
 
 
 def test_bench_command_bad_sizes(tmp_path, capsys):
-    rc = cli.main(["bench", "--suite", "triangles", "--sizes", "10",
+    rc = cli.main(["bench", "--suite", "triangles", "--sizes", "0",
                    "--edges", "5", "--out", str(tmp_path / "b.csv")])
     assert rc == 2
-    assert "perfect cubes" in capsys.readouterr().err
+    assert "sizes must be positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--suite", "triangles", "--sizes", "10",
+                  "--edges", "5", "--pad", "cube"])
+    assert exc.value.code == 2
 
 
 def test_out_dir_env(tmp_path, monkeypatch):

@@ -4,7 +4,11 @@ from pathlib import Path
 import pytest
 
 import cliquemul
+from cliquemul import apsp, count_4_cycles, list_triangles, smm
 from cliquemul.engine import CliqueEngine, SimulationError
+from cliquemul.graphs import Graph
+from cliquemul.semiring import counting_semiring
+from cliquemul.sparse import DimensionError
 
 
 def test_all_to_all_single_word_is_one_round():
@@ -114,3 +118,31 @@ def test_only_the_engine_reads_mailboxes():
                if path.name != "engine.py"
                and re.search(r"\.inboxes\b", path.read_text(encoding="utf-8"))]
     assert peeking == []
+
+
+def test_only_the_engine_builds_engines():
+    # Entry points size their engines through engine.engine_for; any
+    # other construction would be a second copy of the size rule.
+    package = Path(cliquemul.__file__).parent
+    building = [path.name for path in sorted(package.glob("*.py"))
+                if path.name != "engine.py"
+                and re.search(r"\bCliqueEngine\(", path.read_text(encoding="utf-8"))]
+    assert building == []
+
+
+K5 = Graph.undirected(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+A5 = K5.to_adjacency(counting_semiring())
+
+
+@pytest.mark.parametrize("run", [
+    lambda eng: smm(A5, A5, eng),
+    lambda eng: list_triangles(K5, eng),        # runs padded to 8 nodes
+    lambda eng: count_4_cycles(K5, eng),
+    lambda eng: apsp(K5, eng),
+], ids=["smm", "list_triangles", "count_4_cycles", "apsp"])
+@pytest.mark.parametrize("size", [4, 6, 9])
+def test_wrong_engine_size_raises_before_any_phase(run, size):
+    eng = CliqueEngine(size)
+    with pytest.raises(DimensionError, match=f"engine has {size} nodes"):
+        run(eng)
+    assert eng.ledger.records == []

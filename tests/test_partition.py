@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquemul.partition import (PartitionError, avg_partition,
-                                 balanced_assignment,
-                                 chunk_sizes, padded_balanced_groups,
-                                 weight_balanced_partition)
+                                 balanced_assignment, chunk_sizes)
 
 
 def test_chunk_examples():
@@ -37,58 +35,58 @@ def test_avg_partition_bounds(sizes):
 
 
 def test_weight_balanced_examples():
-    parts = weight_balanced_partition([1, 2, 3, 4], 2, 4)
+    parts = balanced_assignment([1, 2, 3, 4], 2, 4)
     assert parts == [[0, 2], [1, 3]]
     sums = [sum([1, 2, 3, 4][i] for i in p) for p in parts]
     assert sums == [4, 6] and max(sums) <= 10 / 2 + 4
 
-    parts = weight_balanced_partition([0, 0, 0, 5], 4, 5)
-    assert [len(p) for p in parts] == [1, 1, 1, 1]
+    assert balanced_assignment([0, 0, 0, 5], 4, 5) == [[0], [1], [2], [3]]
+    # Items sort by (weight, index), whatever order they come in.
+    assert balanced_assignment([5, 0, 3, 0], 2, 5) == [[1, 2], [0, 3]]
 
-    uniform = weight_balanced_partition([3] * 6, 3, 3)
+    uniform = balanced_assignment([3] * 6, 3, 3)
     assert all(sum(3 for _ in p) == 6 for p in uniform)
+
+    # k need not divide the item count: zero-weight placeholders take the
+    # first sorted positions, so the first groups are one item short.
+    assert balanced_assignment([4, 1, 3, 2, 0], 3, 4) == [[3], [2, 4], [0, 1]]
+    assert balanced_assignment([7], 3, 7) == [[], [], [0]]
+    assert balanced_assignment([], 2, 0) == [[], []]
 
 
 def test_weight_balanced_preconditions():
-    with pytest.raises(PartitionError):
-        weight_balanced_partition([2, 1], 1, 4)        # unsorted
-    with pytest.raises(PartitionError):
-        weight_balanced_partition([1, 2, 3], 2, 4)     # k does not divide n
-    with pytest.raises(PartitionError):
-        weight_balanced_partition([1, 9], 2, 4)        # weight above x
+    with pytest.raises(PartitionError, match="k=0"):
+        balanced_assignment([1, 2], 0, 4)
+    with pytest.raises(PartitionError, match="nonnegative"):
+        balanced_assignment([1, -1, 2], 2, 4)
+    with pytest.raises(PartitionError, match="exceeds bound x=4"):
+        balanced_assignment([1, 9], 2, 4)
 
 
-@given(st.integers(min_value=1, max_value=4),
-       st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=24))
+@given(st.integers(min_value=1, max_value=6),
+       st.lists(st.integers(min_value=0, max_value=9), max_size=24))
 def test_balanced_assignment_properties(k, weights):
     n = len(weights)
-    if n % k:
-        n -= n % k
-        weights = weights[:n]
-    if n == 0:
-        return
     groups = balanced_assignment(weights, k, 9)
+    assert len(groups) == k
     flat = sorted(i for g in groups for i in g)
     assert flat == list(range(n))
     assert all(g == sorted(g) for g in groups)
-    bound = Fraction(sum(weights), k) + 9
+    bound = Fraction(sum(weights), k) + max(weights, default=0)
     for g in groups:
-        assert len(g) == n // k
+        assert len(g) in (n // k, -(-n // k))
         assert Fraction(sum(weights[i] for i in g)) <= bound
 
 
 @given(st.integers(min_value=1, max_value=5),
        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=20))
 def test_padded_groups_properties(k, weights):
-    items = [10 + i for i in range(len(weights))]
-    groups = padded_balanced_groups(items, weights, k)
-    assert len(groups) == k
-    flat = sorted(i for g in groups for i in g)
-    assert flat == sorted(items)
-    bound = Fraction(sum(weights), k) + max(weights)
-    wt = dict(zip(items, weights))
-    for g in groups:
-        assert Fraction(sum(wt[i] for i in g)) <= bound
+    # Padding to a multiple of k equals the strided split of the weights
+    # with k - (n mod k) zeros prepended, the placeholders then dropped.
+    pad = (-len(weights)) % k
+    padded = balanced_assignment([0] * pad + weights, k, 7)
+    want = [[i - pad for i in g if i >= pad] for g in padded]
+    assert balanced_assignment(weights, k, 7) == want
 
 
 def test_determinism():

@@ -118,7 +118,24 @@ def test_matrix_market_bad_inputs(tmp_path):
         bad.write_text(header + body)
         with pytest.raises(FormatError, match=f"^line {line}: "):
             load_matrix_market(bad, COUNT)
-    # min-plus parses through float; infinity is not an entry value
-    bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n")
-    with pytest.raises(FormatError, match="^line 3: bad value 'inf'"):
-        load_matrix_market(bad, min_plus_semiring())
+    # min-plus parses through float; of the non-finite values it accepts
+    # only inf, the omitted value
+    for tok in ("-inf", "nan"):
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"2 2 1\n1 1 {tok}\n")
+        with pytest.raises(FormatError, match=f"^line 3: bad value '{tok}'"):
+            load_matrix_market(bad, min_plus_semiring())
+
+
+def test_matrix_market_drops_minplus_inf(tmp_path):
+    # inf is min-plus's omitted value, dropped as an explicit 0 is under
+    # counting; it still counts as an entry line and a coordinate.
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 3\n1 1 inf\n1 2 -3\n2 2 Infinity\n")
+    M = load_matrix_market(path, min_plus_semiring())
+    assert list(M.entries()) == [(0, 1, -3)]
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n1 1 inf\n1 1 4\n")
+    with pytest.raises(FormatError, match="duplicate entry"):
+        load_matrix_market(path, min_plus_semiring())

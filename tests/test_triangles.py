@@ -5,34 +5,12 @@ import pytest
 from cliquemul import oracle
 from cliquemul.engine import CliqueEngine
 from cliquemul.graphs import Graph
-from cliquemul.triangles import (
-    TriangleResult,
-    cube_root,
-    list_triangles,
-    next_cube,
-    packet_allocation,
-)
+from cliquemul.triangles import TriangleResult, list_triangles, packet_allocation
 
 
 def random_digraph(n, m, rng):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return Graph(n, rng.sample(pairs, m))
-
-
-def test_cube_root():
-    assert cube_root(1) == 1
-    assert cube_root(8) == 2
-    assert cube_root(27) == 3
-    assert cube_root(64) == 4
-    assert cube_root(26) is None
-    assert cube_root(28) is None
-
-
-def test_next_cube():
-    assert next_cube(1) == 1
-    assert next_cube(9) == 27
-    assert next_cube(27) == 27
-    assert next_cube(28) == 64
 
 
 def test_packet_allocation_uniform():
@@ -61,24 +39,29 @@ def test_packet_allocation_empty():
     assert cap == 1 and starts == [0, 0, 0]
 
 
-def test_non_cube_rejected_without_padding():
-    G = random_digraph(10, 20, random.Random(0))
-    with pytest.raises(ValueError):
-        list_triangles(G)
-
-
 def test_padding_preserves_triangles():
-    rng = random.Random(4)
-    G = random_digraph(10, 40, rng)
-    res = list_triangles(G, pad_cube=True)
+    # A non-cube graph runs as the same graph padded with isolated
+    # vertices to the next cube: same triangles, same ledger.
+    G = random_digraph(10, 40, random.Random(4))
+    res = list_triangles(G)
+    padded = list_triangles(G.padded(27))
     assert res.state.n == 27
-    assert res.triangles == oracle.enumerate_triangles(G)
+    assert res.triangles == padded.triangles == oracle.enumerate_triangles(G)
+    assert res.records == padded.records
+    # Cubes run as they are; every other size on the next cube.
+    sizes = {n: list_triangles(Graph(n, [])).state.n for n in (1, 2, 8, 9, 27, 28)}
+    assert sizes == {1: 1, 2: 8, 8: 8, 9: 27, 27: 27, 28: 64}
 
 
 def test_engine_size_must_match():
     G = random_digraph(8, 10, random.Random(1))
     with pytest.raises(ValueError):
         list_triangles(G, engine=CliqueEngine(27))
+    # A non-cube graph needs an engine of the padded size.
+    G = random_digraph(10, 10, random.Random(1))
+    with pytest.raises(ValueError):
+        list_triangles(G, engine=CliqueEngine(10))
+    assert list_triangles(G, engine=CliqueEngine(27)).state.n == 27
 
 
 def test_empty_and_tiny():

@@ -13,7 +13,8 @@ row/column permutations, then the balanced multiplication protocol.
   nothing;
 * sbmm.subseq: columns of S' and rows of T' cut into bounded fragments
   ("subsequences"), one per node when there are at most n of a side,
-  else two;
+  else two paired by size, a small one with a large one, so no node
+  holds more than one fragment plus a 1/(n+1) share of the side;
 * sbmm.counts: fragment owners tell every node how many entries fall in
   its row/column band, in one word, giving page weights;
 * sbmm.request/sbmm.respond: each node pulls exactly the band-restricted
@@ -147,10 +148,12 @@ class SubseqSide:
     counts; ids are dense in enumeration order (line ascending, fragment
     position ascending).  Trailing fragments of a line may be empty: the
     agreed count is ``partition.avg_partition``'s ceil(line_nz / avg),
-    not the occupied count.
+    not the occupied count.  ``size`` is each fragment's entry count,
+    common knowledge like the rest of the table.
     """
 
     block: int                    # largest fragment, the slicing stride
+    size: list[int]               # fragment id -> entries
     origin: list[int]             # fragment id -> line
     owner: list[int]              # fragment id -> owning node
     owned: list[list[int]]        # node -> fragment ids it owns
@@ -165,14 +168,20 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     """Cut each line by ``avg_partition`` and deal the fragments to owners.
 
     With at most n fragments each gets its own node (at full density
-    every line is one fragment and stays on its node); otherwise (at
-    most 2n) they are dealt two per node.
+    every line is one fragment and stays on its node).  With more (at
+    most 2n), the ids sorted by (size, id) are padded at the front to 2n
+    with empty placeholders, and node j owns the j-th smallest and the
+    j-th largest.  The n smallest are each at most total // (n + 1)
+    entries, as the n + 1 fragments from the n-th smallest up are no
+    smaller and sum to at most the total, and none exceeds ``block``;
+    so a node holds at most ``block + total // (n + 1)`` entries.
     """
     sizes = avg_partition(nz_per_line)
     # Chunking fills every fragment of a line but its last nonempty one, so
     # the largest fragment is the stride (floor(avg) + 1 once any line is
     # cut in two).
-    block = max((size for line in sizes for size in line), default=0)
+    size = [c for line in sizes for c in line]
+    block = max(size, default=0)
     origin: list[int] = []
     by_line: list[list[int]] = []
     for line, frags in enumerate(sizes):
@@ -180,12 +189,18 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
         origin.extend([line] * len(frags))
     total_frags = len(origin)
     assert total_frags <= 2 * n
-    per_node = 1 if total_frags <= n else 2
-    owner = [q // per_node for q in range(total_frags)]
+    owner = list(range(total_frags))
+    if total_frags > n:
+        order = [None] * (2 * n - total_frags) + sorted(
+            range(total_frags), key=lambda q: (size[q], q))
+        for j in range(n):
+            for q in (order[j], order[2 * n - 1 - j]):
+                if q is not None:
+                    owner[q] = j
     owned: list[list[int]] = [[] for _ in range(n)]
     for q, u in enumerate(owner):
         owned[u].append(q)
-    return SubseqSide(block, origin, owner, owned, by_line)
+    return SubseqSide(block, size, origin, owner, owned, by_line)
 
 
 @dataclass
@@ -273,10 +288,12 @@ def fragment_requests(ownership: SubseqOwnership, lines: list[int],
                       wanted: tuple[bytes, bytes] | None) -> list[tuple]:
     """One request per side, line of ``lines`` and owner of that line's fragments.
 
-    ``wanted`` holds, per side, one flag per fragment id, nonzero when the
-    count words reported entries of that fragment in the requester's
-    band; an unflagged fragment is not asked for.  None asks for every
-    fragment.
+    An empty fragment (``SubseqSide.size``, common knowledge) is never
+    asked for, so its owner hears nothing about the line.  ``wanted``
+    holds, per side, one flag per fragment id, nonzero when the count
+    words reported entries of that fragment in the requester's band; an
+    unflagged fragment is not asked for either.  None asks for every
+    nonempty fragment.
     """
     out = []
     for k, (side, tag) in enumerate(((ownership.s, _REQ_S), (ownership.t, _REQ_T))):
@@ -284,7 +301,8 @@ def fragment_requests(ownership: SubseqOwnership, lines: list[int],
         for ell in lines:
             for q in side.by_line[ell]:
                 u = side.owner[q]
-                if (wanted is None or wanted[k][q]) and (u, ell) not in asked:
+                if (side.size[q] and (wanted is None or wanted[k][q])
+                        and (u, ell) not in asked):
                     asked.add((u, ell))
                     out.append((u, tag, ell, 0, 0))
     return out

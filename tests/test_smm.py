@@ -12,9 +12,11 @@ from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
     SplitPair,
+    SubseqOwnership,
     build_page_assignment,
     build_subsequences,
     choose_split,
+    fragment_requests,
     group_of,
     node_of,
     smm,
@@ -90,9 +92,12 @@ def test_node_aliasing_bijection():
 def test_build_subsequences_frozen():
     side = build_subsequences([3, 1, 0, 2], 4)    # avg 3/2
     assert side.block == 2
+    assert side.size == [2, 1, 1, 2, 0]
     assert side.origin == [0, 0, 1, 3, 3]
-    assert side.owner == [0, 0, 1, 1, 2]
-    assert side.owned == [[0, 1], [2, 3], [4], []]
+    # By (size, id) with three placeholders in front: -, -, -, 4, 1, 2, 0, 3;
+    # node j owns the j-th smallest and the j-th largest.
+    assert side.owner == [1, 3, 2, 0, 3]
+    assert side.owned == [[3], [0], [2], [1, 4]]
     assert side.by_line == [[0, 1], [2], [], [3, 4]]
     assert side.slice_bounds(1) == (2, 4)
     assert side.slice_bounds(3) == (0, 2)
@@ -106,9 +111,12 @@ def test_build_subsequences_one_per_node():
     assert side.origin == [0, 0, 0, 1]
     assert side.owner == [0, 1, 2, 3]
     assert side.owned == [[0], [1], [2], [3]]
-    # 6 fragments on 4 nodes: dealt in pairs
+    # 6 fragments on 4 nodes: dealt in size pairs, each full fragment
+    # beside an empty one or alone
     side = build_subsequences([2, 2, 0, 2], 4)
-    assert side.owner == [0, 0, 1, 1, 2, 2]
+    assert side.size == [2, 0, 2, 0, 2, 0]
+    assert side.owner == [2, 2, 1, 3, 0, 3]
+    assert side.owned == [[4], [2], [0, 1], [3, 5]]
     # full density: every line is one fragment, owned by its own node
     side = build_subsequences([4] * 4, 4)
     assert side.owner == side.origin == [0, 1, 2, 3]
@@ -119,18 +127,39 @@ def test_build_subsequences_empty():
     assert side.block == 0 and side.origin == [] and side.by_line == [[]] * 4
 
 
-def test_build_subsequences_properties():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(1, 20)
-        nz = [rng.randint(0, 2 * n) for _ in range(n)]
-        side = build_subsequences(nz, n)
-        assert len(side.origin) <= 2 * n
-        assert max((len(q) for q in side.owned), default=0) <= 2
-        if sum(nz):
-            for line, t in enumerate(nz):
-                # enough capacity for the line's entries
-                assert len(side.by_line[line]) * side.block >= t
+@st.composite
+def line_counts(draw):
+    n = draw(st.integers(1, 40))
+    line = st.one_of(st.just(0), st.integers(1, 3), st.just(n), st.integers(n // 2, n))
+    return n, draw(st.lists(line, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_counts())
+def test_build_subsequences_properties(case):
+    n, nz = case
+    side = build_subsequences(nz, n)
+    assert len(side.origin) <= 2 * n
+    assert [sum(side.size[q] for q in frags) for frags in side.by_line] == nz
+    assert all(size <= side.block for size in side.size)
+    assert sorted(q for ids in side.owned for q in ids) == list(range(len(side.origin)))
+    total = sum(nz)
+    for v, ids in enumerate(side.owned):
+        assert len(ids) <= 2 and ids == sorted(ids)
+        assert all(side.owner[q] == v for q in ids)
+        # the j-th smallest is at most total // (n + 1), the j-th largest
+        # at most block
+        assert sum(side.size[q] for q in ids) <= side.block + total // (n + 1)
+
+
+def test_fragment_requests_skip_empty_fragments():
+    # Line 1 is fragments 2 (2 entries, node 1) and 3 (empty, node 3);
+    # node 3 owns only empty fragments and hears nothing.
+    side = build_subsequences([2, 2, 0, 2], 4)
+    assert side.owned[3] == [3, 5] and side.size[3] == side.size[5] == 0
+    reqs = fragment_requests(SubseqOwnership(side, side), [0, 1, 3], None)
+    assert sorted((u, ell) for u, _tag, ell, _, _ in reqs) == [
+        (0, 3), (0, 3), (1, 1), (1, 1), (2, 0), (2, 0)]
 
 
 def test_build_page_assignment_uniform():

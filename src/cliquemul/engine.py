@@ -134,11 +134,11 @@ class CliqueEngine:
     def run_ingest_emit(self, label: str, ingest, emit) -> int:
         """One phase in two steps: ``ingest(v, state, inbox)`` keeps what
         the node needs of its mailbox, then ``emit(v, state)`` returns its
-        messages.  Either step may be None."""
+        messages.  ``ingest`` may be None, which drops the mailbox."""
         def handler(v, state, inbox):
             if ingest is not None:
                 ingest(v, state, inbox)
-            return emit(v, state) if emit is not None else []
+            return emit(v, state)
 
         return self.run_phase(label, handler)
 

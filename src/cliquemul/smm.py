@@ -227,29 +227,28 @@ def _column(inbox, tag: int) -> list[tuple]:
 
 # -- fragment dealing, counts, requests and responses -----------------------
 
-def deal_fragments(engine: CliqueEngine, s_col_nz: list[int], t_row_nz: list[int],
-                   prefix: str, ingest) -> SubseqOwnership:
+def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
+                   prefix: str, lines) -> SubseqOwnership:
     """Fragment tables from common-knowledge counts, and the fragments shipped.
 
-    Node v must hold 'Sp_col' and 'Tp_row' once ``ingest`` has run; it
-    sends each fragment of its lhs column and rhs row to that fragment's
-    owner.  The returned tables are common knowledge.
+    ``lines(v, state)`` returns node v's lhs column and rhs row, sorted
+    ``(pos, val)`` lists; v sends each fragment to its owner and reads no
+    mailbox.  The returned tables are common knowledge.
     """
     n = engine.n
-    side_s = build_subsequences(s_col_nz, n)
-    side_t = build_subsequences(t_row_nz, n)
+    side_s = build_subsequences(s_nz, n)
+    side_t = build_subsequences(t_nz, n)
 
-    def emit_fragments(v, state):
+    def emit_fragments(v, state, inbox):
         out = []
-        for side, key, tag in ((side_s, "Sp_col", _SUB_S), (side_t, "Tp_row", _SUB_T)):
-            entries = state[key]
+        for side, entries, tag in zip((side_s, side_t), lines(v, state), (_SUB_S, _SUB_T)):
             for q in side.by_line[v]:
                 lo, hi = side.slice_bounds(q)
                 for pos, val in entries[lo:hi]:
                     out.append((side.owner[q], tag, q, pos, val))
         return out
 
-    engine.run_ingest_emit(prefix + "subseq", ingest, emit_fragments)
+    engine.run_phase(prefix + "subseq", emit_fragments)
     return SubseqOwnership(side_s, side_t)
 
 
@@ -588,14 +587,14 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
 
     def ingest_cols(v, state, inbox):
         state["S_col"] = _column(inbox, _S_COL)
-        state["T_col"] = _column(inbox, _T_COL)
+        state["nz_t_col"] = sum(1 for msg in inbox if msg[1] == _T_COL)
 
     # One word carries all four counts; the last field packs two of them
     # (see the word format in engine.py).
     base = n + 1
     words = engine.run_broadcast(
         "stats",
-        lambda v, state: (_NZ, len(state["S_row"]), len(state["T_col"]),
+        lambda v, state: (_NZ, len(state["S_row"]), state.pop("nz_t_col"),
                           len(state["S_col"]) * base + len(state["T_row"])),
         ingest_cols,
     )
@@ -608,9 +607,9 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
 
     # Permuting keeps column v of S' = sigma(S) and row v of T' = T tau
     # on node v: both are local relabels.
-    def relabel(v, state, inbox):
-        state["Sp_col"] = sorted((sigma[r], val) for r, val in state["S_col"])
-        state["Tp_row"] = sorted((tau[c], val) for c, val in state["T_row"])
+    def relabel(v, state):
+        return (sorted((sigma[r], val) for r, val in state.pop("S_col")),
+                sorted((tau[c], val) for c, val in state["T_row"]))
 
     ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
     # Partials go straight to the owner of the unpermuted result row, as

@@ -16,14 +16,16 @@ Every triangle (x, y, z) with x in some N-set assigned to team D_k and
 y in the matching V_j is found by the team member responsible for the
 path part containing z: LearnEdges ships E(N, V_j) to the whole team,
 LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member, and
-a local scan closes the cycle.  The N-sets are processed in two halves
+a local scan of the ``lp.respond`` mailbox closes the cycle, so no phase
+follows it.  The N-sets are processed in two halves of six phases each,
 so each team handles at most one N-set per half.
 
 LearnPaths is smm's fragment dealing and routing run on the adjacency
 matrix, with the vertex classes as bands.  Node v holds its column and
 row (its in- and out-arcs) and the degree words give their lengths, so
 the fragments are dealt once, before the halves, which both request from
-the same buckets.  Class count tables and team path partitions come from
+the same buckets.  Class count tables, the N-id table (from the
+``tri.ncounts`` words) and team path partitions come from
 ``CliqueEngine.derive_per_group``.
 """
 
@@ -37,8 +39,8 @@ from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for
 from .graphs import Graph
 from .oracle import canonical_triangle
 from .partition import balanced_assignment
-from .smm import (_ENT_S, _ENT_T, SubseqOwnership, bucket_fragments,
-                  deal_fragments, fragment_requests, fragment_responder)
+from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
+                  fragment_requests, fragment_responder)
 
 _VC, _NC, _LOAD, _PKT, _EDGE, _PSUM = range(200, 206)
 
@@ -84,8 +86,7 @@ class TriplePartitionState:
     v_of: list[int]                      # vertex -> class index
     n_sets: dict[tuple[int, int], list[list[int]]]   # (i, j) -> node groups
     n_ids: list[tuple[int, int, int]]    # lex-ordered (i, j, ell)
-    halves: list[list[tuple[int, int, int]]]
-    assignments: list[list[tuple[int, int, int] | None]]  # half -> team -> N-id
+    halves: list[list[tuple[int, int, int]]]  # half -> team -> N-id
     p_parts: list[dict[int, list[list[int]]]] = field(default_factory=list)
 
 
@@ -175,9 +176,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # --- LearnPaths' fragments, dealt once for both halves ----------------
     # Column v of the adjacency matrix is v's in-arcs and row v its
     # out-arcs (both sorted); the degree words carry their lengths.
-    def own_lines(v, state, inbox):
-        state["Sp_col"] = [(u, True) for u in G.in_adj[v]]
-        state["Tp_row"] = [(u, True) for u in G.out_adj[v]]
+    def own_lines(v, state):
+        return [(u, True) for u in G.in_adj[v]], [(u, True) for u in G.out_adj[v]]
 
     ownership = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
                                "tri.lp.", own_lines)
@@ -202,153 +202,116 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     engine.run_ingest_emit("tri.ncounts", bucket_fragments(ownership, v_of, v_of),
                            emit_ncounts)
 
-    n_ids = sorted((i, j, ell)
-                   for (i, j), groups in n_sets.items()
-                   for ell in range(len(groups)))
+    def n_id_list(_key, inbox):
+        return sorted((v_of[src], j, ell) for src, tagw, j, cnt, _ in inbox
+                      if tagw == _NC for ell in range(cnt))
+
+    # Every N-id, from the count words: position pos of every class reports
+    # to position pos of every class, so all n nodes receive the same q^2.
+    n_ids = engine.derive_per_group({0: range(n)}, n_id_list)[0]
     assert len(n_ids) <= 2 * Q
     first = (len(n_ids) + 1) // 2
     halves = [n_ids[:first], n_ids[first:]]
-    assignments: list[list[tuple[int, int, int] | None]] = []
-    team_of: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for t, half in enumerate(halves):
-        teams: list[tuple[int, int, int] | None] = [None] * Q
-        for r, nid in enumerate(half):
-            teams[r] = nid
-            team_of[nid] = (t, r)
-        assignments.append(teams)
+    # Team r of half t works on halves[t][r]; teams past the half's end idle.
+    team_of = {nid: (t, r) for t, half in enumerate(halves) for r, nid in enumerate(half)}
 
     state_view = TriplePartitionState(
         n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,
-        n_sets=n_sets, n_ids=n_ids, halves=halves, assignments=assignments)
+        n_sets=n_sets, n_ids=n_ids, halves=halves)
 
     found: set[tuple[int, int, int]] = set()
-    for t in range(2):
-        _run_half(engine, G, state_view, ownership, node_n_of, team_of,
-                  in_cls, out_cls, t, found)
+    for t, teams in enumerate(halves):
+        tag = f"tri.{t + 1}."
+
+        # --- LearnEdges: packet loads, allocation, team forwarding --------
+        # Node v's packets for this half, in edge order: (head, team).
+        pkts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for v in range(n):
+            for u in G.out_adj[v]:
+                ell = node_n_of[v].get(v_of[u])
+                owner = team_of.get((v_of[v], v_of[u], ell))
+                if owner is not None and owner[0] == t:
+                    pkts[v].append((u, owner[1]))
+
+        loads = [w[1] for w in engine.run_broadcast(
+            tag + "le.load", lambda v, state: (_LOAD, len(pkts[v]), 0, 0))]
+        cap, starts = packet_allocation(loads)
+        engine.run_ingest_emit(tag + "le.alloc", None, lambda v, state: [
+            ((starts[v] + idx) // cap, _PKT, u, team, 0)
+            for idx, (u, team) in enumerate(pkts[v])])
+        del pkts  # sent; not kept while forwarding multiplies them q-fold
+
+        def forward(v, state, inbox):
+            out = []
+            for src, tagw, u, team, _ in inbox:
+                if tagw == _PKT:
+                    out.extend((member, _EDGE, src, u, 0)
+                               for member in range(team * q, (team + 1) * q))
+            return out
+
+        engine.run_phase(tag + "le.forward", forward)
+
+        # --- path-count scatter: every active team balances its path work -
+        learned: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
+        def psums(v, state, inbox):
+            # The word carries the edge endpoints; the sender is just the
+            # allocation node that held the packet.
+            learned[v] = [(i1, i2) for _, tagw, i1, i2, _ in inbox if tagw == _EDGE]
+            out = []
+            for team, (i_d, j_d, _) in enumerate(teams):
+                s = in_cls[v][j_d] + out_cls[v][i_d]
+                out.extend((member, _PSUM, team, s, 0)
+                           for member in range(team * q, (team + 1) * q))
+            return out
+
+        engine.run_phase(tag + "psums", psums)
+
+        def team_paths(team, inbox):
+            """The team's path partition from its members' path counts."""
+            scalars = [0] * n
+            for src, tagw, tm, s, _ in inbox:
+                if tagw == _PSUM and tm == team:
+                    scalars[src] = s
+            return balanced_assignment(scalars, q, 2 * n)
+
+        # Members of one team all receive the same path counts.
+        active = {team: range(team * q, (team + 1) * q) for team in range(len(teams))}
+        p_parts = engine.derive_per_group(active, team_paths)
+        state_view.p_parts.append(p_parts)
+
+        # --- LearnPaths: request the path parts' lines from the dealt buckets
+        def emit_requests(v, state):
+            team, pos = divmod(v, q)
+            if team >= len(teams):
+                return []
+            return fragment_requests(ownership, p_parts[team][pos], None)
+
+        engine.run_ingest_emit(tag + "lp.request", None, emit_requests)
+
+        def requester_bands(src):
+            if src // q >= len(teams):
+                raise SimulationError(f"idle team member {src} sent a request")
+            # In-edges of the path part come from V_j, out-edges go to V_i.
+            i_d, j_d, _ = teams[src // q]
+            return j_d, i_d
+
+        engine.run_phase(tag + "lp.respond", fragment_responder(ownership, requester_bands))
+
+        # --- close the cycles locally over the delivered path edges -------
+        # Learned edges are freed node by node as they are scanned.
+        for inbox, edges in zip(engine.drain_inboxes(), learned):
+            into_path: dict[int, list[int]] = {}
+            from_path = set()
+            for _, tagw, i1, i2, _ in inbox:
+                if tagw == _ENT_S:     # edge (i1 in V_j) -> (i2 in path part)
+                    into_path.setdefault(i1, []).append(i2)
+                elif tagw == _ENT_T:   # edge (i1 in path part) -> (i2 in V_i)
+                    from_path.add((i1, i2))
+            for x, y in edges:
+                for z in into_path.get(y, ()):
+                    if (z, x) in from_path:
+                        found.add(canonical_triangle(x, y, z))
+            edges.clear()
 
     return TriangleResult(found, state_view, engine.ledger.since(mark))
-
-
-def _run_half(engine: CliqueEngine, G: Graph, S: TriplePartitionState,
-              ownership: SubseqOwnership, node_n_of: list[dict[int, int]],
-              team_of: dict[tuple[int, int, int], tuple[int, int]],
-              in_cls: list[list[int]], out_cls: list[list[int]],
-              t: int, found: set) -> None:
-    n, q, Q = S.n, S.q, S.q * S.q
-    v_of = S.v_of
-    teams = S.assignments[t]
-    tag = f"tri.{t + 1}."
-
-    def packets_of(v):
-        """This node's information packets for the current half, edge order."""
-        pkts = []
-        for u in G.out_adj[v]:
-            j = v_of[u]
-            ell = node_n_of[v].get(j)
-            if ell is None:
-                continue
-            owner = team_of.get((v_of[v], j, ell))
-            if owner is not None and owner[0] == t:
-                pkts.append((u, owner[1]))
-        return pkts
-
-    # --- LearnEdges: packet loads, allocation, team forwarding ------------
-    def load_word(v, state):
-        state["pkts"] = packets_of(v)
-        return (_LOAD, len(state["pkts"]), 0, 0)
-
-    loads = [w[1] for w in engine.run_broadcast(tag + "le.load", load_word)]
-    cap, starts = packet_allocation(loads)
-
-    def emit_alloc(v, state):
-        base = starts[v]
-        return [((base + idx) // cap, _PKT, u, team, 0)
-                for idx, (u, team) in enumerate(state.pop("pkts"))]
-
-    engine.run_ingest_emit(tag + "le.alloc", None, emit_alloc)
-
-    def ingest_pkts(v, state, inbox):
-        state["_pkts"] = [w for w in inbox if w[1] == _PKT]
-
-    def emit_forward(v, state):
-        out = []
-        for src, _tagw, u, team, _ in state.pop("_pkts"):
-            out.extend((member, _EDGE, src, u, 0)
-                       for member in range(team * q, (team + 1) * q))
-        return out
-
-    engine.run_ingest_emit(tag + "le.forward", ingest_pkts, emit_forward)
-
-    # --- path-count scatter: every active team balances its path work -----
-    def ingest_edges(v, state, inbox):
-        # The word carries the edge endpoints; the sender is just the
-        # allocation node that held the packet.
-        state["learned1"] = [(i1, i2) for _, tagw, i1, i2, _ in inbox
-                             if tagw == _EDGE]
-
-    def emit_psums(v, state):
-        out = []
-        for team in range(Q):
-            nid = teams[team]
-            if nid is None:
-                continue
-            i_d, j_d, _ = nid
-            s = in_cls[v][j_d] + out_cls[v][i_d]
-            out.extend((member, _PSUM, team, s, 0)
-                       for member in range(team * q, (team + 1) * q))
-        return out
-
-    engine.run_ingest_emit(tag + "psums", ingest_edges, emit_psums)
-
-    def team_paths(team, inbox):
-        """The team's path partition from its members' path counts."""
-        scalars = [0] * n
-        for src, tagw, tm, s, _ in inbox:
-            if tagw == _PSUM and tm == team:
-                scalars[src] = s
-        return balanced_assignment(scalars, q, 2 * n)
-
-    # Members of one team all receive the same path counts.
-    active = {team: list(range(team * q, (team + 1) * q))
-              for team in range(Q) if teams[team] is not None}
-    p_parts = engine.derive_per_group(active, team_paths)
-    S.p_parts.append(p_parts)
-
-    # --- LearnPaths: request the path parts' lines from the dealt buckets --
-    def emit_requests(v, state):
-        team, pos = divmod(v, q)
-        if teams[team] is None:
-            return []
-        return fragment_requests(ownership, p_parts[team][pos], None)
-
-    engine.run_ingest_emit(tag + "lp.request", None, emit_requests)
-
-    def requester_bands(src):
-        nid = teams[src // q]
-        if nid is None:
-            raise SimulationError(f"idle team member {src} sent a request")
-        # In-edges of the path part come from V_j, out-edges go to V_i.
-        i_d, j_d, _ = nid
-        return j_d, i_d
-
-    engine.run_phase(tag + "lp.respond", fragment_responder(ownership, requester_bands))
-
-    # --- close the cycles locally -----------------------------------------
-    outputs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-
-    def collect(v, state, inbox):
-        into_path: dict[int, list[int]] = {}
-        from_path = set()
-        for _, tagw, i1, i2, _ in inbox:
-            if tagw == _ENT_S:     # edge (i1 in V_j) -> (i2 in path part)
-                into_path.setdefault(i1, []).append(i2)
-            elif tagw == _ENT_T:   # edge (i1 in path part) -> (i2 in V_i)
-                from_path.add((i1, i2))
-        for x, y in state.pop("learned1"):
-            for z in into_path.get(y, ()):
-                if (z, x) in from_path:
-                    outputs[v].append(canonical_triangle(x, y, z))
-
-    engine.run_ingest_emit(tag + "collect", collect, None)
-    for lst in outputs:
-        found.update(lst)

@@ -3,8 +3,9 @@
 The protocols derive a per-group value once, from the first member's
 mailbox, on the premise that every member would derive the same value
 from its own.  Here the helper derives from every member instead and the
-test checks that all of them agree, on the three places that use it:
-smm's page assignment, and triangle listing's N-sets and path partitions.
+test checks that all of them agree, on the four places that use it:
+smm's page assignment, and triangle listing's N-sets, N-id table and path
+partitions.
 """
 
 import pytest
@@ -48,3 +49,5 @@ def test_smm_groups_agree(groups_checked, n, nz, seed):
 def test_triangle_groups_agree(groups_checked, n, m, seed, directed):
     list_triangles(generate_graph(n, m, seed, directed=directed))
     assert groups_checked and max(groups_checked) > 1
+    # The N-id table is derived once, by and for all n nodes.
+    assert groups_checked.count(n) == 1

@@ -69,3 +69,14 @@ def ledger_csv(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_ledger_matches_golden(case):
     assert ledger_csv(case) == (GOLDEN / f"{case}.csv").read_text(encoding="ascii")
+
+
+def test_every_phase_moves_messages():
+    # A phase stays only if it moves data no node can derive locally: a
+    # label that sends nothing in every case where it appears is plumbing.
+    moved: dict[str, bool] = {}
+    for case in CASES:
+        for row in (GOLDEN / f"{case}.csv").read_text(encoding="ascii").splitlines()[1:]:
+            label, *_, total_msgs = row.split(",")
+            moved[label] = moved.get(label, False) or int(total_msgs) > 0
+    assert [label for label, any_msgs in moved.items() if not any_msgs] == []

@@ -134,10 +134,11 @@ def test_forwarding_receive_bound():
 
 def test_phase_list():
     # One tri.lp.subseq deals the fragments from lines every node holds
-    # (no lp.coldist or lp.stats); both halves route from its buckets.
+    # (no lp.coldist or lp.stats); both halves route from its buckets, and
+    # each closes its cycles on the lp.respond mailbox (no collect phase).
     G = random_digraph(27, 120, random.Random(9))
     halves = [f"tri.{t}.{p}" for t in (1, 2)
               for p in ("le.load", "le.alloc", "le.forward", "psums",
-                        "lp.request", "lp.respond", "collect")]
+                        "lp.request", "lp.respond")]
     assert [r.label for r in list_triangles(G).records] == [
         "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.ncounts"] + halves

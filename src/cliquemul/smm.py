@@ -17,9 +17,9 @@ row/column permutations, then the balanced multiplication protocol.
   holds more than one fragment plus a 1/(n+1) share of the side;
 * sbmm.counts: fragment owners tell every node how many entries fall in
   its row/column band, in one word, giving page weights;
-* sbmm.request/sbmm.respond: each node pulls exactly the band-restricted
-  column and row fragments for its assigned pages, skipping fragments
-  with no entry in its band;
+* sbmm.request/sbmm.respond: each node sends every owner it needs one
+  word, a bit per fragment (so one round), and pulls exactly the
+  band-restricted fragments of its pages that have entries in its band;
 * sbmm.reduce: locally computed page products are summed into result
   rows, each partial sent straight to the owner of its unpermuted row.
   A node runs its semiring's array kernel when its values lie inside the
@@ -55,7 +55,7 @@ from .sparse import DimensionError, SparseMatrix
 
 # message tags
 (_S_COL, _T_COL, _NZ, _SUB_S, _SUB_T, _CNT,
- _REQ_S, _REQ_T, _ENT_S, _ENT_T, _RED) = range(11)
+ _REQ, _ENT_S, _ENT_T, _RED) = range(10)
 
 
 # -- split-pair selection ---------------------------------------------------
@@ -158,6 +158,7 @@ class SubseqSide:
     owner: list[int]              # fragment id -> owning node
     owned: list[list[int]]        # node -> fragment ids it owns
     by_line: list[list[int]]      # line -> fragment ids, ascending
+    bit: list[int]                # fragment id -> its bit in the owner's request mask
 
     def slice_bounds(self, q: int) -> tuple[int, int]:
         p = q - self.by_line[self.origin[q]][0]
@@ -198,9 +199,11 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
                 if q is not None:
                     owner[q] = j
     owned: list[list[int]] = [[] for _ in range(n)]
+    bit = [0] * total_frags
     for q, u in enumerate(owner):
+        bit[q] = 1 << len(owned[u])
         owned[u].append(q)
-    return SubseqSide(block, size, origin, owner, owned, by_line)
+    return SubseqSide(block, size, origin, owner, owned, by_line, bit)
 
 
 @dataclass
@@ -253,7 +256,8 @@ def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
 
 
 # Fragment routing, shared with triangle listing's LearnPaths: owners file
-# entries by band, nodes request lines, owners answer per requester band.
+# entries by band, nodes send each owner one word of fragment bits, owners
+# answer per requester band.
 
 def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
                      band_t: list[int]):
@@ -283,54 +287,63 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
     return ingest
 
 
-def fragment_requests(ownership: SubseqOwnership, lines: list[int],
-                      wanted: tuple[bytes, bytes] | None) -> list[tuple]:
-    """One request per side, line of ``lines`` and owner of that line's fragments.
+def fragment_requests(ownership: SubseqOwnership, asks) -> list[tuple]:
+    """One request word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per owner asked.
 
-    An empty fragment (``SubseqSide.size``, common knowledge) is never
-    asked for, so its owner hears nothing about the line.  ``wanted``
+    ``asks[k]`` is a ``(lines, wanted)`` pair whose fragments set bits at
+    shift 2k of the masks, so one word carries every set (triangle
+    listing's two halves); within a set, fragment q is bit
+    ``SubseqSide.bit[q]``, as its owner holds at most two per side.  An
+    empty fragment (``SubseqSide.size``, common knowledge) is never asked
+    for, so an owner of only empty fragments hears nothing.  ``wanted``
     holds, per side, one flag per fragment id, nonzero when the count
     words reported entries of that fragment in the requester's band; an
     unflagged fragment is not asked for either.  None asks for every
-    nonempty fragment.
+    nonempty fragment of the lines.
     """
-    out = []
-    for k, (side, tag) in enumerate(((ownership.s, _REQ_S), (ownership.t, _REQ_T))):
-        asked = set()
-        for ell in lines:
-            for q in side.by_line[ell]:
-                u = side.owner[q]
-                if (side.size[q] and (wanted is None or wanted[k][q])
-                        and (u, ell) not in asked):
-                    asked.add((u, ell))
-                    out.append((u, tag, ell, 0, 0))
-    return out
+    s_masks: dict[int, int] = {}
+    t_masks: dict[int, int] = {}
+    for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
+        for k, (side, masks) in enumerate(((ownership.s, s_masks), (ownership.t, t_masks))):
+            flags = None if wanted is None else wanted[k]
+            by_line, size, owner, bit = side.by_line, side.size, side.owner, side.bit
+            get = masks.get
+            for ell in lines:
+                for q in by_line[ell]:
+                    if size[q] and (flags is None or flags[q]):
+                        u = owner[q]
+                        masks[u] = get(u, 0) | bit[q] << shift
+    return [(u, _REQ, s_masks.get(u, 0), t_masks.get(u, 0), 0)
+            for u in {**s_masks, **t_masks}]
 
 
 def fragment_responder(ownership: SubseqOwnership, requester_bands):
-    """Handler answering the requests in a node's mailbox from its buckets.
+    """Handler answering the request words in a node's mailbox from its buckets.
 
-    ``requester_bands(src)`` is the requester's (lhs band, rhs band).  A
-    request for lhs column ell gets ``(_ENT_S, pos, ell, val)`` for every
-    owned entry of ell in the lhs band, one for rhs row ell gets
-    ``(_ENT_T, ell, pos, val)`` for those in the rhs band.
+    ``requester_bands(src)`` is the requester's (lhs band, rhs band).  Bit
+    k of a mask names the node's k-th owned fragment of that side, whose
+    line ell is its ``SubseqSide.origin``: an lhs fragment of column ell
+    gets ``(_ENT_S, pos, ell, val)`` for every entry in the lhs band, an
+    rhs fragment of row ell ``(_ENT_T, ell, pos, val)`` for those in the
+    rhs band.  A bit naming no owned fragment raises SimulationError.
     """
     def respond(v, state, inbox):
         out = []
-        for src, tag, ell, _, _val in inbox:
+        s_owned, t_owned = ownership.s.owned[v], ownership.t.owned[v]
+        for src, _tag, s_mask, t_mask, _ in inbox:
+            if s_mask >> len(s_owned) or t_mask >> len(t_owned):
+                raise SimulationError(
+                    f"node {v} was asked by node {src} for a fragment it does not own")
             lhs_band, rhs_band = requester_bands(src)
-            if tag == _REQ_S:
-                side, buckets, band = ownership.s, state["s_bands"], lhs_band
-            else:
-                side, buckets, band = ownership.t, state["t_bands"], rhs_band
-            frags = [q for q in side.by_line[ell] if q in buckets]
-            if not frags:
-                raise SimulationError(f"node {v} asked for line {ell} it does not own")
-            for q in frags:
-                it = iter(buckets[q][band])
-                if tag == _REQ_S:
+            for k, q in enumerate(s_owned):
+                if s_mask >> k & 1:
+                    ell = ownership.s.origin[q]
+                    it = iter(state["s_bands"][q][lhs_band])
                     out.extend((src, _ENT_S, pos, ell, val) for pos, val in zip(it, it))
-                else:
+            for k, q in enumerate(t_owned):
+                if t_mask >> k & 1:
+                    ell = ownership.t.origin[q]
+                    it = iter(state["t_bands"][q][rhs_band])
                     out.extend((src, _ENT_T, ell, pos, val) for pos, val in zip(it, it))
         return out
 
@@ -434,7 +447,8 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
     kernel = semiring.kernel
 
     def reduce(v, state, inbox):
-        pages = state["my_pages"]
+        del state["s_bands"], state["t_bands"]    # their last reader was respond
+        pages = state.pop("my_pages")
         if not inbox:
             return []
         _, tags, i1s, i2s, vals = zip(*inbox)
@@ -520,7 +534,7 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
         i, j, k = group_of(v, a, b, n)
         assignment, wanted = derived[(i, j)]
         state["my_pages"] = assignment[k]
-        return fragment_requests(ownership, state["my_pages"], wanted)
+        return fragment_requests(ownership, [(state["my_pages"], wanted)])
 
     engine.run_phase("sbmm.request", request)
     engine.run_phase("sbmm.respond", fragment_responder(ownership, grid.__getitem__))
@@ -594,7 +608,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     base = n + 1
     words = engine.run_broadcast(
         "stats",
-        lambda v, state: (_NZ, len(state["S_row"]), state.pop("nz_t_col"),
+        lambda v, state: (_NZ, len(state.pop("S_row")), state.pop("nz_t_col"),
                           len(state["S_col"]) * base + len(state["T_row"])),
         ingest_cols,
     )
@@ -609,7 +623,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     # on node v: both are local relabels.
     def relabel(v, state):
         return (sorted((sigma[r], val) for r, val in state.pop("S_col")),
-                sorted((tau[c], val) for c, val in state["T_row"]))
+                sorted((tau[c], val) for c, val in state.pop("T_row")))
 
     ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
     # Partials go straight to the owner of the unpermuted result row, as

@@ -17,8 +17,10 @@ y in the matching V_j is found by the team member responsible for the
 path part containing z: LearnEdges ships E(N, V_j) to the whole team,
 LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member, and
 a local scan of the ``lp.respond`` mailbox closes the cycle, so no phase
-follows it.  The N-sets are processed in two halves of six phases each,
-so each team handles at most one N-set per half.
+follows it.  The N-ids are split into two halves, so each team handles
+at most one N-set per half.  The halves share every phase but the
+response: a word carries its half or both halves' fields, and each half
+closes its cycles on its own ``lp.respond`` mailbox.
 
 LearnPaths is smm's fragment dealing and routing run on the adjacency
 matrix, with the vertex classes as bands.  Node v holds its column and
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for
 from .graphs import Graph
@@ -42,7 +45,7 @@ from .partition import balanced_assignment
 from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
                   fragment_requests, fragment_responder)
 
-_VC, _NC, _LOAD, _PKT, _EDGE, _PSUM = range(200, 206)
+_VC, _NC, _DEG, _PKT, _EDGE, _PSUM = range(200, 206)
 
 
 def _cube_side(n: int) -> int:
@@ -120,7 +123,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     # --- degree broadcast: the V-partition becomes common knowledge -------
     words = engine.run_broadcast(
-        "tri.degrees", lambda v, state: (_LOAD, G.d_in(v), G.d_out(v), 0))
+        "tri.degrees", lambda v, state: (_DEG, G.d_in(v), G.d_out(v), 0))
     degrees = [w[1] + w[2] for w in words]      # in- plus out-degree
     v_sets = balanced_assignment(degrees, q, 2 * n)
     v_of = [0] * n
@@ -182,12 +185,6 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     ownership = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
                                "tri.lp.", own_lines)
 
-    node_n_of: list[dict[int, int]] = [dict() for _ in range(n)]  # v -> {j: ell}
-    for (i, j), groups in n_sets.items():
-        for ell, grp in enumerate(groups):
-            for u in grp:
-                node_n_of[u][j] = ell
-
     # --- N-set counts cross the classes; halves and team assignment -------
     def emit_ncounts(v, state):
         i = v_of[v]
@@ -212,95 +209,98 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     assert len(n_ids) <= 2 * Q
     first = (len(n_ids) + 1) // 2
     halves = [n_ids[:first], n_ids[first:]]
-    # Team r of half t works on halves[t][r]; teams past the half's end idle.
-    team_of = {nid: (t, r) for t, half in enumerate(halves) for r, nid in enumerate(half)}
+    # Team r of half t works on halves[t][r]; teams past the half's end
+    # idle.  dest[v][j] is the (team, half) of v's N-set towards class j.
+    dest: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+    for t, half in enumerate(halves):
+        for r, (i, j, ell) in enumerate(half):
+            for u in n_sets[(i, j)][ell]:
+                dest[u][j] = (r, t)
 
     state_view = TriplePartitionState(
         n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,
         n_sets=n_sets, n_ids=n_ids, halves=halves)
 
-    found: set[tuple[int, int, int]] = set()
+    # --- LearnEdges, both halves at once: allocation, team forwarding ----
+    # Arc (v, u) is a packet for the team of N-id (v_of[v], v_of[u], ell),
+    # which sits in one half, so node v's packet count is d_out(v), known
+    # to every node from the degree words.
+    cap, starts = packet_allocation([w[2] for w in words])
+    engine.run_ingest_emit("tri.le.alloc", None, lambda v, state: [
+        ((starts[v] + idx) // cap, _PKT, u) + dest[v][v_of[u]]
+        for idx, u in enumerate(G.out_adj[v])])
+
+    def forward(v, state, inbox):
+        return [(member, _EDGE, src, u, half) for src, tagw, u, team, half in inbox
+                if tagw == _PKT for member in range(team * q, (team + 1) * q)]
+
+    engine.run_phase("tri.le.forward", forward)
+
+    # --- path-count scatter: every active team balances its path work -----
+    # learned[t][v]: node v's learned arcs of half t, flat [x, y, x, y, ...].
+    learned: list[list[list[int]]] = [[[] for _ in range(n)] for _ in halves]
+
+    def psums(v, state, inbox):
+        # The word carries the edge endpoints and half; the sender is just
+        # the allocation node that held the packet.
+        for _, tagw, x, y, half in inbox:
+            if tagw == _EDGE:
+                learned[half][v] += (x, y)
+        # One word per team member carries both halves' path counts; a team
+        # past the second half's end sends 0 for it.
+        s0, s1 = ([in_cls[v][j_d] + out_cls[v][i_d] for i_d, j_d, _ in teams] + [0]
+                  for teams in halves)
+        return [(member, _PSUM, team, s0[team], s1[team])
+                for team in range(len(halves[0]))
+                for member in range(team * q, (team + 1) * q)]
+
+    engine.run_phase("tri.psums", psums)
+
+    def team_paths(t, team, inbox):
+        """The team's half-t path partition from its members' path counts."""
+        scalars = [0] * n
+        for src, tagw, tm, *sums in inbox:
+            if tagw == _PSUM and tm == team:
+                scalars[src] = sums[t]
+        return balanced_assignment(scalars, q, 2 * n)
+
+    # Members of one team all receive the same path counts.
     for t, teams in enumerate(halves):
-        tag = f"tri.{t + 1}."
-
-        # --- LearnEdges: packet loads, allocation, team forwarding --------
-        # Node v's packets for this half, in edge order: (head, team).
-        pkts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in range(n):
-            for u in G.out_adj[v]:
-                ell = node_n_of[v].get(v_of[u])
-                owner = team_of.get((v_of[v], v_of[u], ell))
-                if owner is not None and owner[0] == t:
-                    pkts[v].append((u, owner[1]))
-
-        loads = [w[1] for w in engine.run_broadcast(
-            tag + "le.load", lambda v, state: (_LOAD, len(pkts[v]), 0, 0))]
-        cap, starts = packet_allocation(loads)
-        engine.run_ingest_emit(tag + "le.alloc", None, lambda v, state: [
-            ((starts[v] + idx) // cap, _PKT, u, team, 0)
-            for idx, (u, team) in enumerate(pkts[v])])
-        del pkts  # sent; not kept while forwarding multiplies them q-fold
-
-        def forward(v, state, inbox):
-            out = []
-            for src, tagw, u, team, _ in inbox:
-                if tagw == _PKT:
-                    out.extend((member, _EDGE, src, u, 0)
-                               for member in range(team * q, (team + 1) * q))
-            return out
-
-        engine.run_phase(tag + "le.forward", forward)
-
-        # --- path-count scatter: every active team balances its path work -
-        learned: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-
-        def psums(v, state, inbox):
-            # The word carries the edge endpoints; the sender is just the
-            # allocation node that held the packet.
-            learned[v] = [(i1, i2) for _, tagw, i1, i2, _ in inbox if tagw == _EDGE]
-            out = []
-            for team, (i_d, j_d, _) in enumerate(teams):
-                s = in_cls[v][j_d] + out_cls[v][i_d]
-                out.extend((member, _PSUM, team, s, 0)
-                           for member in range(team * q, (team + 1) * q))
-            return out
-
-        engine.run_phase(tag + "psums", psums)
-
-        def team_paths(team, inbox):
-            """The team's path partition from its members' path counts."""
-            scalars = [0] * n
-            for src, tagw, tm, s, _ in inbox:
-                if tagw == _PSUM and tm == team:
-                    scalars[src] = s
-            return balanced_assignment(scalars, q, 2 * n)
-
-        # Members of one team all receive the same path counts.
         active = {team: range(team * q, (team + 1) * q) for team in range(len(teams))}
-        p_parts = engine.derive_per_group(active, team_paths)
-        state_view.p_parts.append(p_parts)
+        state_view.p_parts.append(engine.derive_per_group(active, partial(team_paths, t)))
 
-        # --- LearnPaths: request the path parts' lines from the dealt buckets
-        def emit_requests(v, state):
-            team, pos = divmod(v, q)
-            if team >= len(teams):
-                return []
-            return fragment_requests(ownership, p_parts[team][pos], None)
+    # --- LearnPaths: one request word per owner asks for both halves' lines
+    engine.run_ingest_emit("tri.lp.request", None, lambda v, state: fragment_requests(
+        ownership, [(parts[v // q][v % q] if v // q in parts else [], None)
+                    for parts in state_view.p_parts]))
 
-        engine.run_ingest_emit(tag + "lp.request", None, emit_requests)
+    def requester_bands(t, src):
+        if src // q >= len(halves[t]):
+            raise SimulationError(f"idle team member {src} sent a request")
+        # In-edges of the path part come from V_j, out-edges go to V_i.
+        i_d, j_d, _ = halves[t][src // q]
+        return j_d, i_d
 
-        def requester_bands(src):
-            if src // q >= len(teams):
-                raise SimulationError(f"idle team member {src} sent a request")
-            # In-edges of the path part come from V_j, out-edges go to V_i.
-            i_d, j_d, _ = teams[src // q]
-            return j_d, i_d
+    answer = [fragment_responder(ownership, partial(requester_bands, t)) for t in (0, 1)]
 
-        engine.run_phase(tag + "lp.respond", fragment_responder(ownership, requester_bands))
+    def respond_first(v, state, inbox):
+        # Half 1's masks, above half 0's two bits, wait for the second respond.
+        state["lp_req"] = [(src, tagw, s >> 2, t >> 2, 0)
+                           for src, tagw, s, t, _ in inbox if s >> 2 or t >> 2]
+        return answer[0](v, state, [(src, tagw, s & 3, t & 3, 0)
+                                    for src, tagw, s, t, _ in inbox if s & 3 or t & 3])
 
-        # --- close the cycles locally over the delivered path edges -------
+    def respond_second(v, state, inbox):
+        out = answer[1](v, state, state.pop("lp_req"))
+        del state["s_bands"], state["t_bands"]       # no later phase reads them
+        return out
+
+    # --- each half closes its cycles locally over its delivered path edges
+    found: set[tuple[int, int, int]] = set()
+    for t, respond in enumerate((respond_first, respond_second)):
+        engine.run_phase(f"tri.{t + 1}.lp.respond", respond)
         # Learned edges are freed node by node as they are scanned.
-        for inbox, edges in zip(engine.drain_inboxes(), learned):
+        for inbox, edges in zip(engine.drain_inboxes(), learned[t]):
             into_path: dict[int, list[int]] = {}
             from_path = set()
             for _, tagw, i1, i2, _ in inbox:
@@ -308,7 +308,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
                     into_path.setdefault(i1, []).append(i2)
                 elif tagw == _ENT_T:   # edge (i1 in path part) -> (i2 in V_i)
                     from_path.add((i1, i2))
-            for x, y in edges:
+            it = iter(edges)
+            for x, y in zip(it, it):
                 for z in into_path.get(y, ()):
                     if (z, x) in from_path:
                         found.add(canonical_triangle(x, y, z))

@@ -102,8 +102,11 @@ def load_failures(key, records, n, a, b, nzS, nzT) -> tuple[list[str], set[str]]
                 failures.append(
                     f"{key} {rec.label}: recv {rec.max_recv} > {own_s + own_t}")
         elif rec.label == "sbmm.request":
-            if rec.max_send > 4 * (n - 1) or rec.max_recv > 4 * (n - 1):
-                failures.append(f"{key} request load > 4(n-1)")
+            # one word to (and from) each fragment owner, so one round
+            if rec.max_send > n - 1 or rec.max_recv > n - 1:
+                failures.append(f"{key} request load > n-1")
+            if rec.total_msgs and rec.rounds != 1:
+                failures.append(f"{key} request took {rec.rounds} rounds")
         elif rec.label == "sbmm.respond":
             if rec.max_recv > respond_recv:
                 failures.append(

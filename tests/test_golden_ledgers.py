@@ -4,11 +4,20 @@ Each case runs one pipeline on a fresh engine and compares the ledger CSV
 byte for byte with ``tests/golden/<case>.csv``.  A refactor that moves,
 adds or drops a single message changes some phase's load or message count
 and fails here, even when the output stays correct.
+
+Run as a script, ``python3 tests/test_golden_ledgers.py`` prints, per
+case, the golden rows that differ from a fresh run and the rounds before
+and after; it writes no file.
 """
 
+import difflib
+import sys
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cliquemul import oracle
 from cliquemul.cli import generate_graph, generate_matrix
@@ -80,3 +89,19 @@ def test_every_phase_moves_messages():
             label, *_, total_msgs = row.split(",")
             moved[label] = moved.get(label, False) or int(total_msgs) > 0
     assert [label for label, any_msgs in moved.items() if not any_msgs] == []
+
+
+def print_row_diff() -> None:
+    for case in sorted(CASES):
+        old = (GOLDEN / f"{case}.csv").read_text(encoding="ascii").splitlines()
+        new = ledger_csv(case).splitlines()
+        before, after = (sum(int(row.split(",")[1]) for row in rows[1:])
+                         for rows in (old, new))
+        print(f"{case}: {before} -> {after} rounds")
+        for line in difflib.unified_diff(old, new, lineterm="", n=0):
+            if line[:1] in "+-" and line[:3] not in ("+++", "---"):
+                print("  " + line)
+
+
+if __name__ == "__main__":
+    print_row_diff()

@@ -6,6 +6,9 @@ from cliquemul import oracle
 from cliquemul.engine import CliqueEngine
 from cliquemul.graph_suite import apsp, count_4_cycles
 from cliquemul.graphs import DisconnectedGraphError, Graph
+from cliquemul.semiring import counting_semiring
+from cliquemul.smm import smm
+from cliquemul.triangles import list_triangles
 
 
 def complete(n):
@@ -94,3 +97,17 @@ def test_apsp_detects_disconnection_once_a_row_stops_growing():
     with pytest.raises(DisconnectedGraphError):
         apsp(Graph.undirected(3, [(0, 1)]), engine)
     assert [r.label for r in engine.ledger.records] == ["apsp.status"]
+
+
+def test_entry_points_leave_no_node_state():
+    # Nodes keep only what a later phase reads, so once smm, list_triangles
+    # or apsp returns, no node holds buckets, pages, rows or request words
+    # on the engine the next call shares.
+    n = 27
+    G = Graph.undirected(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
+    A = G.to_adjacency(counting_semiring())
+    engine = CliqueEngine(n)
+    for run in (lambda: smm(A, A, engine), lambda: list_triangles(G, engine),
+                lambda: apsp(G, engine)):
+        run()
+        assert {v: sorted(st) for v, st in enumerate(engine.states) if st} == {}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
-from cliquemul.engine import CliqueEngine
+from cliquemul.engine import CliqueEngine, SimulationError
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
@@ -17,6 +17,7 @@ from cliquemul.smm import (
     build_subsequences,
     choose_split,
     fragment_requests,
+    fragment_responder,
     group_of,
     node_of,
     smm,
@@ -154,12 +155,39 @@ def test_build_subsequences_properties(case):
 
 def test_fragment_requests_skip_empty_fragments():
     # Line 1 is fragments 2 (2 entries, node 1) and 3 (empty, node 3);
-    # node 3 owns only empty fragments and hears nothing.
+    # node 3 owns only empty fragments and hears nothing.  Every owner
+    # asked gets one word, with a bit per owned fragment on each side.
     side = build_subsequences([2, 2, 0, 2], 4)
-    assert side.owned[3] == [3, 5] and side.size[3] == side.size[5] == 0
-    reqs = fragment_requests(SubseqOwnership(side, side), [0, 1, 3], None)
-    assert sorted((u, ell) for u, _tag, ell, _, _ in reqs) == [
-        (0, 3), (0, 3), (1, 1), (1, 1), (2, 0), (2, 0)]
+    assert side.owned == [[4], [2], [0, 1], [3, 5]]
+    assert side.size[3] == side.size[5] == 0
+
+    def words(rhs, asks):
+        reqs = fragment_requests(SubseqOwnership(side, rhs), asks)
+        assert len({u for u, *_ in reqs}) == len(reqs)
+        return sorted((u, s_mask, t_mask) for u, _tag, s_mask, t_mask, _ in reqs)
+
+    assert words(side, [([0, 1, 3], None)]) == [(0, 1, 1), (1, 1, 1), (2, 1, 1)]
+    # A second set of lines sets its bits two places up in the same words.
+    assert words(side, [([0], None), ([0, 1], None)]) == [(1, 4, 4), (2, 5, 5)]
+    # Nonempty fragment 3 is node 3's second rhs fragment: mask bit 2.
+    rhs = build_subsequences([4, 1, 1, 0], 4)
+    assert rhs.owned[3] == [2, 3] and rhs.size[2] == 0 < rhs.size[3]
+    assert words(rhs, [([1], None)]) == [(1, 1, 0), (3, 0, 2)]
+
+
+def test_fragment_responder_rejects_unowned_bits():
+    # Node 0 owns one fragment per side, id 4 of line 3: mask bit 1 only.
+    side = build_subsequences([2, 2, 0, 2], 4)
+    ownership = SubseqOwnership(side, side)
+    respond = fragment_responder(ownership, lambda src: (0, 0))
+    state = {"s_bands": {4: [[1, 7]]}, "t_bands": {4: [[]]}}
+    (_, req, s_mask, t_mask, _), = fragment_requests(ownership, [([3], None)])
+    assert (s_mask, t_mask) == (1, 1)
+    assert [msg[:1] + msg[2:] for msg in respond(0, state, [(2, req, 1, 1, 0)])] == [
+        (2, 1, 3, 7)]
+    for bad in ((2, 0), (0, 2), (1, 4)):
+        with pytest.raises(SimulationError, match="node 0 was asked by node 2"):
+            respond(0, state, [(2, req, *bad, 0)])
 
 
 def test_build_page_assignment_uniform():

@@ -134,11 +134,23 @@ def test_forwarding_receive_bound():
 
 def test_phase_list():
     # One tri.lp.subseq deals the fragments from lines every node holds
-    # (no lp.coldist or lp.stats); both halves route from its buckets, and
-    # each closes its cycles on the lp.respond mailbox (no collect phase).
+    # (no lp.coldist or lp.stats).  Both halves share one LearnEdges pass
+    # (every node's packet count is its out-degree, so no le.load), one
+    # path-count word and one request word per owner; each half then
+    # answers its own requests and closes its cycles on that mailbox.
     G = random_digraph(27, 120, random.Random(9))
-    halves = [f"tri.{t}.{p}" for t in (1, 2)
-              for p in ("le.load", "le.alloc", "le.forward", "psums",
-                        "lp.request", "lp.respond")]
     assert [r.label for r in list_triangles(G).records] == [
-        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.ncounts"] + halves
+        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.ncounts",
+        "tri.le.alloc", "tri.le.forward", "tri.psums", "tri.lp.request",
+        "tri.1.lp.respond", "tri.2.lp.respond"]
+
+
+def test_request_is_one_word_per_owner():
+    # A requester sends each fragment owner one word for both halves, so
+    # no node sends or receives more than n - 1 and the phase is 1 round.
+    rng = random.Random(21)
+    for n, m in ((8, 40), (27, 120), (27, 600), (64, 400), (64, 3000)):
+        res = list_triangles(random_digraph(n, m, rng))
+        rec, = [r for r in res.records if r.label == "tri.lp.request"]
+        assert rec.max_send <= n - 1 and rec.max_recv <= n - 1, (n, m, rec)
+        assert rec.rounds == 1

@@ -15,19 +15,23 @@ graph driver makes nonnegative counting values.  With mixed signs, a
 saturated result can depend on the order in which the protocol sums.
 
 Each shipped semiring also carries an ``ArrayKernel``: numpy ufuncs that
-multiply and sum whole arrays of values, plus a predicate ``exact(lhs,
-rhs, terms)`` that says, from the operand values themselves, when the
-array arithmetic equals the scalar definition for any sum of at most
-``terms`` products.  Every predicate checks exact Python types, so the
+multiply and sum whole arrays of values, plus two predicates that say,
+from the value columns themselves (see ``engine.py`` for their dtype
+rule), when the array arithmetic equals the scalar definition.
+``exact(lhs, rhs, terms)`` covers any sum of at most ``terms`` products
+of an lhs and an rhs value; ``sums_exact(values)`` covers summing the
+values themselves.  Every predicate checks exact Python types, so the
 kernel's ``.tolist()`` results have the same types as the scalar path's:
 
 * counting (int64, multiply, add): every value an ``int`` and
-  max|lhs| * max|rhs| * terms <= INT64_MAX.  Then every product and
-  every partial sum, in any order, lies within [INT64_MIN, INT64_MAX],
-  so the saturating scalar fold never clamps and int64 never wraps;
+  max|lhs| * max|rhs| * terms <= INT64_MAX, or for sums, the sum of
+  |values| <= INT64_MAX.  Then every product and every partial sum, in
+  any order, lies within [INT64_MIN, INT64_MAX], so the saturating
+  scalar fold never clamps and int64 never wraps;
 * min-plus (int64, add, minimum): every value an ``int`` (so no
   infinity and no float) and max|lhs| + max|rhs| <= INT64_MAX, so no
-  sum wraps; ``min`` is exact in any order;
+  sum wraps; ``min`` is exact in any order, so every int64 column sums
+  exactly;
 * boolean (bool, logical_and, logical_or): every value a ``bool``.
 
 Outside the envelope, and for semirings built without a kernel, callers
@@ -38,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,19 +57,21 @@ INT64_MIN = -INT64_MAX
 
 @dataclass(frozen=True)
 class ArrayKernel:
-    """Array arithmetic for a semiring, exact where ``exact`` holds.
+    """Array arithmetic for a semiring, exact where its predicates hold.
 
     ``exact(lhs_vals, rhs_vals, terms)`` is True when multiplying values
     of ``lhs_vals`` by values of ``rhs_vals`` in ``dtype`` with ``mul``
     and summing at most ``terms`` products per result with ``add`` gives
     the scalar semiring's values, of the same Python type after
-    ``.tolist()``.
+    ``.tolist()``.  ``sums_exact(vals)`` is True when summing any of
+    ``vals`` with ``add``, in any order, does.  Both read value columns.
     """
 
     dtype: type
     mul: np.ufunc
     add: np.ufunc
-    exact: Callable[[Sequence, Sequence, int], bool]
+    exact: Callable[[np.ndarray, np.ndarray, int], bool]
+    sums_exact: Callable[[np.ndarray], bool]
 
 
 @dataclass(frozen=True)
@@ -144,25 +151,38 @@ def _minplus_format(v) -> str:
     return str(int(v)) if v == int(v) else repr(v)
 
 
-def _all_of_type(values: Sequence, kind: type) -> bool:
-    return set(map(type, values)) <= {kind}
+def _all_of_type(values: np.ndarray, kind: type) -> bool:
+    if values.dtype == object:
+        return set(map(type, values)) <= {kind}
+    # The value-column rule: an int64 column holds ints, a bool one bools.
+    return values.dtype == (np.bool_ if kind is bool else np.int64) or not len(values)
 
 
-def _max_abs(values: Sequence) -> int:
-    return max(map(abs, values), default=0)
+def _max_abs(values: np.ndarray) -> int:
+    if values.dtype == object:
+        return max(map(abs, values), default=0)
+    return max(int(values.max()), -int(values.min())) if len(values) else 0
 
 
-def _counting_exact(lhs: Sequence, rhs: Sequence, terms: int) -> bool:
+def _counting_exact(lhs: np.ndarray, rhs: np.ndarray, terms: int) -> bool:
     return (_all_of_type(lhs, int) and _all_of_type(rhs, int)
             and _max_abs(lhs) * _max_abs(rhs) * terms <= INT64_MAX)
 
 
-def _minplus_exact(lhs: Sequence, rhs: Sequence, terms: int) -> bool:
+def _counting_sums_exact(values: np.ndarray) -> bool:
+    if values.dtype != np.int64:
+        return False
+    # A float total well below the limit settles it; near it, sum exactly.
+    return (float(np.abs(values, dtype=np.float64).sum()) < 2.0 ** 62
+            or sum(map(abs, values.tolist())) <= INT64_MAX)
+
+
+def _minplus_exact(lhs: np.ndarray, rhs: np.ndarray, terms: int) -> bool:
     return (_all_of_type(lhs, int) and _all_of_type(rhs, int)
             and _max_abs(lhs) + _max_abs(rhs) <= INT64_MAX)
 
 
-def _bool_exact(lhs: Sequence, rhs: Sequence, terms: int) -> bool:
+def _bool_exact(lhs: np.ndarray, rhs: np.ndarray, terms: int) -> bool:
     return _all_of_type(lhs, bool) and _all_of_type(rhs, bool)
 
 
@@ -175,7 +195,8 @@ _BOOLEAN = Semiring(
     mm_field="pattern",
     parse_value=_bool_parse,
     format_value=_bool_format,
-    kernel=ArrayKernel(np.bool_, np.logical_and, np.logical_or, _bool_exact),
+    kernel=ArrayKernel(np.bool_, np.logical_and, np.logical_or, _bool_exact,
+                       partial(_all_of_type, kind=bool)),
 )
 
 _COUNTING = Semiring(
@@ -187,7 +208,8 @@ _COUNTING = Semiring(
     mm_field="integer",
     parse_value=int,
     format_value=str,
-    kernel=ArrayKernel(np.int64, np.multiply, np.add, _counting_exact),
+    kernel=ArrayKernel(np.int64, np.multiply, np.add, _counting_exact,
+                       _counting_sums_exact),
 )
 
 _MIN_PLUS = Semiring(
@@ -199,7 +221,8 @@ _MIN_PLUS = Semiring(
     mm_field="real",
     parse_value=_minplus_parse,
     format_value=_minplus_format,
-    kernel=ArrayKernel(np.int64, np.add, np.minimum, _minplus_exact),
+    kernel=ArrayKernel(np.int64, np.add, np.minimum, _minplus_exact,
+                       partial(_all_of_type, kind=int)),
 )
 
 

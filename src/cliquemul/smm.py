@@ -24,7 +24,10 @@ row/column permutations, then the balanced multiplication protocol.
   rows, each partial sent straight to the owner of its unpermuted row.
   A node runs its semiring's array kernel when its values lie inside the
   kernel's exactness envelope (see ``semiring.py``) and the scalar fold
-  otherwise; both send the same messages.
+  otherwise; both send the same messages.  Node r then sums its row's
+  partials, all rows at once with the kernel when its ``sums_exact``
+  holds on the delivered partials, else with the scalar fold in mailbox
+  order.
 
 Triangle listing's LearnPaths runs the fragment dealing and routing
 below (``deal_fragments``, ``bucket_fragments``, ``fragment_requests``,
@@ -43,12 +46,13 @@ local computation, not extra communication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import compress, repeat
-
+from typing import NamedTuple
 import numpy as np
 
-from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for
+from .engine import (CliqueEngine, PhaseRecord, SimulationError, concat_values,
+                     engine_for, value_column)
 from .partition import avg_partition, balanced_assignment
 from .semiring import Semiring
 from .sparse import DimensionError, SparseMatrix
@@ -164,6 +168,24 @@ class SubseqSide:
         p = q - self.by_line[self.origin[q]][0]
         return p * self.block, (p + 1) * self.block
 
+    @cached_property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The per-fragment lists as int64 arrays, plus each line's first
+        fragment id (``first``) and fragment count (``count``)."""
+        cols = {name: np.array(getattr(self, name), dtype=np.int64)
+                for name in ("size", "origin", "owner", "bit")}
+        cols["count"] = np.array([len(ids) for ids in self.by_line], dtype=np.int64)
+        cols["first"] = np.cumsum(cols["count"]) - cols["count"]
+        return cols
+
+    def fragments_of(self, lines) -> np.ndarray:
+        """Ids of every fragment of ``lines``, line by line, ascending."""
+        lines = np.asarray(lines, dtype=np.int64)
+        count = self.arrays["count"][lines]
+        ends = np.cumsum(count)
+        return np.repeat(self.arrays["first"][lines] - (ends - count), count) + np.arange(
+            ends[-1] if len(ends) else 0)
+
 
 def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     """Cut each line by ``avg_partition`` and deal the fragments to owners.
@@ -221,73 +243,91 @@ def build_page_assignment(weights: list[int], n: int, a: int, b: int) -> list[li
     return balanced_assignment(weights, n // (a * b), 2 * n)
 
 
-# -- protocol helpers -------------------------------------------------------
-
-def _column(inbox, tag: int) -> list[tuple]:
-    """(sender, value) pairs of one tag: a column gathered from row owners."""
-    return [(src, val) for src, t, _i1, _i2, val in inbox if t == tag]
-
-
 # -- fragment dealing, counts, requests and responses -----------------------
 
 def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
                    prefix: str, lines) -> SubseqOwnership:
     """Fragment tables from common-knowledge counts, and the fragments shipped.
 
-    ``lines(v, state)`` returns node v's lhs column and rhs row, sorted
-    ``(pos, val)`` lists; v sends each fragment to its owner and reads no
-    mailbox.  The returned tables are common knowledge.
+    ``lines(v, state)`` returns node v's lhs column and rhs row, each a
+    ``(pos, val)`` pair of columns sorted by position; v sends each
+    fragment to its owner and reads no mailbox.  The returned tables are
+    common knowledge.
     """
     n = engine.n
-    side_s = build_subsequences(s_nz, n)
-    side_t = build_subsequences(t_nz, n)
+    sides = (build_subsequences(s_nz, n), build_subsequences(t_nz, n))
 
     def emit_fragments(v, state, inbox):
-        out = []
-        for side, entries, tag in zip((side_s, side_t), lines(v, state), (_SUB_S, _SUB_T)):
-            for q in side.by_line[v]:
-                lo, hi = side.slice_bounds(q)
-                for pos, val in entries[lo:hi]:
-                    out.append((side.owner[q], tag, q, pos, val))
-        return out
+        frags, positions, values = [], [], []
+        for side, (pos, val) in zip(sides, lines(v, state)):
+            # Entry k of the line lies in its (k // block)-th fragment.
+            frags.append(side.arrays["first"][v] + np.arange(len(pos)) // max(side.block, 1))
+            positions.append(pos)
+            values.append(val)
+        q = np.concatenate(frags)
+        tags = np.repeat((_SUB_S, _SUB_T), [len(f) for f in frags])
+        dst = np.concatenate([side.arrays["owner"][f] for side, f in zip(sides, frags)])
+        return dst, tags, q, np.concatenate(positions), concat_values(values)
 
     engine.run_phase(prefix + "subseq", emit_fragments)
-    return SubseqOwnership(side_s, side_t)
+    return SubseqOwnership(*sides)
 
 
 # Fragment routing, shared with triangle listing's LearnPaths: owners file
 # entries by band, nodes send each owner one word of fragment bits, owners
 # answer per requester band.
 
+class Buckets(NamedTuple):
+    """A fragment owner's entries filed by band.
+
+    A bucket holds one owned fragment's entries in one band: lhs fragment
+    k (in owned order) in band i is bucket ``k * bands[0] + i``, and the
+    rhs buckets follow the lhs ones in the same way.  Entries are sorted
+    by bucket, arrival order kept within one; bucket x is rows
+    ``bounds[x]:bounds[x + 1]`` of ``pos`` and ``val``.
+    """
+
+    pos: np.ndarray
+    val: np.ndarray
+    bounds: np.ndarray
+    bands: tuple[int, int]        # lhs and rhs band counts
+
+    def counts(self, s_owned: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per side, entries of each owned fragment (row) in each band (column)."""
+        counts = np.diff(self.bounds)
+        split = s_owned * self.bands[0]
+        return (counts[:split].reshape(s_owned, self.bands[0]),
+                counts[split:].reshape(-1, self.bands[1]))
+
+
 def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
                      band_t: list[int]):
     """Ingest step, in the phase after dealing, filing entries by band.
 
     ``band_s[pos]`` is the band of an lhs entry at row pos and
-    ``band_t[pos]`` that of an rhs entry at column pos.  A bucket is a
-    flat ``[pos, val, pos, val, ...]`` list, so filing an entry makes no
-    new object.  Leaves ``state["s_bands"]`` and ``state["t_bands"]``:
-    fragment id -> band -> bucket.
+    ``band_t[pos]`` that of an rhs entry at column pos.  Leaves
+    ``state["buckets"]``, the node's ``Buckets``.
     """
-    s_count, t_count = max(band_s) + 1, max(band_t) + 1
+    band_s, band_t = np.asarray(band_s), np.asarray(band_t)
+    s_count, t_count = int(band_s.max()) + 1, int(band_t.max()) + 1
 
     def ingest(v, state, inbox):
-        s_bands = {q: [[] for _ in range(s_count)] for q in ownership.s.owned[v]}
-        t_bands = {q: [[] for _ in range(t_count)] for q in ownership.t.owned[v]}
-        for _, tag, q, pos, val in inbox:
-            if tag == _SUB_S:
-                bucket = s_bands[q][band_s[pos]]
-            else:
-                bucket = t_bands[q][band_t[pos]]
-            bucket.append(pos)
-            bucket.append(val)
-        state["s_bands"] = s_bands
-        state["t_bands"] = t_bands
+        s_owned, t_owned = ownership.s.owned[v], ownership.t.owned[v]
+        q, pos = inbox.i1, inbox.i2
+        key = np.where(inbox.tag == _SUB_S,
+                       np.searchsorted(s_owned, q) * s_count + band_s[pos],
+                       len(s_owned) * s_count + np.searchsorted(t_owned, q) * t_count
+                       + band_t[pos])
+        order = np.argsort(key, kind="stable")
+        size = len(s_owned) * s_count + len(t_owned) * t_count
+        bounds = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=size), out=bounds[1:])
+        state["buckets"] = Buckets(pos[order], inbox.val[order], bounds, (s_count, t_count))
 
     return ingest
 
 
-def fragment_requests(ownership: SubseqOwnership, asks) -> list[tuple]:
+def fragment_requests(ownership: SubseqOwnership, asks) -> tuple:
     """One request word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per owner asked.
 
     ``asks[k]`` is a ``(lines, wanted)`` pair whose fragments set bits at
@@ -299,59 +339,100 @@ def fragment_requests(ownership: SubseqOwnership, asks) -> list[tuple]:
     holds, per side, one flag per fragment id, nonzero when the count
     words reported entries of that fragment in the requester's band; an
     unflagged fragment is not asked for either.  None asks for every
-    nonempty fragment of the lines.
+    nonempty fragment of the lines.  Returns the batch, owners ascending.
     """
-    s_masks: dict[int, int] = {}
-    t_masks: dict[int, int] = {}
-    for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
-        for k, (side, masks) in enumerate(((ownership.s, s_masks), (ownership.t, t_masks))):
-            flags = None if wanted is None else wanted[k]
-            by_line, size, owner, bit = side.by_line, side.size, side.owner, side.bit
-            get = masks.get
-            for ell in lines:
-                for q in by_line[ell]:
-                    if size[q] and (flags is None or flags[q]):
-                        u = owner[q]
-                        masks[u] = get(u, 0) | bit[q] << shift
-    return [(u, _REQ, s_masks.get(u, 0), t_masks.get(u, 0), 0)
-            for u in {**s_masks, **t_masks}]
+    masks = []
+    for k, side in enumerate((ownership.s, ownership.t)):
+        size, owner, bit = (side.arrays[name] for name in ("size", "owner", "bit"))
+        mask = np.zeros(len(side.owned), dtype=np.int64)
+        for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
+            q = side.fragments_of(lines)
+            keep = size[q] > 0
+            if wanted is not None:
+                keep &= np.frombuffer(wanted[k], dtype=np.bool_)[q]
+            q = q[keep]
+            np.bitwise_or.at(mask, owner[q], bit[q] << shift)
+        masks.append(mask)
+    dst = np.flatnonzero(masks[0] | masks[1])
+    return dst, _REQ, masks[0][dst], masks[1][dst], 0
 
 
-def fragment_responder(ownership: SubseqOwnership, requester_bands):
+def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
     """Handler answering the request words in a node's mailbox from its buckets.
 
-    ``requester_bands(src)`` is the requester's (lhs band, rhs band).  Bit
-    k of a mask names the node's k-th owned fragment of that side, whose
-    line ell is its ``SubseqSide.origin``: an lhs fragment of column ell
-    gets ``(_ENT_S, pos, ell, val)`` for every entry in the lhs band, an
-    rhs fragment of row ell ``(_ENT_T, ell, pos, val)`` for those in the
-    rhs band.  A bit naming no owned fragment raises SimulationError.
+    ``lhs_band[src]`` and ``rhs_band[src]`` are the requester's bands, -1
+    for a node that may not request.  Bit k of a mask names
+    the node's k-th owned fragment of that side, whose line ell is its
+    ``SubseqSide.origin``: an lhs fragment of column ell gets ``(_ENT_S,
+    pos, ell, val)`` for every entry in the lhs band, an rhs fragment of
+    row ell ``(_ENT_T, ell, pos, val)`` for those in the rhs band.  Each
+    requester's answer is one run, lhs fragments first.  A bit naming no
+    owned fragment, or a request from a node without a band, raises
+    SimulationError.
     """
+    bands = np.stack((np.asarray(lhs_band), np.asarray(rhs_band)))   # side, node
+    # Slot 2 * side + k stands for the node's k-th owned fragment of a side.
+    slot_side, slot_bit = np.array([0, 0, 1, 1]), np.array([1, 2, 1, 2])
+
     def respond(v, state, inbox):
-        out = []
-        s_owned, t_owned = ownership.s.owned[v], ownership.t.owned[v]
-        for src, _tag, s_mask, t_mask, _ in inbox:
-            if s_mask >> len(s_owned) or t_mask >> len(t_owned):
-                raise SimulationError(
-                    f"node {v} was asked by node {src} for a fragment it does not own")
-            lhs_band, rhs_band = requester_bands(src)
-            for k, q in enumerate(s_owned):
-                if s_mask >> k & 1:
-                    ell = ownership.s.origin[q]
-                    it = iter(state["s_bands"][q][lhs_band])
-                    out.extend((src, _ENT_S, pos, ell, val) for pos, val in zip(it, it))
-            for k, q in enumerate(t_owned):
-                if t_mask >> k & 1:
-                    ell = ownership.t.origin[q]
-                    it = iter(state["t_bands"][q][rhs_band])
-                    out.extend((src, _ENT_T, ell, pos, val) for pos, val in zip(it, it))
-        return out
+        if not len(inbox):
+            return None
+        pos, val, bounds, counts = state["buckets"]
+        owned = (ownership.s.owned[v], ownership.t.owned[v])
+        src = inbox.src
+        masks = np.stack((inbox.i1, inbox.i2), axis=1)
+        unowned = (masks >> [len(ids) for ids in owned]).any(axis=1)
+        if unowned.any():
+            raise SimulationError(f"node {v} was asked by node {src[unowned.argmax()]} "
+                                  "for a fragment it does not own")
+        # Row-major: requests in mailbox order, then lhs before rhs slots.
+        req, slot = np.nonzero(masks[:, slot_side] & slot_bit)
+        side = slot_side[slot]
+        band = bands[side, src[req]]
+        if (band < 0).any():
+            raise SimulationError(f"node {v} was asked by node {src[req[band.argmin()]]}, "
+                                  "which has no band")
+        # Per slot, its fragment's bucket in band 0 and its line.
+        first, line = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+        base = 0
+        for sd, (table, ids) in enumerate(zip((ownership.s, ownership.t), owned)):
+            for k, q in enumerate(ids):
+                first[2 * sd + k] = base + k * counts[sd]
+                line[2 * sd + k] = table.origin[q]
+            base += len(ids) * counts[sd]
+        bucket = first[slot] + band
+        lo = bounds[bucket]
+        length = bounds[bucket + 1] - lo
+        entry = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
+        is_s = np.repeat(side == 0, length)
+        ell = np.repeat(line[slot], length)
+        p = pos[entry]
+        return (np.repeat(src[req], length), np.where(is_s, _ENT_S, _ENT_T),
+                np.where(is_s, p, ell), np.where(is_s, ell, p), val[entry])
 
     return respond
 
 
-def _fragment_counts(inbox, ownership: SubseqOwnership, n: int) -> tuple[list, list]:
-    """Decode count words into, per side, a list indexed by fragment id of
+def _count_fields(counts: np.ndarray, n: int) -> np.ndarray:
+    """Per band, the owned fragments' entry counts packed into one field.
+
+    A fragment holds at most n entries, so each count fits base n + 1.
+    """
+    padded = np.zeros((2, counts.shape[1]), dtype=np.int64)
+    padded[:len(counts)] = counts
+    return padded[0] * (n + 1) + padded[1]
+
+
+def _owned_slots(side: SubseqSide) -> np.ndarray:
+    """Node -> its first and second owned fragment ids, -1 where none."""
+    slots = np.full((len(side.owned), 2), -1, dtype=np.int64)
+    for u, ids in enumerate(side.owned):
+        slots[u, :len(ids)] = ids
+    return slots
+
+
+def _fragment_counts(inbox, ownership: SubseqOwnership, slots, n: int) -> list:
+    """Decode count words into, per side, an array indexed by fragment id of
     the fragment's entries in the receiver's band.
 
     A word's lhs and rhs fields each pack the counts of the sender's (at
@@ -359,31 +440,21 @@ def _fragment_counts(inbox, ownership: SubseqOwnership, n: int) -> tuple[list, l
     ``first * (n + 1) + second``; a fragment without a word has no entry
     in the band.
     """
-    cnt_s = [0] * len(ownership.s.origin)
-    cnt_t = [0] * len(ownership.t.origin)
-    for src, tag, s_field, t_field, _ in inbox:
-        if tag == _CNT:
-            for q, c in zip(ownership.s.owned[src], divmod(s_field, n + 1)):
-                cnt_s[q] = c
-            for q, c in zip(ownership.t.owned[src], divmod(t_field, n + 1)):
-                cnt_t[q] = c
-    return cnt_s, cnt_t
-
-
-def _count_fields(buckets: dict[int, list[list]], bands: int, n: int) -> list[int]:
-    """Per band, the owned fragments' entry counts packed into one field.
-
-    A fragment holds at most n entries, so each count fits base n + 1.
-    """
-    fields = []
-    for band in range(bands):
-        cnt = [len(per_band[band]) // 2 for per_band in buckets.values()] + [0, 0]
-        fields.append(cnt[0] * (n + 1) + cnt[1])
-    return fields
+    words = inbox.tag == _CNT
+    src = inbox.src[words]
+    out = []
+    for side, side_slots, field in zip((ownership.s, ownership.t), slots,
+                                       (inbox.i1[words], inbox.i2[words])):
+        # The extra last slot takes the second count of one-fragment owners.
+        cnt = np.zeros(len(side.origin) + 1, dtype=np.int64)
+        for slot, value in zip(side_slots[src].T, divmod(field, n + 1)):
+            cnt[slot] = value
+        out.append(cnt[:-1])
+    return out
 
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
-                      a: int, b: int, grid: list[tuple[int, int]]
+                      a: int, b: int, grid: np.ndarray
                       ) -> dict[tuple[int, int], tuple[list[list[int]], tuple[bytes, bytes]]]:
     """Band-count exchange and per-group page assignment.
 
@@ -401,29 +472,26 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
                               [p // h_t for p in range(n)])
 
     def emit_counts(v, state):
-        s_fields = _count_fields(state["s_bands"], a, n)
-        t_fields = _count_fields(state["t_bands"], b, n)
-        out = []
-        for u, (i_u, j_u) in enumerate(grid):
-            s_field, t_field = s_fields[i_u], t_fields[j_u]
-            if s_field or t_field:
-                out.append((u, _CNT, s_field, t_field, 0))
-        return out
+        s_counts, t_counts = state["buckets"].counts(len(ownership.s.owned[v]))
+        s_field = _count_fields(s_counts, n)[grid[:, 0]]
+        t_field = _count_fields(t_counts, n)[grid[:, 1]]
+        dst = np.flatnonzero(s_field | t_field)
+        return dst, _CNT, s_field[dst], t_field[dst], 0
 
     engine.run_ingest_emit("sbmm.counts", ingest, emit_counts)
+    slots = [_owned_slots(ownership.s), _owned_slots(ownership.t)]
 
     def page_assignment(group, inbox):
-        counts = _fragment_counts(inbox, ownership, n)
-        weights = [0] * n
+        counts = _fragment_counts(inbox, ownership, slots, n)
+        weights = np.zeros(n, dtype=np.int64)
         for side, side_counts in zip((ownership.s, ownership.t), counts):
-            for line, cnt in zip(side.origin, side_counts):
-                weights[line] += cnt
+            np.add.at(weights, side.arrays["origin"], side_counts)
         # Own counts travel as free self-messages and are already in the
         # inbox, so the weight vector is complete.  The requests need only
         # which fragments hold entries in the band: a byte per fragment,
         # small enough to keep for every group until they are out.
-        return (build_page_assignment(weights, n, a, b),
-                tuple(bytes(map(bool, side_counts)) for side_counts in counts))
+        return (build_page_assignment(weights.tolist(), n, a, b),
+                tuple((side_counts > 0).tobytes() for side_counts in counts))
 
     # Every member of a group receives the same count words, because
     # ``emit_counts`` picks a word by the receiver's group alone.
@@ -433,8 +501,8 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     return engine.derive_per_group(groups, page_assignment)
 
 
-def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
-                  col_out: list[int]) -> None:
+def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: np.ndarray,
+                  col_out: np.ndarray) -> None:
     """Local page products; the partial for cell (r, c) goes to node
     row_dst[r] as result column col_out[c].
 
@@ -447,27 +515,24 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: list[int],
     kernel = semiring.kernel
 
     def reduce(v, state, inbox):
-        del state["s_bands"], state["t_bands"]    # their last reader was respond
+        del state["buckets"]    # its last reader was respond
         pages = state.pop("my_pages")
-        if not inbox:
-            return []
-        _, tags, i1s, i2s, vals = zip(*inbox)
-        lhs = list(compress(vals, map(_ENT_S.__eq__, tags)))
-        rhs = list(compress(vals, map(_ENT_T.__eq__, tags)))
-        if kernel is not None and kernel.exact(lhs, rhs, len(pages)):
-            return _kernel_partials(semiring, engine.n, tags, i1s, i2s, lhs, rhs,
-                                    row_dst, col_out)
+        if not len(inbox):
+            return None
+        is_s, is_t = inbox.tag == _ENT_S, inbox.tag == _ENT_T
+        if kernel is not None and kernel.exact(inbox.val[is_s], inbox.val[is_t], len(pages)):
+            return _kernel_partials(semiring, engine.n, inbox, is_s, is_t, row_dst, col_out)
         return _scalar_partials(semiring, pages, inbox, row_dst, col_out)
 
     engine.run_phase("sbmm.reduce", reduce)
 
 
 def _scalar_partials(semiring: Semiring, pages: list[int], inbox,
-                     row_dst: list[int], col_out: list[int]) -> list[tuple]:
+                     row_dst: np.ndarray, col_out: np.ndarray) -> tuple:
     add, mul, omitted = semiring.add, semiring.mul, semiring.omitted
     s_frags: dict[int, list] = {}
     t_frags: dict[int, list] = {}
-    for _, tag, i1, i2, val in inbox:
+    for _, tag, i1, i2, val in inbox.messages():
         if tag == _ENT_S:
             s_frags.setdefault(i2, []).append((i1, val))
         elif tag == _ENT_T:
@@ -480,52 +545,52 @@ def _scalar_partials(semiring: Semiring, pages: list[int], inbox,
                 key = (r, c)
                 prev = acc.get(key)
                 acc[key] = p if prev is None else add(prev, p)
-    return [(row_dst[r], _RED, col_out[c], 0, val)
-            for (r, c), val in sorted(acc.items()) if val != omitted]
+    cells = [(r, c, val) for (r, c), val in sorted(acc.items()) if val != omitted]
+    if not cells:
+        return None
+    rows, cols, vals = zip(*cells)
+    return row_dst[list(rows)], _RED, col_out[list(cols)], 0, list(vals)
 
 
-def _kernel_partials(semiring: Semiring, n: int, tags, i1s, i2s, lhs: list,
-                     rhs: list, row_dst: list[int], col_out: list[int]) -> list[tuple]:
+def _kernel_partials(semiring: Semiring, n: int, inbox, is_s, is_t,
+                     row_dst: np.ndarray, col_out: np.ndarray) -> tuple | None:
     """``_scalar_partials`` in array form: every (lhs, rhs) entry pair of a
     page is multiplied, and the products are summed per cell.  A node
     holds entries of its own pages only, as it asked for no others."""
     kernel = semiring.kernel
-    tag, i1, i2 = np.array(tags), np.array(i1s), np.array(i2s)
-    is_s, is_t = tag == _ENT_S, tag == _ENT_T
-    s_row, s_page = i1[is_s], i2[is_s]
-    t_page, t_col = i1[is_t], i2[is_t]
-    s_val = np.array(lhs, dtype=kernel.dtype)
-    t_val = np.array(rhs, dtype=kernel.dtype)
+    s_row, s_page = inbox.i1[is_s], inbox.i2[is_s]
+    t_page, t_col = inbox.i1[is_t], inbox.i2[is_t]
     # Lhs entry k pairs with each rhs entry of its page: rhs entries sorted
     # by page, the pair's rhs index is the page's first one plus an offset.
-    t_order = np.argsort(t_page, kind="stable")
+    # Kernel sums are exact in any order, so no sort here needs to be stable.
+    t_order = np.argsort(t_page)
     t_count = np.bincount(t_page, minlength=n)
     t_first = np.cumsum(t_count) - t_count
     reps = t_count[s_page]
     pairs = int(reps.sum())
     if pairs == 0:
-        return []
+        return None
     li = np.repeat(np.arange(len(s_page)), reps)
     offset = np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps)
     ri = t_order[np.repeat(t_first[s_page], reps) + offset]
     cell = s_row[li] * n + t_col[ri]
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
+    order = np.argsort(cell)
+    li, ri, cell = li[order], ri[order], cell[order]
     starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    sums = kernel.add.reduceat(kernel.mul(s_val[li], t_val[ri])[order], starts)
+    s_val = inbox.val[is_s][li].astype(kernel.dtype)
+    t_val = inbox.val[is_t][ri].astype(kernel.dtype)
+    sums = kernel.add.reduceat(kernel.mul(s_val, t_val), starts)
     cell = cell[starts]
     kept = sums != semiring.omitted
     cell, sums = cell[kept], sums[kept]
-    dst = np.asarray(row_dst)[cell // n].tolist()
-    col = np.asarray(col_out)[cell % n].tolist()
-    return list(zip(dst, repeat(_RED), col, repeat(0), sums.tolist()))
+    return row_dst[cell // n], _RED, col_out[cell % n], 0, sums
 
 
 def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
-                   a: int, b: int, row_dst: list[int], col_out: list[int]):
+                   a: int, b: int, row_dst: np.ndarray, col_out: np.ndarray):
     """Counts through reduce on dealt fragments; returns the gathered product."""
     n = engine.n
-    grid = [group_of(u, a, b, n)[:2] for u in range(n)]
+    grid = np.array([group_of(u, a, b, n)[:2] for u in range(n)], dtype=np.int64)
     derived = compute_receiving(engine, ownership, a, b, grid)
 
     # A node asks for a line's fragments only from owners whose count word
@@ -537,22 +602,46 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
         return fragment_requests(ownership, [(state["my_pages"], wanted)])
 
     engine.run_phase("sbmm.request", request)
-    engine.run_phase("sbmm.respond", fragment_responder(ownership, grid.__getitem__))
+    engine.run_phase("sbmm.respond", fragment_responder(ownership, grid[:, 0], grid[:, 1]))
     _reduce_phase(engine, semiring, row_dst, col_out)
-    rows = [sorted(_fold_partials(semiring, box).items())
-            for box in engine.drain_inboxes()]
-    return SparseMatrix(engine.n, semiring, rows)
+    return SparseMatrix(n, semiring, _gather_rows(semiring, engine.drain_inboxes(), n))
 
 
-def _fold_partials(semiring: Semiring, inbox) -> dict[int, object]:
+def _gather_rows(semiring: Semiring, mail, n: int) -> list[list]:
+    """Result rows from the reduce delivery: node r sums its partials per column.
+
+    With the semiring's kernel exact on the partials every row is summed
+    at once; otherwise each row folds with the scalar ``add`` in mailbox
+    order.  Omitted sums are dropped.
+    """
+    kernel = semiring.kernel
+    if kernel is None or not kernel.sums_exact(mail.val):
+        return [_fold_partials(semiring, mail[r]) for r in range(n)]
+    red = mail.tag == _RED
+    cell = mail.dst[red] * n + mail.i1[red]
+    if not len(cell):
+        return [[] for _ in range(n)]
+    order = np.argsort(cell)        # exact sums: any order within a cell
+    cell = cell[order]
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    sums = kernel.add.reduceat(mail.val[red][order], starts)
+    cell = cell[starts]
+    kept = sums != semiring.omitted
+    cell, sums = cell[kept], sums[kept]
+    bounds = np.searchsorted(cell, np.arange(n + 1) * n).tolist()
+    cols, vals = (cell % n).tolist(), sums.tolist()
+    return [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fold_partials(semiring: Semiring, inbox) -> list[tuple]:
     add, omitted = semiring.add, semiring.omitted
     row: dict[int, object] = {}
-    for _, tag, c, _i2, val in inbox:
+    for _, tag, c, _i2, val in inbox.messages():
         if tag != _RED:
             continue
         prev = row.get(c)
         row[c] = val if prev is None else add(prev, val)
-    return {c: val for c, val in row.items() if val != omitted}
+    return sorted((c, val) for c, val in row.items() if val != omitted)
 
 
 # -- public entry points ----------------------------------------------------
@@ -593,15 +682,17 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     # Both operands are scattered into columns: node v then holds row v
     # and column v of S and of T.
     def emit_cols(v, state):
-        out = [(c, _S_COL, v, 0, val) for c, val in state["S_row"]]
-        out.extend((c, _T_COL, v, 0, val) for c, val in state["T_row"])
-        return out
+        s_row, t_row = state["S_row"], state["T_row"]
+        tags = np.repeat((_S_COL, _T_COL), (len(s_row), len(t_row)))
+        return ([c for c, _ in s_row] + [c for c, _ in t_row], tags, v, 0,
+                [x for _, x in s_row] + [x for _, x in t_row])
 
     engine.run_ingest_emit("distribute", None, emit_cols)
 
     def ingest_cols(v, state, inbox):
-        state["S_col"] = _column(inbox, _S_COL)
-        state["nz_t_col"] = sum(1 for msg in inbox if msg[1] == _T_COL)
+        is_s = inbox.tag == _S_COL
+        state["S_col"] = (inbox.src[is_s], inbox.val[is_s])
+        state["nz_t_col"] = int(np.count_nonzero(inbox.tag == _T_COL))
 
     # One word carries all four counts; the last field packs two of them
     # (see the word format in engine.py).
@@ -609,7 +700,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     words = engine.run_broadcast(
         "stats",
         lambda v, state: (_NZ, len(state.pop("S_row")), state.pop("nz_t_col"),
-                          len(state["S_col"]) * base + len(state["T_row"])),
+                          len(state["S_col"][0]) * base + len(state["T_row"])),
         ingest_cols,
     )
     row_nz = [w[1] for w in words]
@@ -618,20 +709,25 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     split = choose_split(sum(row_nz), sum(col_nz), n)
     a, b = split.a, split.b
     sigma, tau = _balance_permutations(row_nz, col_nz, a, b)
+    sigma_of, tau_of = np.array(sigma), np.array(tau)
 
     # Permuting keeps column v of S' = sigma(S) and row v of T' = T tau
     # on node v: both are local relabels.
     def relabel(v, state):
-        return (sorted((sigma[r], val) for r, val in state.pop("S_col")),
-                sorted((tau[c], val) for c, val in state.pop("T_row")))
+        rows, s_vals = state.pop("S_col")
+        t_row = state.pop("T_row")
+        s_pos = sigma_of[rows]
+        t_pos = tau_of[np.array([c for c, _ in t_row], dtype=np.int64)]
+        s_order, t_order = np.argsort(s_pos), np.argsort(t_pos)
+        return ((s_pos[s_order], s_vals[s_order]),
+                (t_pos[t_order], value_column([x for _, x in t_row])[t_order]))
 
     ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
     # Partials go straight to the owner of the unpermuted result row, as
     # the unpermuted result column.
-    row_dst, col_out = [0] * n, [0] * n
-    for line in range(n):
-        row_dst[sigma[line]] = line
-        col_out[tau[line]] = line
+    row_dst, col_out = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    row_dst[sigma_of] = np.arange(n)
+    col_out[tau_of] = np.arange(n)
     product = _balanced_core(engine, sr, ownership, a, b, row_dst, col_out)
     return SmmResult(product, split, sigma, tau, engine.ledger.since(mark))
 

@@ -38,7 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for
+import numpy as np
+
+from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for
 from .graphs import Graph
 from .oracle import canonical_triangle
 from .partition import balanced_assignment
@@ -144,11 +146,11 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     # --- per-class out-edge counts feed the N-set partitions --------------
     def emit_vcounts(v, state):
-        counts = out_cls[v]
+        members = v_sets[v_of[v]]
         # Own class only; the free self-message keeps every member's table
         # complete.
-        return [(u, _VC, j, counts[j], 0)
-                for u in v_sets[v_of[v]] for j in range(q)]
+        j = np.arange(len(members) * q) % q
+        return np.repeat(members, q), _VC, j, np.array(out_cls[v])[j], 0
 
     engine.run_ingest_emit("tri.vcounts", None, emit_vcounts)
 
@@ -156,7 +158,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         """N-partitions of class i towards every class j."""
         members = v_sets[i]
         table: dict[int, list[int]] = {u: [0] * q for u in members}
-        for src, tag, j, cnt, _ in inbox:
+        for src, tag, j, cnt, _ in inbox.messages():
             if tag == _VC:
                 table[src][j] = cnt
         groups = []
@@ -180,27 +182,25 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # Column v of the adjacency matrix is v's in-arcs and row v its
     # out-arcs (both sorted); the degree words carry their lengths.
     def own_lines(v, state):
-        return [(u, True) for u in G.in_adj[v]], [(u, True) for u in G.out_adj[v]]
+        return [(np.array(adj[v], dtype=np.int64), np.ones(len(adj[v]), dtype=np.bool_))
+                for adj in (G.in_adj, G.out_adj)]
 
     ownership = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
                                "tri.lp.", own_lines)
 
     # --- N-set counts cross the classes; halves and team assignment -------
     def emit_ncounts(v, state):
-        i = v_of[v]
-        pos = member_pos[v]
-        out = []
-        for tgt_class in range(q):
-            tgt = v_sets[tgt_class][pos]
-            out.extend((tgt, _NC, j, len(n_sets[(i, j)]), 0) for j in range(q))
-        return out
+        targets = [v_sets[tgt_class][member_pos[v]] for tgt_class in range(q)]
+        counts = [len(n_sets[(v_of[v], j)]) for j in range(q)]
+        j = np.arange(q * q) % q
+        return np.repeat(targets, q), _NC, j, np.array(counts)[j], 0
 
     # Fragment endpoints are filed by class, the filter of every response.
     engine.run_ingest_emit("tri.ncounts", bucket_fragments(ownership, v_of, v_of),
                            emit_ncounts)
 
     def n_id_list(_key, inbox):
-        return sorted((v_of[src], j, ell) for src, tagw, j, cnt, _ in inbox
+        return sorted((v_of[src], j, ell) for src, tagw, j, cnt, _ in inbox.messages()
                       if tagw == _NC for ell in range(cnt))
 
     # Every N-id, from the count words: position pos of every class reports
@@ -226,43 +226,52 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # which sits in one half, so node v's packet count is d_out(v), known
     # to every node from the degree words.
     cap, starts = packet_allocation([w[2] for w in words])
-    engine.run_ingest_emit("tri.le.alloc", None, lambda v, state: [
-        ((starts[v] + idx) // cap, _PKT, u) + dest[v][v_of[u]]
-        for idx, u in enumerate(G.out_adj[v])])
+
+    def allocate(v, state):
+        out = G.out_adj[v]
+        if not out:
+            return None
+        teams, halves_of = zip(*(dest[v][v_of[u]] for u in out))
+        return ((starts[v] + np.arange(len(out))) // cap, _PKT, out, teams, list(halves_of))
+
+    engine.run_ingest_emit("tri.le.alloc", None, allocate)
 
     def forward(v, state, inbox):
-        return [(member, _EDGE, src, u, half) for src, tagw, u, team, half in inbox
-                if tagw == _PKT for member in range(team * q, (team + 1) * q)]
+        pkt = inbox.tag == _PKT
+        team = inbox.i2[pkt]
+        member = (team * q).repeat(q) + np.arange(len(team) * q) % q
+        return (member, _EDGE, inbox.src[pkt].repeat(q), inbox.i1[pkt].repeat(q),
+                inbox.val[pkt].repeat(q))
 
     engine.run_phase("tri.le.forward", forward)
 
     # --- path-count scatter: every active team balances its path work -----
-    # learned[t][v]: node v's learned arcs of half t, flat [x, y, x, y, ...].
-    learned: list[list[list[int]]] = [[[] for _ in range(n)] for _ in halves]
+    # learned[t][v]: node v's learned arcs of half t, as (x, y) columns.
+    learned: list[list] = [[None] * n for _ in halves]
+    members = np.arange(len(halves[0]) * q)
 
     def psums(v, state, inbox):
         # The word carries the edge endpoints and half; the sender is just
         # the allocation node that held the packet.
-        for _, tagw, x, y, half in inbox:
-            if tagw == _EDGE:
-                learned[half][v] += (x, y)
+        edge = inbox.tag == _EDGE
+        x, y, half = inbox.i1[edge], inbox.i2[edge], inbox.val[edge]
+        for t in range(len(halves)):
+            learned[t][v] = (x[half == t], y[half == t])
         # One word per team member carries both halves' path counts; a team
         # past the second half's end sends 0 for it.
         s0, s1 = ([in_cls[v][j_d] + out_cls[v][i_d] for i_d, j_d, _ in teams] + [0]
                   for teams in halves)
-        return [(member, _PSUM, team, s0[team], s1[team])
-                for team in range(len(halves[0]))
-                for member in range(team * q, (team + 1) * q)]
+        team = members // q
+        return members, _PSUM, team, np.array(s0)[team], np.array(s1)[team]
 
     engine.run_phase("tri.psums", psums)
 
     def team_paths(t, team, inbox):
         """The team's half-t path partition from its members' path counts."""
-        scalars = [0] * n
-        for src, tagw, tm, *sums in inbox:
-            if tagw == _PSUM and tm == team:
-                scalars[src] = sums[t]
-        return balanced_assignment(scalars, q, 2 * n)
+        scalars = np.zeros(n, dtype=np.int64)
+        mine = (inbox.tag == _PSUM) & (inbox.i1 == team)
+        scalars[inbox.src[mine]] = (inbox.i2, inbox.val)[t][mine]
+        return balanced_assignment(scalars.tolist(), q, 2 * n)
 
     # Members of one team all receive the same path counts.
     for t, teams in enumerate(halves):
@@ -274,25 +283,29 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         ownership, [(parts[v // q][v % q] if v // q in parts else [], None)
                     for parts in state_view.p_parts]))
 
-    def requester_bands(t, src):
-        if src // q >= len(halves[t]):
-            raise SimulationError(f"idle team member {src} sent a request")
-        # In-edges of the path part come from V_j, out-edges go to V_i.
-        i_d, j_d, _ = halves[t][src // q]
-        return j_d, i_d
+    def responder(half):
+        # In-edges of the path part come from V_j, out-edges go to V_i; an
+        # idle team member has no band.
+        bands = np.full((2, n), -1, dtype=np.int64)
+        for team, (i_d, j_d, _) in enumerate(half):
+            bands[:, team * q:(team + 1) * q] = [[j_d], [i_d]]
+        return fragment_responder(ownership, bands[0], bands[1])
 
-    answer = [fragment_responder(ownership, partial(requester_bands, t)) for t in (0, 1)]
+    answer = [responder(half) for half in halves]
+
+    def words_of_half(inbox, s_mask, t_mask):
+        asked = (s_mask | t_mask) != 0
+        return Inbox(inbox.src[asked], inbox.tag[asked], s_mask[asked], t_mask[asked],
+                     inbox.val[asked])
 
     def respond_first(v, state, inbox):
         # Half 1's masks, above half 0's two bits, wait for the second respond.
-        state["lp_req"] = [(src, tagw, s >> 2, t >> 2, 0)
-                           for src, tagw, s, t, _ in inbox if s >> 2 or t >> 2]
-        return answer[0](v, state, [(src, tagw, s & 3, t & 3, 0)
-                                    for src, tagw, s, t, _ in inbox if s & 3 or t & 3])
+        state["lp_req"] = words_of_half(inbox, inbox.i1 >> 2, inbox.i2 >> 2)
+        return answer[0](v, state, words_of_half(inbox, inbox.i1 & 3, inbox.i2 & 3))
 
     def respond_second(v, state, inbox):
         out = answer[1](v, state, state.pop("lp_req"))
-        del state["s_bands"], state["t_bands"]       # no later phase reads them
+        del state["buckets"]       # no later phase reads them
         return out
 
     # --- each half closes its cycles locally over its delivered path edges
@@ -300,19 +313,20 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     for t, respond in enumerate((respond_first, respond_second)):
         engine.run_phase(f"tri.{t + 1}.lp.respond", respond)
         # Learned edges are freed node by node as they are scanned.
-        for inbox, edges in zip(engine.drain_inboxes(), learned[t]):
+        mail = engine.drain_inboxes()
+        for v, (xs, ys) in enumerate(learned[t]):
             into_path: dict[int, list[int]] = {}
             from_path = set()
-            for _, tagw, i1, i2, _ in inbox:
+            for _, tagw, i1, i2, _ in mail[v].messages():
                 if tagw == _ENT_S:     # edge (i1 in V_j) -> (i2 in path part)
                     into_path.setdefault(i1, []).append(i2)
                 elif tagw == _ENT_T:   # edge (i1 in path part) -> (i2 in V_i)
                     from_path.add((i1, i2))
-            it = iter(edges)
-            for x, y in zip(it, it):
+            for x, y in zip(xs.tolist(), ys.tolist()):
                 for z in into_path.get(y, ()):
                     if (z, x) in from_path:
                         found.add(canonical_triangle(x, y, z))
-            edges.clear()
+            learned[t][v] = None
+        del mail
 
     return TriangleResult(found, state_view, engine.ledger.since(mark))

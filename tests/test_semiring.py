@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cliquemul.semiring import (INT64_MAX, boolean_semiring, counting_semiring,
@@ -87,3 +88,17 @@ def test_lookup_by_name():
     assert semiring_by_name("minplus").name == "min-plus"
     with pytest.raises(ValueError):
         semiring_by_name("tropical-max")
+
+
+def test_sums_exact_reads_the_value_column():
+    # Counting partials sum exactly in int64 while their absolute values
+    # sum to at most INT64_MAX; min and or are exact on any int64 or bool
+    # column.  An object column holds some value no kernel dtype keeps.
+    count = counting_semiring().kernel.sums_exact
+    assert count(np.array([2**62, 2**62 - 1])) and count(np.array([-INT64_MAX]))
+    assert not count(np.array([2**62, -2**62]))
+    assert not count(np.array([1, 2**63], dtype=object))
+    minplus = min_plus_semiring().kernel.sums_exact
+    assert minplus(np.array([INT64_MAX, -INT64_MAX])) and not minplus(np.array([0.5, 1], dtype=object))
+    boolean = boolean_semiring().kernel.sums_exact
+    assert boolean(np.array([True, False])) and not boolean(np.array([1, 0]))

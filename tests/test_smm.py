@@ -3,14 +3,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
-from cliquemul.engine import CliqueEngine, SimulationError
+from cliquemul.engine import CliqueEngine, Inbox, SimulationError
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
+    Buckets,
     SplitPair,
     SubseqOwnership,
     build_page_assignment,
@@ -26,6 +28,15 @@ from cliquemul.smm import (
 from cliquemul.sparse import SparseMatrix
 
 COUNT = counting_semiring()
+
+
+def messages(batch):
+    """A handler's batch as ``(dst, tag, i1, i2, val)`` tuples; a column
+    given as one value is that value in every message."""
+    k = len(batch[0])
+    columns = [col if isinstance(col, (list, tuple, np.ndarray)) else [col] * k
+               for col in batch]
+    return list(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
 def random_matrix(n, sr, density, rng):
@@ -162,7 +173,7 @@ def test_fragment_requests_skip_empty_fragments():
     assert side.size[3] == side.size[5] == 0
 
     def words(rhs, asks):
-        reqs = fragment_requests(SubseqOwnership(side, rhs), asks)
+        reqs = messages(fragment_requests(SubseqOwnership(side, rhs), asks))
         assert len({u for u, *_ in reqs}) == len(reqs)
         return sorted((u, s_mask, t_mask) for u, _tag, s_mask, t_mask, _ in reqs)
 
@@ -179,15 +190,20 @@ def test_fragment_responder_rejects_unowned_bits():
     # Node 0 owns one fragment per side, id 4 of line 3: mask bit 1 only.
     side = build_subsequences([2, 2, 0, 2], 4)
     ownership = SubseqOwnership(side, side)
-    respond = fragment_responder(ownership, lambda src: (0, 0))
-    state = {"s_bands": {4: [[1, 7]]}, "t_bands": {4: [[]]}}
-    (_, req, s_mask, t_mask, _), = fragment_requests(ownership, [([3], None)])
+    respond = fragment_responder(ownership, [0] * 4, [0] * 4)
+    # One band per side: the lhs bucket holds the entry at row 1, value 7.
+    state = {"buckets": Buckets(np.array([1]), np.array([7]), np.array([0, 1, 1]), (1, 1))}
+    (_, req, s_mask, t_mask, _), = messages(fragment_requests(ownership, [([3], None)]))
     assert (s_mask, t_mask) == (1, 1)
-    assert [msg[:1] + msg[2:] for msg in respond(0, state, [(2, req, 1, 1, 0)])] == [
+
+    def request(s_mask, t_mask):
+        return Inbox(*(np.array([x]) for x in (2, req, s_mask, t_mask, 0)))
+
+    assert [msg[:1] + msg[2:] for msg in messages(respond(0, state, request(1, 1)))] == [
         (2, 1, 3, 7)]
     for bad in ((2, 0), (0, 2), (1, 4)):
         with pytest.raises(SimulationError, match="node 0 was asked by node 2"):
-            respond(0, state, [(2, req, *bad, 0)])
+            respond(0, state, request(*bad))
 
 
 def test_build_page_assignment_uniform():
@@ -325,3 +341,50 @@ def test_reduce_scalar_fold_equals_kernel_run(sr):
         runs.append((typed_rows(smm(S, T, engine).product), engine.ledger.to_csv()))
     assert verdicts and all(verdicts)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("sr", [min_plus_semiring(), MAX_MIN], ids=lambda sr: sr.name)
+@pytest.mark.parametrize("n, density, seed", [(8, 0.5, 1), (13, 1.0, 2), (16, 0.3, 3)])
+def test_big_int_values_flow_as_objects(monkeypatch, sr, n, density, seed):
+    # Entries at and past 2**63 fit no int64 column, so every phase that
+    # carries matrix values delivers an object column; the product still
+    # equals the reference, value types included.
+    dtypes = {}
+    run_phase = CliqueEngine.run_phase
+
+    def recording(self, label, handler):
+        rounds = run_phase(self, label, handler)
+        dtypes[label] = self.inboxes.val.dtype
+        return rounds
+
+    monkeypatch.setattr(CliqueEngine, "run_phase", recording)
+    rng = random.Random(seed)
+
+    def draw():
+        return rng.choice((rng.randint(0, 9), 2**63 + rng.randint(0, 9)))
+
+    S, T = (SparseMatrix.from_entries(n, sr, [(i, j, draw()) for i in range(n)
+                                             for j in range(n) if rng.random() < density])
+            for _ in range(2))
+    got = smm(S, T).product
+    assert typed_rows(got) == typed_rows(oracle.dense_multiply_reference(S, T))
+    assert all(dtypes[label] == object for label in (
+        "distribute", "sbmm.subseq", "sbmm.respond", "sbmm.reduce"))
+
+
+@pytest.mark.parametrize("seed", [2, 5, 39, 57])
+def test_counting_values_past_int64_match_reference(seed):
+    # A node holding lhs values past int64 and no rhs value is inside the
+    # kernel's envelope, as it has no product to overflow; it sends no
+    # partial and must not convert its values to int64 on the way.
+    rng = random.Random(seed)
+    n, density = rng.randint(2, 12), rng.random()
+
+    def draw():
+        return rng.choice((rng.randint(1, 9), 2**63 + rng.randint(0, 9)))
+
+    S, T = (SparseMatrix.from_entries(n, COUNT, [(i, j, draw()) for i in range(n)
+                                                for j in range(n) if rng.random() < density])
+            for _ in range(2))
+    got = smm(S, T).product
+    assert typed_rows(got) == typed_rows(oracle.dense_multiply_reference(S, T))

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 class PartitionError(ValueError):
     """Inputs violate a partition precondition."""
@@ -82,5 +84,8 @@ def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
     if weights and max(weights) > x:
         raise PartitionError(f"weight {max(weights)} exceeds bound x={x}")
     pad = (-len(weights)) % k
-    order = [None] * pad + sorted(range(len(weights)), key=lambda i: (weights[i], i))
-    return [sorted(i for i in order[j::k] if i is not None) for j in range(k)]
+    # A stable sort breaks weight ties by index; -1 marks a placeholder.
+    order = np.concatenate((np.full(pad, -1), np.argsort(weights, kind="stable")))
+    groups = np.sort(order.reshape(-1, k).T, axis=1).tolist()
+    # Group j < pad starts with its one placeholder.
+    return [g[1:] for g in groups[:pad]] + groups[pad:]

@@ -16,11 +16,15 @@ Every triangle (x, y, z) with x in some N-set assigned to team D_k and
 y in the matching V_j is found by the team member responsible for the
 path part containing z: LearnEdges ships E(N, V_j) to the whole team,
 LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member, and
-a local scan of the ``lp.respond`` mailbox closes the cycle, so no phase
-follows it.  The N-ids are split into two halves, so each team handles
-at most one N-set per half.  The halves share every phase but the
-response: a word carries its half or both halves' fields, and each half
-closes its cycles on its own ``lp.respond`` mailbox.
+that member closes the cycle by a local join (``close_cycles``) of its
+learned arcs with its ``lp.respond`` mailbox, so no phase follows it.
+Each rotation of a triangle closes at exactly one member, and only the
+rotation led by its smallest vertex is kept, so every triangle is
+listed once with no deduplication.  The N-ids are split into two
+halves, so each team handles at most one N-set per half.  The halves
+share every phase but the response: a word carries its half or both
+halves' fields, and each half closes its cycles on its own
+``lp.respond`` mailbox.
 
 LearnPaths is smm's fragment dealing and routing run on the adjacency
 matrix, with the vertex classes as bands.  Node v holds its column and
@@ -42,7 +46,6 @@ import numpy as np
 
 from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for
 from .graphs import Graph
-from .oracle import canonical_triangle
 from .partition import balanced_assignment
 from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
                   fragment_requests, fragment_responder)
@@ -76,6 +79,37 @@ def packet_allocation(loads: list[int]) -> tuple[int, list[int]]:
         starts.append(acc)
         acc += t
     return cap, starts
+
+
+def close_cycles(inbox: Inbox, xs: np.ndarray, ys: np.ndarray, pos: np.ndarray,
+                 width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One team member's triangles (x, y, z) led by their smallest vertex.
+
+    ``xs``/``ys`` are the member's learned arcs x -> y with x < y, x in V_i
+    and y in V_j; its ``lp.respond`` inbox holds the S arcs y -> z (y in
+    V_j, z in its path part) and the T arcs z -> x (x in V_i).  ``pos[u]``
+    is u's position in its class, below ``width``.  The join expands each
+    learned arc to the z's of its y and keeps it where z -> x was
+    delivered and x < z.  Each rotation of a triangle closes at exactly
+    one member, so keeping the rotation that starts at its smallest vertex
+    lists it once.
+    """
+    is_s = inbox.tag == _ENT_S
+    is_t = inbox.tag == _ENT_T
+    # S arcs sorted by their tail: arc x -> y meets the run of its y.
+    tail = inbox.i1[is_s]
+    order = np.argsort(tail)
+    tail, heads = tail[order], inbox.i2[is_s][order]
+    lo = np.searchsorted(tail, ys)
+    count = np.searchsorted(tail, ys, side="right") - lo
+    closing = np.zeros((len(pos), width), dtype=np.bool_)   # [z, pos[x]]: z -> x
+    closing[inbox.i1[is_t], pos[inbox.i2[is_t]]] = True
+    row = np.repeat(np.arange(len(xs)), count)
+    z = heads[np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    x = xs[row]
+    keep = (x < z) & closing[z, pos[x]]
+    hit = row[keep]
+    return xs[hit], ys[hit], z[keep]
 
 
 @dataclass
@@ -128,21 +162,20 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         "tri.degrees", lambda v, state: (_DEG, G.d_in(v), G.d_out(v), 0))
     degrees = [w[1] + w[2] for w in words]      # in- plus out-degree
     v_sets = balanced_assignment(degrees, q, 2 * n)
-    v_of = [0] * n
-    member_pos = [0] * n
+    cls_of = np.zeros(n, dtype=np.int64)       # u's class
+    pos = np.zeros(n, dtype=np.int64)          # u's position in its class
     for i, members in enumerate(v_sets):
-        for pos, u in enumerate(members):
-            v_of[u] = i
-            member_pos[u] = pos
+        cls_of[members] = i
+        pos[members] = np.arange(len(members))
+    v_of = cls_of.tolist()
 
-    # Per-class degree profiles: node v's arcs from and to each class.
-    in_cls = [[0] * q for _ in range(n)]
-    out_cls = [[0] * q for _ in range(n)]
-    for v in range(n):
-        for u in G.in_adj[v]:
-            in_cls[v][v_of[u]] += 1
-        for u in G.out_adj[v]:
-            out_cls[v][v_of[u]] += 1
+    # Per-class degree profiles: in_cls[v, i] counts v's arcs from class i,
+    # out_cls[v, i] its arcs to class i.
+    tails, heads = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
+    in_cls = np.zeros((n, q), dtype=np.int64)
+    out_cls = np.zeros((n, q), dtype=np.int64)
+    np.add.at(in_cls, (heads, cls_of[tails]), 1)
+    np.add.at(out_cls, (tails, cls_of[heads]), 1)
 
     # --- per-class out-edge counts feed the N-set partitions --------------
     def emit_vcounts(v, state):
@@ -150,7 +183,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         # Own class only; the free self-message keeps every member's table
         # complete.
         j = np.arange(len(members) * q) % q
-        return np.repeat(members, q), _VC, j, np.array(out_cls[v])[j], 0
+        return np.repeat(members, q), _VC, j, out_cls[v, j], 0
 
     engine.run_ingest_emit("tri.vcounts", None, emit_vcounts)
 
@@ -190,7 +223,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     # --- N-set counts cross the classes; halves and team assignment -------
     def emit_ncounts(v, state):
-        targets = [v_sets[tgt_class][member_pos[v]] for tgt_class in range(q)]
+        targets = [v_sets[tgt_class][pos[v]] for tgt_class in range(q)]
         counts = [len(n_sets[(v_of[v], j)]) for j in range(q)]
         j = np.arange(q * q) % q
         return np.repeat(targets, q), _NC, j, np.array(counts)[j], 0
@@ -246,23 +279,29 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     engine.run_phase("tri.le.forward", forward)
 
     # --- path-count scatter: every active team balances its path work -----
-    # learned[t][v]: node v's learned arcs of half t, as (x, y) columns.
+    # learned[t][v]: node v's learned arcs x -> y of half t with x < y, as
+    # (x, y) columns; only those start a listed rotation of a triangle.
     learned: list[list] = [[None] * n for _ in halves]
     members = np.arange(len(halves[0]) * q)
+    team = members // q
+    # path_counts[t, v, r]: node v's arcs from V_j plus its arcs to V_i, for
+    # team r of half t working on (i, j, ell); 0 past the half's end.
+    path_counts = np.zeros((len(halves), n, len(halves[0])), dtype=np.int64)
+    for t, half in enumerate(halves):
+        for r, (i_d, j_d, _) in enumerate(half):
+            path_counts[t, :, r] = in_cls[:, j_d] + out_cls[:, i_d]
 
     def psums(v, state, inbox):
         # The word carries the edge endpoints and half; the sender is just
         # the allocation node that held the packet.
         edge = inbox.tag == _EDGE
         x, y, half = inbox.i1[edge], inbox.i2[edge], inbox.val[edge]
+        lead = x < y
         for t in range(len(halves)):
-            learned[t][v] = (x[half == t], y[half == t])
-        # One word per team member carries both halves' path counts; a team
-        # past the second half's end sends 0 for it.
-        s0, s1 = ([in_cls[v][j_d] + out_cls[v][i_d] for i_d, j_d, _ in teams] + [0]
-                  for teams in halves)
-        team = members // q
-        return members, _PSUM, team, np.array(s0)[team], np.array(s1)[team]
+            keep = lead & (half == t)
+            learned[t][v] = (x[keep], y[keep])
+        # One word per team member carries both halves' path counts.
+        return members, _PSUM, team, path_counts[0, v, team], path_counts[1, v, team]
 
     engine.run_phase("tri.psums", psums)
 
@@ -308,25 +347,19 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         del state["buckets"]       # no later phase reads them
         return out
 
-    # --- each half closes its cycles locally over its delivered path edges
-    found: set[tuple[int, int, int]] = set()
+    # --- each half closes its cycles locally, node by node ----------------
+    none = np.zeros(0, dtype=np.int64)
+    found = [(none, none, none)]
     for t, respond in enumerate((respond_first, respond_second)):
         engine.run_phase(f"tri.{t + 1}.lp.respond", respond)
-        # Learned edges are freed node by node as they are scanned.
+        # Learned edges are freed node by node as they are joined.
         mail = engine.drain_inboxes()
         for v, (xs, ys) in enumerate(learned[t]):
-            into_path: dict[int, list[int]] = {}
-            from_path = set()
-            for _, tagw, i1, i2, _ in mail[v].messages():
-                if tagw == _ENT_S:     # edge (i1 in V_j) -> (i2 in path part)
-                    into_path.setdefault(i1, []).append(i2)
-                elif tagw == _ENT_T:   # edge (i1 in path part) -> (i2 in V_i)
-                    from_path.add((i1, i2))
-            for x, y in zip(xs.tolist(), ys.tolist()):
-                for z in into_path.get(y, ()):
-                    if (z, x) in from_path:
-                        found.add(canonical_triangle(x, y, z))
+            inbox = mail[v]
+            if len(xs) and len(inbox):
+                found.append(close_cycles(inbox, xs, ys, pos, Q))
             learned[t][v] = None
         del mail
 
-    return TriangleResult(found, state_view, engine.ledger.since(mark))
+    triangles = set(zip(*(np.concatenate(col).tolist() for col in zip(*found))))
+    return TriangleResult(triangles, state_view, engine.ledger.since(mark))

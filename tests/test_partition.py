@@ -89,6 +89,26 @@ def test_padded_groups_properties(k, weights):
     assert balanced_assignment(weights, k, 7) == want
 
 
+def sorted_key_assignment(weights, k):
+    """The strided split by its definition: placeholders first, then items
+    by (weight, index); group j takes sorted positions j, j+k, ..."""
+    pad = (-len(weights)) % k
+    order = [None] * pad + sorted(range(len(weights)), key=lambda i: (weights[i], i))
+    return [sorted(i for i in order[j::k] if i is not None) for j in range(k)]
+
+
+@given(st.integers(min_value=1, max_value=12),
+       st.one_of(st.lists(st.integers(min_value=0, max_value=3), max_size=30),
+                 st.lists(st.just(0), max_size=30),
+                 st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30)))
+def test_balanced_assignment_matches_sorted_key_definition(k, weights):
+    # Small weight ranges force ties; k up to 12 exceeds short lists, so
+    # some groups hold only placeholders.
+    groups = balanced_assignment(weights, k, max(weights, default=0))
+    assert groups == sorted_key_assignment(weights, k)
+    assert all(type(i) is int for g in groups for i in g)
+
+
 def test_determinism():
     ws = [3, 1, 4, 1, 5, 9, 2, 6]
     a = balanced_assignment(ws, 4, 9)

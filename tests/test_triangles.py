@@ -81,11 +81,39 @@ def test_small_digraphs_match_oracle():
 
 
 def test_complete_graph():
-    K8 = Graph.undirected(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
-    res = list_triangles(K8)
-    want = oracle.enumerate_triangles(K8)
-    assert len(want) == 112              # 2 orientations x C(8,3)
-    assert res.triangles == want
+    # Every vertex pair in both directions: at n=27 each learned arc meets
+    # many delivered arcs and every team member closes many cycles.
+    for n, count in ((8, 112), (27, 5850)):      # 2 orientations x C(n,3)
+        K = Graph.undirected(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        want = oracle.enumerate_triangles(K)
+        assert len(want) == count
+        assert list_triangles(K).triangles == want
+
+
+def test_dense_digraph_with_two_cycles():
+    # Each vertex pair independently gets no arc, one of the two arcs or
+    # both, so density is about 1/2 and a quarter of the pairs are
+    # 2-cycles.
+    rng = random.Random(64)
+    arcs = []
+    for u in range(64):
+        for v in range(u + 1, 64):
+            kind = rng.randrange(4)
+            arcs += [(u, v)] * (kind in (1, 3)) + [(v, u)] * (kind in (2, 3))
+    G = Graph(64, arcs)
+    assert abs(G.m / (64 * 63) - 0.5) < 0.05
+    want = oracle.enumerate_triangles(G)
+    assert len(want) > 10000
+    assert list_triangles(G).triangles == want
+
+
+def test_triangles_are_tuples_of_python_ints():
+    G = random_digraph(27, 200, random.Random(5))
+    found = list_triangles(G).triangles
+    assert found
+    for tri in found:
+        assert type(tri) is tuple and len(tri) == 3
+        assert all(type(u) is int for u in tri), tri
 
 
 def test_partition_state_invariants():

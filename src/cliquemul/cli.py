@@ -43,13 +43,6 @@ def _out_dir() -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 # -- instance generators ----------------------------------------------------
 
 def generate_matrix(n: int, nz_target: int, seed: int, semiring: Semiring) -> SparseMatrix:
@@ -255,22 +248,17 @@ def _cmd_multiply(args) -> int:
     sr = semiring_by_name(args.semiring)
     S = load_matrix_market(args.lhs, sr)
     T = load_matrix_market(args.rhs, sr)
-    if S.n != T.n:
-        raise DimensionError(f"operand sizes differ ({S.n} vs {T.n})")
-    n = S.n
-    padded_n = _next_pow2(n) if args.pad == "pow2" else n
-    res = smm(S.padded(padded_n), T.padded(padded_n))
-    product = res.product.truncated(n)
+    res = smm(S, T)
     out = args.out if args.out else _out_dir() / (Path(args.lhs).stem + ".product.mtx")
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_matrix_market(product, out)
+    save_matrix_market(res.product, out)
     _write_ledger(res.records, args.ledger)
-    print(f"multiply: n={n} nz_lhs={S.nz()} nz_rhs={T.nz()} "
+    print(f"multiply: n={S.n} nz_lhs={S.nz()} nz_rhs={T.nz()} "
           f"split=({res.split.a},{res.split.b}) rounds={res.rounds()} "
-          f"nz_out={product.nz()} -> {out}")
+          f"nz_out={res.product.nz()} -> {out}")
     if args.verify:
         want = oracle.dense_multiply(S, T)
-        if product != want:
+        if res.product != want:
             print("verify: MISMATCH against dense oracle", file=sys.stderr)
             return 1
         print("verify: ok")
@@ -379,11 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--rhs", type=Path, required=True)
     mp.add_argument("--semiring", choices=["bool", "count", "minplus"],
                     required=True)
-    mp.add_argument("--pad", choices=["none", "pow2"], default="none",
-                    help="pad to the next power of two first; a split (a, b) "
-                         "needs ab to divide n, so a prime n can only split "
-                         "(1, 1), (1, n) or (n, 1) and costs many more rounds "
-                         "(n=127, 16000 nonzeros: 139 rounds, 25 padded)")
     mp.add_argument("--out", type=Path, default=None)
     _add_common(mp)
     mp.set_defaults(func=_cmd_multiply)

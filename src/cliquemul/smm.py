@@ -70,76 +70,64 @@ class SplitPair:
     b: int
 
 
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def n_split_pairs(n: int) -> list[tuple[int, int]]:
-    """All (a, b) with a | n, b | n, ab | n, ascending lexicographic.
-
-    ab must divide n, not merely stay below it: the nodes form an a-by-b
-    grid of groups with exactly n/(ab) members each.
-    """
-    divs = divisors(n)
-    return [(a, b) for a in divs for b in divs if n % (a * b) == 0]
+    """All (a, b) with ab <= n, ascending lexicographic: the nodes form an
+    a-by-b grid of groups, each of at least one node."""
+    return [(a, b) for a in range(1, n + 1) for b in range(1, n // a + 1)]
 
 
 def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
-    """Exact value of the round-cost surrogate nzS*b/n^2 + nzT*a/n^2 + n/(ab)."""
-    return Fraction(nzS * b + nzT * a, n * n) + Fraction(n, a * b)
+    """Exact value of the round-cost surrogate (nzS/a + nzT/b)/(n*g) + n/(ab).
+
+    g = n // (ab) is the smallest group's size, which the response load
+    of its pages is spread over; when ab divides n this is
+    nzS*b/n^2 + nzT*a/n^2 + n/(ab).
+    """
+    g = n // (a * b)
+    return Fraction(nzS * b + nzT * a + n * n * g, a * b * n * g)
 
 
 def choose_split(nzS: int, nzT: int, n: int) -> SplitPair:
-    """Argmin of split_cost over all valid divisor pairs, ties to smallest (a, b)."""
+    """Argmin of split_cost over ``n_split_pairs``, ties to smallest (a, b).
+
+    For fixed a and fixed n // (ab) the cost falls strictly as b grows,
+    so only the largest such b is scored.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    best = None
-    best_cost = None
-    for a, b in n_split_pairs(n):
-        cost = split_cost(nzS, nzT, n, a, b)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = (a, b), cost
-    return SplitPair(*best)
+    candidates = [(a, b) for a, b in n_split_pairs(n) if n // a // (n // (a * b)) == b]
+    return SplitPair(*min(candidates, key=lambda ab: split_cost(nzS, nzT, n, *ab)))
 
 
-# -- node aliasing ----------------------------------------------------------
+# -- bands and the node grid ------------------------------------------------
 
-def group_of(v: int, a: int, b: int, n: int) -> tuple[int, int, int]:
-    """Triple alias v -> (i, j, k): row-major over the a*b grid, n/(ab) per cell."""
-    g = n // (a * b)
-    blk, k = divmod(v, g)
-    i, j = divmod(blk, b)
-    return i, j, k
+def _bands(line_nz: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-balanced bands of lines: line -> permuted position, and
+    permuted position -> band.
 
-
-def node_of(i: int, j: int, k: int, a: int, b: int, n: int) -> int:
-    g = n // (a * b)
-    return (i * b + j) * g + k
-
-
-# -- balancing permutations -------------------------------------------------
-
-def _balance_permutations(row_nz: list[int], col_nz: list[int], a: int, b: int):
-    """Row/col permutations grouping lines into weight-balanced bands.
-
-    Band i of the permuted lhs collects the i-th group of the balanced
-    assignment of row-nonzero counts (k=a, bound x=n); likewise for rhs
-    columns with k=b.  Within a band, original line order is preserved.
+    Band i holds the i-th group of the balanced assignment of the line
+    counts (bound x=n), in original line order, so it has floor(n/k) or
+    ceil(n/k) lines, the short bands first.
     """
-    n = len(row_nz)
-    groups_s = balanced_assignment(row_nz, a, n)
-    groups_t = balanced_assignment(col_nz, b, n)
-    sigma = [0] * n
-    h = n // a
-    for i, grp in enumerate(groups_s):
-        for off, r in enumerate(grp):
-            sigma[r] = i * h + off
-    tau = [0] * n
-    w = n // b
-    for j, grp in enumerate(groups_t):
-        for off, c in enumerate(grp):
-            tau[c] = j * w + off
-    return sigma, tau
+    groups = balanced_assignment(line_nz, k, len(line_nz))
+    perm = np.empty(len(line_nz), dtype=np.int64)
+    perm[np.concatenate(groups)] = np.arange(len(line_nz))
+    return perm, np.repeat(np.arange(k), [len(g) for g in groups])
+
+
+def grid_cells(n: int, a: int, b: int) -> np.ndarray:
+    """Node -> its (i, j, k) row: group (i, j) of the a-by-b grid, place k in it.
+
+    The groups are consecutive runs of nodes in row-major order, the
+    first (-n) mod ab of floor(n/(ab)) nodes and the rest of
+    ceil(n/(ab)).
+    """
+    cells = a * b
+    sizes = np.full(cells, -(-n // cells), dtype=np.int64)
+    sizes[:(-n) % cells] -= 1
+    group = np.repeat(np.arange(cells), sizes)
+    k = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return np.column_stack((group // b, group % b, k))
 
 
 # -- subsequences -----------------------------------------------------------
@@ -232,15 +220,6 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
 class SubseqOwnership:
     s: SubseqSide
     t: SubseqSide
-
-
-# -- page assignment --------------------------------------------------------
-
-def build_page_assignment(weights: list[int], n: int, a: int, b: int) -> list[list[int]]:
-    """Weight-balanced striding of the n pages (rank-1 slices) of one
-    sub-matrix group over its n/(ab) nodes: node k of the group gets the
-    sorted page list at index k, ab pages."""
-    return balanced_assignment(weights, n // (a * b), 2 * n)
 
 
 # -- fragment dealing, counts, requests and responses -----------------------
@@ -454,22 +433,22 @@ def _fragment_counts(inbox, ownership: SubseqOwnership, slots, n: int) -> list:
 
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
-                      a: int, b: int, grid: np.ndarray
+                      band_s: np.ndarray, band_t: np.ndarray, grid: np.ndarray
                       ) -> dict[tuple[int, int], tuple[list[list[int]], tuple[bytes, bytes]]]:
     """Band-count exchange and per-group page assignment.
 
     Each fragment owner sends every node one word holding how many
     entries of its fragments fall in that node's row band (lhs) and
     column band (rhs); all-zero words stay unsent.  Every node of a group
-    then derives the same weight-balanced page striping; the returned
-    dict holds, per (i, j) group, that assignment and the flags
-    ``fragment_requests`` reads.  ``grid[u]`` is node u's group (i, j).
+    then derives the same weight-balanced striping of the n pages
+    (rank-1 slices) over the group's nodes; the returned dict holds, per
+    (i, j) group, that assignment (node k of the group takes list k) and
+    the flags ``fragment_requests`` reads.  ``band_s[p]`` and
+    ``band_t[p]`` are the bands of permuted row and column p, and
+    ``grid[u]`` is node u's group (i, j).
     """
     n = engine.n
-    h_s = n // a
-    h_t = n // b
-    ingest = bucket_fragments(ownership, [p // h_s for p in range(n)],
-                              [p // h_t for p in range(n)])
+    ingest = bucket_fragments(ownership, band_s, band_t)
 
     def emit_counts(v, state):
         s_counts, t_counts = state["buckets"].counts(len(ownership.s.owned[v]))
@@ -481,6 +460,12 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     engine.run_ingest_emit("sbmm.counts", ingest, emit_counts)
     slots = [_owned_slots(ownership.s), _owned_slots(ownership.t)]
 
+    # Every member of a group receives the same count words, because
+    # ``emit_counts`` picks a word by the receiver's group alone.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for u, (i, j) in enumerate(grid.tolist()):
+        groups.setdefault((i, j), []).append(u)
+
     def page_assignment(group, inbox):
         counts = _fragment_counts(inbox, ownership, slots, n)
         weights = np.zeros(n, dtype=np.int64)
@@ -490,14 +475,9 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
         # inbox, so the weight vector is complete.  The requests need only
         # which fragments hold entries in the band: a byte per fragment,
         # small enough to keep for every group until they are out.
-        return (build_page_assignment(weights.tolist(), n, a, b),
+        return (balanced_assignment(weights.tolist(), len(groups[group]), 2 * n),
                 tuple((side_counts > 0).tobytes() for side_counts in counts))
 
-    # Every member of a group receives the same count words, because
-    # ``emit_counts`` picks a word by the receiver's group alone.
-    g = n // (a * b)
-    groups = {(i, j): [node_of(i, j, k, a, b, n) for k in range(g)]
-              for i in range(a) for j in range(b)}
     return engine.derive_per_group(groups, page_assignment)
 
 
@@ -587,16 +567,20 @@ def _kernel_partials(semiring: Semiring, n: int, inbox, is_s, is_t,
 
 
 def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
-                   a: int, b: int, row_dst: np.ndarray, col_out: np.ndarray):
-    """Counts through reduce on dealt fragments; returns the gathered product."""
+                   bands: tuple[np.ndarray, np.ndarray], cells: np.ndarray,
+                   row_dst: np.ndarray, col_out: np.ndarray):
+    """Counts through reduce on dealt fragments; returns the gathered product.
+
+    ``bands`` holds the band of each permuted row and column, and
+    ``cells`` is ``grid_cells``'s node table."""
     n = engine.n
-    grid = np.array([group_of(u, a, b, n)[:2] for u in range(n)], dtype=np.int64)
-    derived = compute_receiving(engine, ownership, a, b, grid)
+    grid = cells[:, :2]
+    derived = compute_receiving(engine, ownership, *bands, grid)
 
     # A node asks for a line's fragments only from owners whose count word
     # reported entries in its band.
     def request(v, state, inbox):
-        i, j, k = group_of(v, a, b, n)
+        i, j, k = cells[v].tolist()
         assignment, wanted = derived[(i, j)]
         state["my_pages"] = assignment[k]
         return fragment_requests(ownership, [(state["my_pages"], wanted)])
@@ -707,9 +691,7 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     col_nz = [w[2] for w in words]
     s_col_nz, t_row_nz = zip(*(divmod(w[3], base) for w in words))
     split = choose_split(sum(row_nz), sum(col_nz), n)
-    a, b = split.a, split.b
-    sigma, tau = _balance_permutations(row_nz, col_nz, a, b)
-    sigma_of, tau_of = np.array(sigma), np.array(tau)
+    (sigma_of, band_s), (tau_of, band_t) = _bands(row_nz, split.a), _bands(col_nz, split.b)
 
     # Permuting keeps column v of S' = sigma(S) and row v of T' = T tau
     # on node v: both are local relabels.
@@ -728,6 +710,8 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     row_dst, col_out = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     row_dst[sigma_of] = np.arange(n)
     col_out[tau_of] = np.arange(n)
-    product = _balanced_core(engine, sr, ownership, a, b, row_dst, col_out)
-    return SmmResult(product, split, sigma, tau, engine.ledger.since(mark))
+    product = _balanced_core(engine, sr, ownership, (band_s, band_t),
+                             grid_cells(n, split.a, split.b), row_dst, col_out)
+    return SmmResult(product, split, sigma_of.tolist(), tau_of.tolist(),
+                     engine.ledger.since(mark))
 

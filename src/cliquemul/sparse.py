@@ -86,21 +86,6 @@ class SparseMatrix:
                 dense[i][j] = v
         return dense
 
-    # -- padding ------------------------------------------------------------
-
-    def padded(self, new_n: int) -> "SparseMatrix":
-        if new_n < self.n:
-            raise DimensionError("padding cannot shrink a matrix")
-        rows = [list(r) for r in self.rows] + [[] for _ in range(new_n - self.n)]
-        return SparseMatrix(new_n, self.semiring, rows)
-
-    def truncated(self, new_n: int) -> "SparseMatrix":
-        """Drop rows/cols >= new_n; inverse of ``padded`` for block-padded data."""
-        if new_n > self.n:
-            raise DimensionError("truncation cannot grow a matrix")
-        rows = [[(j, v) for j, v in self.rows[i] if j < new_n] for i in range(new_n)]
-        return SparseMatrix(new_n, self.semiring, rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)

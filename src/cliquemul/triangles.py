@@ -140,7 +140,8 @@ class TriangleResult:
 
 
 def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResult:
-    """All directed triangles of G, canonicalized and deduplicated.
+    """All directed triangles of G, each listed once, as the rotation led
+    by its smallest vertex.
 
     A graph whose vertex count is not a cube runs padded with isolated
     vertices, which lie on no triangle, up to the next cube; ``engine``

@@ -32,10 +32,14 @@ SEMIRINGS = ("bool", "count", "minplus")
 SIZES = (4, 8, 16, 27, 32, 64)
 DENSITIES = (0.05, 0.2, 0.8)
 SEEDS_PER_CELL = 10
-# Full-density cells come last, so the seeds of the cells before them
-# stay put.
+# Later cells are appended, so the seeds of the cells before them stay
+# put: full density, then sizes that force splits (a, b) with ab not
+# dividing n, so bands and groups are uneven.
+UNEVEN_SIZES = (20, 23)
 CELLS = ([(name, n, dens) for name in SEMIRINGS for n in SIZES for dens in DENSITIES]
-         + [(name, n, 1.0) for name in SEMIRINGS for n in SIZES])
+         + [(name, n, 1.0) for name in SEMIRINGS for n in SIZES]
+         + [(name, n, dens) for name in SEMIRINGS for n in UNEVEN_SIZES
+            for dens in DENSITIES + (1.0,)])
 
 # Per-node load constant for criterion 6, frozen after measurement: the
 # worst LearnEdges/LearnPaths load observed across the sweep is 1.38*beta
@@ -72,7 +76,10 @@ def load_failures(key, records, n, a, b, nzS, nzT) -> tuple[list[str], set[str]]
     """Ledger entries over their load lemma, and the labels that were checked."""
     failures = []
     checked = set()
-    respond_recv = Fraction(nzS * b + nzT * a, n) + 6 * n
+    # The a*b groups hold floor(n/(ab)) or ceil(n/(ab)) nodes each; with
+    # ab | n every bound below is the even grid's.
+    small, large = n // (a * b), -(-n // (a * b))
+    respond_recv = Fraction(nzS * b + nzT * a, a * b * small) + 6 * n
     # A node owns at most 2 fragments per side, dealt in size pairs: the
     # j-th largest, at most floor(nz/n) + 1 entries, and the j-th smallest
     # of the 2n (padded) ones, at most nz // (n + 1), since the n + 1
@@ -115,14 +122,18 @@ def load_failures(key, records, n, a, b, nzS, nzT) -> tuple[list[str], set[str]]
                 failures.append(
                     f"{key} respond send {rec.max_send} > {respond_send}")
         elif rec.label == "sbmm.reduce":
-            # Send: a node of group (i, j) computes at most the (n/a)(n/b)
-            # cells of row band i and column band j, one partial each.
-            # Receive: a row owner hears from the n/(ab) nodes of each of
-            # the b groups (i, *), about at most n/b columns each.  Both
-            # come to n^2/(ab), reached at full density.
-            for side, load in (("send", rec.max_send), ("recv", rec.max_recv)):
-                if load * a * b > n * n:
-                    failures.append(f"{key} reduce {side} {load} > n^2/(ab)")
+            # Send: a node of group (i, j) computes at most the cells of
+            # row band i and column band j, one partial each, and a band
+            # holds at most ceil(n/a) rows or ceil(n/b) columns.  Receive:
+            # a row owner hears from each node of the b groups (i, *),
+            # at most ceil(n/(ab)) nodes each, about the columns of its
+            # group's band, n columns over all b bands.  Both come to
+            # n^2/(ab) when ab | n, reached at full density.
+            reduce_send = -(-n // a) * -(-n // b)
+            if rec.max_send > reduce_send:
+                failures.append(f"{key} reduce send {rec.max_send} > {reduce_send}")
+            if rec.max_recv > large * n:
+                failures.append(f"{key} reduce recv {rec.max_recv} > {large * n}")
         else:
             continue
         checked.add(rec.label)
@@ -137,17 +148,25 @@ def test_criterion_1_oracle_equivalence(smm_corpus):
     report(1, "oracle equivalence", failures)
 
 
+def band_of_position(n: int, k: int) -> list[int]:
+    """Position -> band, for k consecutive bands of floor(n/k) or
+    ceil(n/k) positions, the short bands first."""
+    sizes = [-(-n // k) - (i < (-n) % k) for i in range(k)]
+    return [i for i, size in enumerate(sizes) for _ in range(size)]
+
+
 def test_criterion_2_balance_condition(smm_corpus):
     failures = []
     for name, n, dens, S, T, res in smm_corpus:
         a, b = res.split.a, res.split.b
-        # Row r of S lands in row band sigma[r] // (n/a) of sigma(S), and
-        # column c of T in column band tau[c] // (n/b) of T tau.
+        # Row r of S lands in row band row_band[sigma[r]] of sigma(S), and
+        # column c of T in column band col_band[tau[c]] of T tau.
+        row_band, col_band = band_of_position(n, a), band_of_position(n, b)
         row_bands, col_bands = [0] * a, [0] * b
         for r, row in enumerate(S.rows):
-            row_bands[res.sigma[r] // (n // a)] += len(row)
+            row_bands[row_band[res.sigma[r]]] += len(row)
         for _, c, _ in T.entries():
-            col_bands[res.tau[c] // (n // b)] += 1
+            col_bands[col_band[res.tau[c]]] += 1
         for i, cnt in enumerate(row_bands):
             if cnt * a > S.nz() + n * a:
                 failures.append(f"{name} n={n} d={dens}: row band {i}")
@@ -323,7 +342,6 @@ def test_criterion_10_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cliquemul.cli", "multiply",
              "--lhs", str(lhs), "--rhs", str(rhs), "--semiring", "count",
-             "--pad", "pow2",
              "--out", str(out), "--ledger", str(ledger)],
             capture_output=True, text=True, check=False, env=env)
         if proc.returncode != 0:

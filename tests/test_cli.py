@@ -139,22 +139,36 @@ def test_multiply_command(tmp_path, capsys):
     write_matrix(rhs, 6, 12, 1)
     out = tmp_path / "p.mtx"
     rc = cli.main(["multiply", "--lhs", str(lhs), "--rhs", str(rhs),
-                   "--semiring", "count", "--pad", "pow2",
+                   "--semiring", "count",
                    "--out", str(out), "--verify"])
     assert rc == 0
     assert out.exists()
     assert "verify: ok" in capsys.readouterr().out
 
 
-def test_multiply_pads_only_to_powers_of_two(tmp_path, capsys):
+def test_multiply_prime_size_verifies(tmp_path, capsys):
+    # 13 nodes: a split (a, b) with ab not dividing n has uneven bands
+    # and groups.
+    lhs, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix(lhs, 13, 60, 0)
+    write_matrix(rhs, 13, 60, 1)
+    rc = cli.main(["multiply", "--lhs", str(lhs), "--rhs", str(rhs),
+                   "--semiring", "count", "--out", str(tmp_path / "p.mtx"), "--verify"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verify: ok" in out
+    assert "split=(3,4)" in out      # ab = 12 does not divide 13
+
+
+def test_multiply_has_no_pad_option(tmp_path, capsys):
     lhs, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
     write_matrix(lhs, 5, 6, 0)
     write_matrix(rhs, 5, 6, 1)
     with pytest.raises(SystemExit) as exc:
         cli.main(["multiply", "--lhs", str(lhs), "--rhs", str(rhs),
-                  "--semiring", "count", "--pad", "cube"])
+                  "--semiring", "count", "--pad", "pow2"])
     assert exc.value.code == 2
-    assert "invalid choice: 'cube'" in capsys.readouterr().err
+    assert "unrecognized arguments: --pad" in capsys.readouterr().err
 
 
 def test_multiply_minplus_inf_is_an_omitted_entry(tmp_path, capsys):

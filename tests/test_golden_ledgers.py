@@ -39,6 +39,12 @@ def smm_sparse(engine):
     smm(*_operands(16, round(0.3 * 16 * 16), 1), engine)
 
 
+def smm_uneven(engine):
+    # 23 nodes split (4, 5): bands of 5 or 6 rows and 4 or 5 columns, and
+    # 20 groups, 17 of one node and 3 of two.
+    smm(*_operands(23, round(0.3 * 23 * 23), 1), engine)
+
+
 def smm_full(engine):
     smm(*_operands(16, 16 * 16, 3), engine)
 
@@ -62,6 +68,7 @@ def four_cycles_then_apsp(engine):
 CASES = {
     "smm_n16_d03": (16, smm_sparse),
     "smm_n16_full": (16, smm_full),
+    "smm_n23_d03": (23, smm_uneven),
     "triangles_n27": (27, triangles_27),
     "triangles_n64": (64, triangles_64),
     "four_cycles_apsp_n16": (16, four_cycles_then_apsp),

@@ -15,13 +15,11 @@ from cliquemul.smm import (
     Buckets,
     SplitPair,
     SubseqOwnership,
-    build_page_assignment,
     build_subsequences,
     choose_split,
     fragment_requests,
     fragment_responder,
-    group_of,
-    node_of,
+    grid_cells,
     smm,
     split_cost,
 )
@@ -71,32 +69,35 @@ def test_choose_split_frozen_values():
     assert choose_split(512, 512, 64) == SplitPair(8, 8)
     # empty operands leave only the n/(ab) term, so push ab to n
     assert choose_split(0, 0, 8) == SplitPair(1, 8)
-    # (2,2) has the lowest cost at n=6 but the node grid needs ab | n
+    # (2,2) would tie (2,3) at n/(ab) = 3/2 nodes a group, but its four
+    # groups on six nodes are charged the smallest group, of one node
     assert choose_split(18, 18, 6) == SplitPair(2, 3)
 
 
 def test_choose_split_is_argmin():
     rng = random.Random(1)
     for _ in range(50):
-        n = rng.choice([4, 6, 8, 12])
+        n = rng.choice([4, 6, 7, 8, 12, 13, 20, 31, 48])
         nzS, nzT = rng.randint(0, n * n), rng.randint(0, n * n)
         got = choose_split(nzS, nzT, n)
-        best = min(split_cost(nzS, nzT, n, a, b)
-                   for a in range(1, n + 1)
-                   for b in range(1, n + 1) if n % (a * b) == 0)
-        assert split_cost(nzS, nzT, n, got.a, got.b) == best
+        # every pair, in lexicographic order, so ties go to the smallest
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a * b <= n]
+        assert (got.a, got.b) == min(pairs, key=lambda ab: split_cost(nzS, nzT, n, *ab))
 
 
-def test_node_aliasing_bijection():
-    for n, a, b in ((8, 2, 2), (12, 3, 2), (9, 1, 1), (16, 4, 4)):
-        seen = set()
-        g = n // (a * b)
-        for v in range(n):
-            i, j, k = group_of(v, a, b, n)
-            assert 0 <= i < a and 0 <= j < b and 0 <= k < g
-            assert node_of(i, j, k, a, b, n) == v
-            seen.add((i, j, k))
-        assert len(seen) == n
+def test_grid_cells_uneven_groups():
+    for n, a, b in ((23, 4, 5), (13, 2, 3), (20, 3, 3), (7, 1, 7), (16, 4, 4)):
+        cells = grid_cells(n, a, b).tolist()
+        # each node once, groups consecutive in row-major order
+        assert len(set(map(tuple, cells))) == n
+        assert cells == sorted(cells)
+        sizes = {}
+        for i, j, k in cells:
+            assert 0 <= i < a and 0 <= j < b
+            assert k == sizes.get((i, j), 0)
+            sizes[(i, j)] = k + 1
+        assert len(sizes) == a * b
+        assert set(sizes.values()) <= {n // (a * b), -(-n // (a * b))}
 
 
 # -- subsequence table ------------------------------------------------------
@@ -204,12 +205,6 @@ def test_fragment_responder_rejects_unowned_bits():
     for bad in ((2, 0), (0, 2), (1, 4)):
         with pytest.raises(SimulationError, match="node 0 was asked by node 2"):
             respond(0, state, request(*bad))
-
-
-def test_build_page_assignment_uniform():
-    parts = build_page_assignment([4] * 8, 8, 2, 2)
-    assert sorted(x for part in parts for x in part) == list(range(8))
-    assert [len(part) for part in parts] == [4, 4]      # ab pages per node
 
 
 # -- end to end -------------------------------------------------------------

@@ -34,13 +34,6 @@ def test_row_and_column_views():
     assert M.entry(1, 1) == COUNT.omitted
 
 
-def test_padded_and_truncated():
-    M = SparseMatrix.from_entries(2, COUNT, [(0, 1, 3), (1, 0, 4)])
-    P = M.padded(5)
-    assert P.n == 5 and P.nz() == 2
-    assert P.truncated(2) == M
-
-
 def test_matrix_market_round_trip(tmp_path):
     cases = [
         (COUNT, [(0, 0, 7), (2, 1, -3)]),

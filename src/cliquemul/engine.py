@@ -41,6 +41,14 @@ delivery by one stable argsort on ``dst``.  Mailbox order is thus
 canonical: sender id ascending, then emission order.  Node v's inbox is
 an ``Inbox``, the slice of the sorted columns addressed to v, with a
 ``src`` column in place of ``dst``.
+
+A broadcast phase (``run_broadcast``) skips that path: each node's
+handler returns its one word, and the engine lays the delivery out in
+destination order straight from the k words, node d's inbox being every
+sender but d in ascending order.  The loads are known without counting
+(n - 1 sent per sender, k less one per sender received), and the
+mailboxes, value dtype included, are those of the n - 1 copies sent as
+ordinary batches.
 """
 
 from __future__ import annotations
@@ -61,6 +69,11 @@ _HEADER = ("dst", "tag", "i1", "i2")
 
 class SimulationError(RuntimeError):
     """A protocol step violated the communication model."""
+
+
+class _Word(tuple):
+    """A handler's broadcast word ``(tag, i1, i2, val)``, for every other
+    node; only ``run_broadcast`` makes them."""
 
 
 def value_column(values) -> np.ndarray:
@@ -156,6 +169,17 @@ def _header_column(column, k: int, label: str, v: int, name: str) -> np.ndarray:
     return column.astype(np.int64, copy=False)
 
 
+def _word_headers(words: list, senders: list[int], label: str) -> np.ndarray:
+    """The words' ``(tag, i1, i2)`` fields as a k-by-3 int64 array; a field
+    outside int64 raises as it would in a batch, naming its sender."""
+    head = np.array([word[:3] for word in words])
+    if head.dtype.kind not in "bi":
+        for v, word in zip(senders, words):
+            for field, name in zip(word[:3], _HEADER[1:]):
+                _header_column(field, 1, label, v, name)
+    return head.astype(np.int64, copy=False)
+
+
 def _batch_columns(batch: Batch, label: str, v: int) -> list | None:
     """A handler's batch checked and normalized: int64 headers, one value
     column; None for an empty batch."""
@@ -241,16 +265,22 @@ class CliqueEngine:
         """
         n = self.n
         mail = self.inboxes
-        senders, batches = [], []
+        senders, batches, words = [], [], []
         for v in range(n):
             out = handler(v, self.states[v], mail[v])
-            if out is not None:
+            if type(out) is _Word:
+                senders.append(v)
+                words.append(out)
+            elif out is not None:
                 columns = _batch_columns(out, label, v)
                 if columns is not None:
                     senders.append(v)
                     batches.append(columns)
         del mail
         self.inboxes = Delivery.empty(n)
+        if words:
+            assert not batches, "a broadcast phase carries words only"
+            return self._deliver_words(label, senders, words)
         if not batches:
             return self.ledger.charge_for_loads(label, n, 0, 0, 0)
         lengths = [len(columns[0]) for columns in batches]
@@ -287,6 +317,25 @@ class CliqueEngine:
         return self.ledger.charge_for_loads(
             label, n, int(sends.max()), int(recvs.max()), int(sends.sum()))
 
+    def _deliver_words(self, label: str, senders: list[int], words: list) -> int:
+        """Delivery of broadcast words, laid out in destination order."""
+        n, k = self.n, len(words)
+        head = _word_headers(words, senders, label)
+        val = value_column([word[3] for word in words])
+        src = np.array(senders, dtype=np.int64)
+        # Node d hears every sender but itself, in sender order.
+        which = np.tile(np.arange(k), n)
+        dst = np.repeat(np.arange(n), k)
+        heard = src[which] != dst
+        which, dst = which[heard], dst[heard]
+        received = np.full(n, k, dtype=np.int64)
+        received[src] -= 1
+        bounds = [0] + np.cumsum(received).tolist()
+        self.inboxes = Delivery(dst, src[which], head[which, 0], head[which, 1],
+                                head[which, 2], val[which], bounds)
+        return self.ledger.charge_for_loads(
+            label, n, n - 1, int(received.max()), k * (n - 1))
+
     def run_ingest_emit(self, label: str, ingest, emit) -> int:
         """One phase in two steps: ``ingest(v, state, inbox)`` keeps what
         the node needs of its mailbox, then ``emit(v, state)`` returns its
@@ -301,20 +350,17 @@ class CliqueEngine:
     def run_broadcast(self, label: str, word_fn, ingest=None) -> list:
         """Each node sends ``word_fn(v, state)`` (or None) to every other node.
 
-        A word is ``(tag, i1, i2, val)``; its n - 1 copies are one batch
-        with a single value per column.  ``ingest`` runs first, as in
-        ``run_ingest_emit``.  Returns the vector of words, None for a
-        silent node: it is common knowledge once the phase is delivered.
+        A word is ``(tag, i1, i2, val)``; the phase delivers it as n - 1
+        messages, charged as such (see the module docstring).  ``ingest``
+        runs first, as in ``run_ingest_emit``.  Returns the vector of
+        words, None for a silent node: it is common knowledge once the
+        phase is delivered.
         """
-        n = self.n
-        words: list = [None] * n
-        nodes = np.arange(n)
+        words: list = [None] * self.n
 
         def emit(v, state):
             word = words[v] = word_fn(v, state)
-            if word is None:
-                return None
-            return (np.delete(nodes, v), *word)
+            return None if word is None else _Word(word)
 
         self.run_ingest_emit(label, ingest, emit)
         return words

@@ -77,15 +77,23 @@ def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
     at most sum(weights)/k + x, the strided split's bound, since padding
     only adds zeros; every weight must lie in [0, x].
     """
+    return balanced_assignments(np.asarray(weights, dtype=np.int64).reshape(1, -1), k, x)[0]
+
+
+def balanced_assignments(weights: np.ndarray, k: int, x: int) -> list[list[list[int]]]:
+    """``balanced_assignment`` of each row of a 2-D weight array, all rows
+    sorted in one call."""
     if k < 1:
         raise PartitionError(f"k={k} must be positive")
-    if any(w < 0 for w in weights):
+    if weights.size and weights.min() < 0:
         raise PartitionError("weights must be nonnegative")
-    if weights and max(weights) > x:
-        raise PartitionError(f"weight {max(weights)} exceeds bound x={x}")
-    pad = (-len(weights)) % k
+    if weights.size and weights.max() > x:
+        raise PartitionError(f"weight {weights.max()} exceeds bound x={x}")
+    rows, items = weights.shape
+    pad = (-items) % k
     # A stable sort breaks weight ties by index; -1 marks a placeholder.
-    order = np.concatenate((np.full(pad, -1), np.argsort(weights, kind="stable")))
-    groups = np.sort(order.reshape(-1, k).T, axis=1).tolist()
+    order = np.concatenate((np.full((rows, pad), -1),
+                            np.argsort(weights, axis=1, kind="stable")), axis=1)
+    groups = np.sort(order.reshape(rows, -1, k).transpose(0, 2, 1), axis=2).tolist()
     # Group j < pad starts with its one placeholder.
-    return [g[1:] for g in groups[:pad]] + groups[pad:]
+    return [[g[1:] for g in row[:pad]] + row[pad:] for row in groups]

@@ -34,6 +34,20 @@ kernel's ``.tolist()`` results have the same types as the scalar path's:
   exactly;
 * boolean (bool, logical_and, logical_or): every value a ``bool``.
 
+Counting and boolean also multiply whole dense blocks: ``block_exact(lhs,
+rhs, terms)`` says when a float64 matrix product of blocks holding those
+values, each result a sum of at most ``terms`` products, gives the
+scalar values once cast back to the kernel's dtype:
+
+* counting: every value an ``int`` and max|lhs| * max|rhs| * terms <=
+  2**53, so every product and partial sum, in whatever order the matrix
+  product adds them, is an integer float64 holds exactly;
+* boolean: every value a ``bool``; as 0/1 floats a sum counts the true
+  products, at most ``terms`` <= 2**53, and casting to bool tests it
+  for > 0.
+
+Min-plus has no block product.
+
 Outside the envelope, and for semirings built without a kernel, callers
 use the scalar ``add``/``mul``.
 """
@@ -64,7 +78,9 @@ class ArrayKernel:
     and summing at most ``terms`` products per result with ``add`` gives
     the scalar semiring's values, of the same Python type after
     ``.tolist()``.  ``sums_exact(vals)`` is True when summing any of
-    ``vals`` with ``add``, in any order, does.  Both read value columns.
+    ``vals`` with ``add``, in any order, does.  ``block_exact`` is
+    ``exact`` for a float64 matrix product cast back to ``dtype``, or None
+    when the semiring has no such product.  All read value columns.
     """
 
     dtype: type
@@ -72,6 +88,7 @@ class ArrayKernel:
     add: np.ufunc
     exact: Callable[[np.ndarray, np.ndarray, int], bool]
     sums_exact: Callable[[np.ndarray], bool]
+    block_exact: Callable[[np.ndarray, np.ndarray, int], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -169,6 +186,11 @@ def _counting_exact(lhs: np.ndarray, rhs: np.ndarray, terms: int) -> bool:
             and _max_abs(lhs) * _max_abs(rhs) * terms <= INT64_MAX)
 
 
+def _counting_block_exact(lhs: np.ndarray, rhs: np.ndarray, terms: int) -> bool:
+    return (_all_of_type(lhs, int) and _all_of_type(rhs, int)
+            and _max_abs(lhs) * _max_abs(rhs) * terms <= 2**53)
+
+
 def _counting_sums_exact(values: np.ndarray) -> bool:
     if values.dtype != np.int64:
         return False
@@ -196,7 +218,7 @@ _BOOLEAN = Semiring(
     parse_value=_bool_parse,
     format_value=_bool_format,
     kernel=ArrayKernel(np.bool_, np.logical_and, np.logical_or, _bool_exact,
-                       partial(_all_of_type, kind=bool)),
+                       partial(_all_of_type, kind=bool), _bool_exact),
 )
 
 _COUNTING = Semiring(
@@ -209,7 +231,7 @@ _COUNTING = Semiring(
     parse_value=int,
     format_value=str,
     kernel=ArrayKernel(np.int64, np.multiply, np.add, _counting_exact,
-                       _counting_sums_exact),
+                       _counting_sums_exact, _counting_block_exact),
 )
 
 _MIN_PLUS = Semiring(

@@ -16,7 +16,10 @@ row/column permutations, then the balanced multiplication protocol.
   else two paired by size, a small one with a large one, so no node
   holds more than one fragment plus a 1/(n+1) share of the side;
 * sbmm.counts: fragment owners tell every node how many entries fall in
-  its row/column band, in one word, giving page weights;
+  its row/column band, in one word, giving page weights.  A word's lhs
+  field depends only on the receiver's row band and its rhs field only
+  on its column band, so the line weights are derived once per band and
+  side, and each group's pages are striped from their sum;
 * sbmm.request/sbmm.respond: each node sends every owner it needs one
   word, a bit per fragment (so one round), and pulls exactly the
   band-restricted fragments of its pages that have entries in its band;
@@ -24,10 +27,14 @@ row/column permutations, then the balanced multiplication protocol.
   rows, each partial sent straight to the owner of its unpermuted row.
   A node runs its semiring's array kernel when its values lie inside the
   kernel's exactness envelope (see ``semiring.py``) and the scalar fold
-  otherwise; both send the same messages.  Node r then sums its row's
-  partials, all rows at once with the kernel when its ``sums_exact``
-  holds on the delivered partials, else with the scalar fold in mailbox
-  order.
+  otherwise; both send the same messages.  Inside the envelope, a node
+  whose kernel has an exact block product (counting and boolean) and
+  whose dense blocks are small against its pair count multiplies its
+  (rows x pages) and (pages x columns) blocks in one float64 product;
+  the others multiply entry pairs page by page.  Node r then sums its
+  row's partials, all rows at once with the kernel when its
+  ``sums_exact`` holds on the delivered partials, else with the scalar
+  fold in mailbox order.
 
 Triangle listing's LearnPaths runs the fragment dealing and routing
 below (``deal_fragments``, ``bucket_fragments``, ``fragment_requests``,
@@ -48,12 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 import numpy as np
 
 from .engine import (CliqueEngine, PhaseRecord, SimulationError, concat_values,
                      engine_for, value_column)
-from .partition import avg_partition, balanced_assignment
+from .partition import avg_partition, balanced_assignment, balanced_assignments
 from .semiring import Semiring
 from .sparse import DimensionError, SparseMatrix
 
@@ -70,12 +78,6 @@ class SplitPair:
     b: int
 
 
-def n_split_pairs(n: int) -> list[tuple[int, int]]:
-    """All (a, b) with ab <= n, ascending lexicographic: the nodes form an
-    a-by-b grid of groups, each of at least one node."""
-    return [(a, b) for a in range(1, n + 1) for b in range(1, n // a + 1)]
-
-
 def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
     """Exact value of the round-cost surrogate (nzS/a + nzT/b)/(n*g) + n/(ab).
 
@@ -88,15 +90,29 @@ def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
 
 
 def choose_split(nzS: int, nzT: int, n: int) -> SplitPair:
-    """Argmin of split_cost over ``n_split_pairs``, ties to smallest (a, b).
+    """Argmin of split_cost over every (a, b) with ab <= n, ties to the
+    lexicographically smallest: the nodes form an a-by-b grid of groups,
+    each of at least one node.
 
-    For fixed a and fixed n // (ab) the cost falls strictly as b grows,
-    so only the largest such b is scored.
+    For fixed a and fixed g = n // (ab) the cost falls strictly as b
+    grows, so only the largest such b is scored.  Costs are compared as
+    cross-multiplied integers of ``split_cost``'s fraction, and only a
+    strictly lower cost replaces the best, so ties keep the first pair.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    candidates = [(a, b) for a, b in n_split_pairs(n) if n // a // (n // (a * b)) == b]
-    return SplitPair(*min(candidates, key=lambda ab: split_cost(nzS, nzT, n, *ab)))
+    best = None
+    for a in range(1, n + 1):
+        m = n // a
+        b = 1
+        while b <= m:
+            g = m // b
+            b = m // g                  # the largest b with n // (ab) == g
+            num, den = nzS * b + nzT * a + n * n * g, a * b * n * g
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, a, b)
+            b += 1
+    return SplitPair(best[2], best[3])
 
 
 # -- bands and the node grid ------------------------------------------------
@@ -306,34 +322,44 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
     return ingest
 
 
-def fragment_requests(ownership: SubseqOwnership, asks) -> tuple:
-    """One request word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per owner asked.
+def fragment_requests(ownership: SubseqOwnership, asks):
+    """Emit step of a request phase, with every node's words built at once.
 
-    ``asks[k]`` is a ``(lines, wanted)`` pair whose fragments set bits at
-    shift 2k of the masks, so one word carries every set (triangle
+    Node v sends one word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per
+    owner it asks, owners ascending.  ``asks[k]`` is a ``(lines, wanted)``
+    pair: ``lines[v]`` holds node v's lines of set k, whose fragments set
+    bits at shift 2k of the masks, so one word carries every set (triangle
     listing's two halves); within a set, fragment q is bit
     ``SubseqSide.bit[q]``, as its owner holds at most two per side.  An
     empty fragment (``SubseqSide.size``, common knowledge) is never asked
     for, so an owner of only empty fragments hears nothing.  ``wanted``
-    holds, per side, one flag per fragment id, nonzero when the count
-    words reported entries of that fragment in the requester's band; an
-    unflagged fragment is not asked for either.  None asks for every
-    nonempty fragment of the lines.  Returns the batch, owners ascending.
+    holds, per side, a table of flags indexed by (node, fragment id),
+    nonzero when the count words reported entries of that fragment in
+    the node's band; an unflagged fragment is not asked for either.  None
+    asks for every nonempty fragment of the lines.  The masks of all
+    nodes are filled by one ``bitwise_or.at`` per side and set.
     """
-    masks = []
-    for k, side in enumerate((ownership.s, ownership.t)):
-        size, owner, bit = (side.arrays[name] for name in ("size", "owner", "bit"))
-        mask = np.zeros(len(side.owned), dtype=np.int64)
-        for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
-            q = side.fragments_of(lines)
+    n = len(ownership.s.owned)
+    masks = np.zeros((2, n, n), dtype=np.int64)     # side, requester, owner
+    for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
+        line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
+        asker = np.repeat(np.arange(n), [len(own) for own in lines])
+        for k, side in enumerate((ownership.s, ownership.t)):
+            size, owner, bit, count = (side.arrays[name]
+                                       for name in ("size", "owner", "bit", "count"))
+            q = side.fragments_of(line)
+            who = np.repeat(asker, count[line])
             keep = size[q] > 0
             if wanted is not None:
-                keep &= np.frombuffer(wanted[k], dtype=np.bool_)[q]
-            q = q[keep]
-            np.bitwise_or.at(mask, owner[q], bit[q] << shift)
-        masks.append(mask)
-    dst = np.flatnonzero(masks[0] | masks[1])
-    return dst, _REQ, masks[0][dst], masks[1][dst], 0
+                keep &= wanted[k][who, q]
+            q, who = q[keep], who[keep]
+            np.bitwise_or.at(masks[k], (who, owner[q]), bit[q] << shift)
+
+    def emit(v, state):
+        dst = np.flatnonzero(masks[0, v] | masks[1, v])
+        return dst, _REQ, masks[0, v, dst], masks[1, v, dst], 0
+
+    return emit
 
 
 def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
@@ -410,81 +436,107 @@ def _owned_slots(side: SubseqSide) -> np.ndarray:
     return slots
 
 
-def _fragment_counts(inbox, ownership: SubseqOwnership, slots, n: int) -> list:
-    """Decode count words into, per side, an array indexed by fragment id of
-    the fragment's entries in the receiver's band.
+def _fragment_counts(inbox, side: SubseqSide, slots: np.ndarray, k: int,
+                     n: int) -> np.ndarray:
+    """Decode field k (0 lhs, 1 rhs) of the count words into an array
+    indexed by fragment id of the fragment's entries in the receiver's band.
 
-    A word's lhs and rhs fields each pack the counts of the sender's (at
-    most two) owned fragments of that side, in id order, as
-    ``first * (n + 1) + second``; a fragment without a word has no entry
-    in the band.
+    The field packs the counts of the sender's (at most two) owned
+    fragments of that side, in id order, as ``first * (n + 1) + second``;
+    a fragment without a word has no entry in the band.
     """
     words = inbox.tag == _CNT
-    src = inbox.src[words]
-    out = []
-    for side, side_slots, field in zip((ownership.s, ownership.t), slots,
-                                       (inbox.i1[words], inbox.i2[words])):
-        # The extra last slot takes the second count of one-fragment owners.
-        cnt = np.zeros(len(side.origin) + 1, dtype=np.int64)
-        for slot, value in zip(side_slots[src].T, divmod(field, n + 1)):
-            cnt[slot] = value
-        out.append(cnt[:-1])
-    return out
+    field = (inbox.i1, inbox.i2)[k][words]
+    # The extra last slot takes the second count of one-fragment owners.
+    cnt = np.zeros(len(side.origin) + 1, dtype=np.int64)
+    for slot, value in zip(slots[inbox.src[words]].T, divmod(field, n + 1)):
+        cnt[slot] = value
+    return cnt[:-1]
 
 
 def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
-                      band_s: np.ndarray, band_t: np.ndarray, grid: np.ndarray
-                      ) -> dict[tuple[int, int], tuple[list[list[int]], tuple[bytes, bytes]]]:
+                      band_s: np.ndarray, band_t: np.ndarray, cells: np.ndarray
+                      ) -> tuple[list[list[int]], tuple[np.ndarray, np.ndarray]]:
     """Band-count exchange and per-group page assignment.
 
     Each fragment owner sends every node one word holding how many
     entries of its fragments fall in that node's row band (lhs) and
     column band (rhs); all-zero words stay unsent.  Every node of a group
     then derives the same weight-balanced striping of the n pages
-    (rank-1 slices) over the group's nodes; the returned dict holds, per
-    (i, j) group, that assignment (node k of the group takes list k) and
-    the flags ``fragment_requests`` reads.  ``band_s[p]`` and
+    (rank-1 slices) over the group's nodes.  ``band_s[p]`` and
     ``band_t[p]`` are the bands of permuted row and column p, and
-    ``grid[u]`` is node u's group (i, j).
+    ``cells`` is ``grid_cells``'s node table.  Returns each node's pages
+    and, per side, the flags ``fragment_requests`` reads as a table
+    indexed by (node, fragment id).
     """
     n = engine.n
     ingest = bucket_fragments(ownership, band_s, band_t)
 
     def emit_counts(v, state):
         s_counts, t_counts = state["buckets"].counts(len(ownership.s.owned[v]))
-        s_field = _count_fields(s_counts, n)[grid[:, 0]]
-        t_field = _count_fields(t_counts, n)[grid[:, 1]]
+        s_field = _count_fields(s_counts, n)[cells[:, 0]]
+        t_field = _count_fields(t_counts, n)[cells[:, 1]]
         dst = np.flatnonzero(s_field | t_field)
         return dst, _CNT, s_field[dst], t_field[dst], 0
 
     engine.run_ingest_emit("sbmm.counts", ingest, emit_counts)
-    slots = [_owned_slots(ownership.s), _owned_slots(ownership.t)]
 
-    # Every member of a group receives the same count words, because
-    # ``emit_counts`` picks a word by the receiver's group alone.
+    # A word's lhs field depends on the receiver's row band alone and its
+    # rhs field on its column band (``emit_counts``), and a missing word
+    # reads as 0, so every member of a band derives the same line weights
+    # from that field: one derivation per band and side.
+    weights, flags = [], []
+    for k, side in enumerate((ownership.s, ownership.t)):
+        slots = _owned_slots(side)
+
+        def line_counts(band, inbox):
+            counts = _fragment_counts(inbox, side, slots, k, n)
+            line_weights = np.zeros(n, dtype=np.int64)
+            np.add.at(line_weights, side.arrays["origin"], counts)
+            # Own counts travel as free self-messages and are already in
+            # the inbox, so the weights are complete.  The requests need
+            # only which fragments hold entries in the band.
+            return line_weights.tobytes(), (counts > 0).tobytes()
+
+        bands: dict[int, list[int]] = {}
+        for u, band in enumerate(cells[:, k].tolist()):
+            bands.setdefault(band, []).append(u)
+        derived = engine.derive_per_group(bands, line_counts)
+        weights.append(np.stack([np.frombuffer(derived[b][0], dtype=np.int64)
+                                 for b in range(len(bands))]))
+        flags.append(np.stack([np.frombuffer(derived[b][1], dtype=np.bool_)
+                               for b in range(len(bands))]))
+
+    # Group (i, j) weighs page ell by both bands' entries on it; the groups
+    # of one size are striped together.
     groups: dict[tuple[int, int], list[int]] = {}
-    for u, (i, j) in enumerate(grid.tolist()):
+    for u, (i, j) in enumerate(cells[:, :2].tolist()):
         groups.setdefault((i, j), []).append(u)
-
-    def page_assignment(group, inbox):
-        counts = _fragment_counts(inbox, ownership, slots, n)
-        weights = np.zeros(n, dtype=np.int64)
-        for side, side_counts in zip((ownership.s, ownership.t), counts):
-            np.add.at(weights, side.arrays["origin"], side_counts)
-        # Own counts travel as free self-messages and are already in the
-        # inbox, so the weight vector is complete.  The requests need only
-        # which fragments hold entries in the band: a byte per fragment,
-        # small enough to keep for every group until they are out.
-        return (balanced_assignment(weights.tolist(), len(groups[group]), 2 * n),
-                tuple((side_counts > 0).tobytes() for side_counts in counts))
-
-    return engine.derive_per_group(groups, page_assignment)
+    pages: list = [None] * n
+    for size in {len(members) for members in groups.values()}:
+        keys = [key for key, members in groups.items() if len(members) == size]
+        i, j = np.array(keys).T
+        for key, assignment in zip(keys, balanced_assignments(
+                weights[0][i] + weights[1][j], size, 2 * n)):
+            for u, my_pages in zip(groups[key], assignment):
+                pages[u] = my_pages
+    return pages, (flags[0][cells[:, 0]], flags[1][cells[:, 1]])
 
 
-def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: np.ndarray,
-                  col_out: np.ndarray) -> None:
+# A node multiplies dense blocks when their volume (rows x pages x
+# columns) is at most this many times its (lhs, rhs) pair count.  Timing
+# both paths of ``_kernel_partials`` on random blocks (8 to 64 rows and
+# columns, 16 to 256 pages, densities 0.02 to 0.5; one core of a 2 vCPU
+# x86 VM), the block product won at every volume/pairs ratio below 400
+# and lost on large blocks above it; smm-uniform's n=512 nodes sit at 61-67.
+_BLOCK_PER_PAIR = 256
+
+
+def _reduce_phase(engine: CliqueEngine, semiring: Semiring, pages: list,
+                  row_dst: np.ndarray, col_out: np.ndarray) -> None:
     """Local page products; the partial for cell (r, c) goes to node
-    row_dst[r] as result column col_out[c].
+    row_dst[r] as result column col_out[c].  ``pages[v]`` is node v's
+    page list.
 
     A node whose values lie in its semiring kernel's exactness envelope
     (at most one product per page per cell, so ``terms`` is its page
@@ -496,13 +548,15 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, row_dst: np.ndarray,
 
     def reduce(v, state, inbox):
         del state["buckets"]    # its last reader was respond
-        pages = state.pop("my_pages")
         if not len(inbox):
             return None
         is_s, is_t = inbox.tag == _ENT_S, inbox.tag == _ENT_T
-        if kernel is not None and kernel.exact(inbox.val[is_s], inbox.val[is_t], len(pages)):
-            return _kernel_partials(semiring, engine.n, inbox, is_s, is_t, row_dst, col_out)
-        return _scalar_partials(semiring, pages, inbox, row_dst, col_out)
+        # (row, page, value) of the lhs entries, (page, column, value) of the rhs.
+        lhs = inbox.i1[is_s], inbox.i2[is_s], inbox.val[is_s]
+        rhs = inbox.i1[is_t], inbox.i2[is_t], inbox.val[is_t]
+        if kernel is not None and kernel.exact(lhs[2], rhs[2], len(pages[v])):
+            return _kernel_partials(semiring, engine.n, lhs, rhs, row_dst, col_out)
+        return _scalar_partials(semiring, pages[v], inbox, row_dst, col_out)
 
     engine.run_phase("sbmm.reduce", reduce)
 
@@ -532,24 +586,46 @@ def _scalar_partials(semiring: Semiring, pages: list[int], inbox,
     return row_dst[list(rows)], _RED, col_out[list(cols)], 0, list(vals)
 
 
-def _kernel_partials(semiring: Semiring, n: int, inbox, is_s, is_t,
+def _kernel_partials(semiring: Semiring, n: int, lhs: tuple, rhs: tuple,
                      row_dst: np.ndarray, col_out: np.ndarray) -> tuple | None:
-    """``_scalar_partials`` in array form: every (lhs, rhs) entry pair of a
-    page is multiplied, and the products are summed per cell.  A node
-    holds entries of its own pages only, as it asked for no others."""
+    """``_scalar_partials`` in array form.  A node holds entries of its own
+    pages only, as it asked for no others.
+
+    When the kernel has a block product that is exact on the node's
+    values and the dense blocks are small against the pair count
+    (``_BLOCK_PER_PAIR``), the node multiplies (rows x pages) by (pages x
+    columns), over the row and column ranges it holds and the pages it
+    holds entries of; otherwise every (lhs, rhs) entry pair of a page is
+    multiplied and the products are summed per cell.  Either way the
+    nonzero cells go out in (r, c) order with the same values.
+    """
     kernel = semiring.kernel
-    s_row, s_page = inbox.i1[is_s], inbox.i2[is_s]
-    t_page, t_col = inbox.i1[is_t], inbox.i2[is_t]
-    # Lhs entry k pairs with each rhs entry of its page: rhs entries sorted
-    # by page, the pair's rhs index is the page's first one plus an offset.
-    # Kernel sums are exact in any order, so no sort here needs to be stable.
-    t_order = np.argsort(t_page)
-    t_count = np.bincount(t_page, minlength=n)
-    t_first = np.cumsum(t_count) - t_count
+    (s_row, s_page, s_val), (t_page, t_col, t_val) = lhs, rhs
+    s_count, t_count = np.bincount(s_page, minlength=n), np.bincount(t_page, minlength=n)
     reps = t_count[s_page]
     pairs = int(reps.sum())
     if pairs == 0:
         return None
+    # Page -> 1 + its column in the block, over the pages with entries.
+    held = np.cumsum((s_count | t_count) > 0)
+    depth = int(held[-1])
+    r_lo, c_lo = int(s_row.min()), int(t_col.min())
+    height, width = int(s_row.max()) - r_lo + 1, int(t_col.max()) - c_lo + 1
+    if (kernel.block_exact is not None
+            and height * depth * width <= _BLOCK_PER_PAIR * pairs
+            and kernel.block_exact(s_val, t_val, depth)):
+        s_block = np.zeros((height, depth))
+        s_block[s_row - r_lo, held[s_page] - 1] = s_val
+        t_block = np.zeros((depth, width))
+        t_block[held[t_page] - 1, t_col - c_lo] = t_val
+        block = (s_block @ t_block).astype(kernel.dtype)
+        r, c = np.nonzero(block)
+        return row_dst[r + r_lo], _RED, col_out[c + c_lo], 0, block[r, c]
+    # Lhs entry k pairs with each rhs entry of its page: rhs entries sorted
+    # by page, the pair's rhs index is the page's first one plus an offset.
+    # Kernel sums are exact in any order, so no sort here needs to be stable.
+    t_order = np.argsort(t_page)
+    t_first = np.cumsum(t_count) - t_count
     li = np.repeat(np.arange(len(s_page)), reps)
     offset = np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps)
     ri = t_order[np.repeat(t_first[s_page], reps) + offset]
@@ -557,9 +633,8 @@ def _kernel_partials(semiring: Semiring, n: int, inbox, is_s, is_t,
     order = np.argsort(cell)
     li, ri, cell = li[order], ri[order], cell[order]
     starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    s_val = inbox.val[is_s][li].astype(kernel.dtype)
-    t_val = inbox.val[is_t][ri].astype(kernel.dtype)
-    sums = kernel.add.reduceat(kernel.mul(s_val, t_val), starts)
+    sums = kernel.add.reduceat(kernel.mul(s_val[li].astype(kernel.dtype),
+                                          t_val[ri].astype(kernel.dtype)), starts)
     cell = cell[starts]
     kept = sums != semiring.omitted
     cell, sums = cell[kept], sums[kept]
@@ -574,20 +649,16 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     ``bands`` holds the band of each permuted row and column, and
     ``cells`` is ``grid_cells``'s node table."""
     n = engine.n
-    grid = cells[:, :2]
-    derived = compute_receiving(engine, ownership, *bands, grid)
-
+    pages, wanted = compute_receiving(engine, ownership, *bands, cells)
     # A node asks for a line's fragments only from owners whose count word
-    # reported entries in its band.
-    def request(v, state, inbox):
-        i, j, k = cells[v].tolist()
-        assignment, wanted = derived[(i, j)]
-        state["my_pages"] = assignment[k]
-        return fragment_requests(ownership, [(state["my_pages"], wanted)])
-
-    engine.run_phase("sbmm.request", request)
-    engine.run_phase("sbmm.respond", fragment_responder(ownership, grid[:, 0], grid[:, 1]))
-    _reduce_phase(engine, semiring, row_dst, col_out)
+    # reported entries in its band.  The request masks are gone before the
+    # responses are built.
+    engine.run_ingest_emit("sbmm.request", None,
+                           fragment_requests(ownership, [(pages, wanted)]))
+    del wanted
+    engine.run_phase("sbmm.respond",
+                     fragment_responder(ownership, cells[:, 0], cells[:, 1]))
+    _reduce_phase(engine, semiring, pages, row_dst, col_out)
     return SparseMatrix(n, semiring, _gather_rows(semiring, engine.drain_inboxes(), n))
 
 

@@ -319,8 +319,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         state_view.p_parts.append(engine.derive_per_group(active, partial(team_paths, t)))
 
     # --- LearnPaths: one request word per owner asks for both halves' lines
-    engine.run_ingest_emit("tri.lp.request", None, lambda v, state: fragment_requests(
-        ownership, [(parts[v // q][v % q] if v // q in parts else [], None)
+    engine.run_ingest_emit("tri.lp.request", None, fragment_requests(
+        ownership, [([parts[v // q][v % q] if v // q in parts else [] for v in range(n)], None)
                     for parts in state_view.p_parts]))
 
     def responder(half):

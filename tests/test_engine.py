@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cliquemul
 from cliquemul import apsp, count_4_cycles, list_triangles, smm
@@ -62,6 +62,71 @@ def test_broadcast_waves():
     eng.run_broadcast("w2", lambda v, st: (0, v, 0, 0))
     assert eng.ledger.records[-1].rounds == 1
     assert sum(r.rounds for r in eng.ledger.records) == 2
+
+
+@st.composite
+def broadcasts(draw):
+    """n nodes, each silent (None) or broadcasting one word."""
+    n = draw(st.integers(1, 7))
+    kinds = draw(st.sets(st.sampled_from(["int", "bool", "any"]), min_size=1))
+    values = st.one_of(*(
+        {"int": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(), "any": VALUES}[k]
+        for k in sorted(kinds)))
+    word = st.tuples(st.integers(0, 9), st.integers(-2**63, 2**63 - 1),
+                     st.integers(-5, 5), values)
+    return n, draw(st.lists(st.none() | word, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(broadcasts())
+@example((1, [(3, 1, 2, 4)]))                            # n = 1: nothing crosses a link
+@example((5, [None, (0, 1, 0, 7), None, (0, 2, 0, 8), None]))   # silent nodes
+@example((4, [(0, 0, 0, 2**70), (0, 0, 0, 1), None, (0, 0, 0, True)]))
+def test_broadcast_delivery_matches_reference_model(case):
+    n, words = case
+    eng = CliqueEngine(n)
+    assert eng.run_broadcast("b", lambda v, st: words[v]) == words
+
+    # Reference: each word sent as n - 1 ordinary messages, so node d's
+    # inbox holds every other sender's word, senders ascending.
+    boxes = [[(v, *word) for v, word in enumerate(words) if word is not None and v != d]
+             for d in range(n)]
+    for d in range(n):
+        got = eng.inboxes[d].messages()
+        assert got == boxes[d]
+        assert [type(m[4]) for m in got] == [type(m[4]) for m in boxes[d]]
+    values = [w[3] for w in words if w is not None]
+    kinds = set(map(type, values))
+    if kinds == {bool}:
+        dtype = np.bool_
+    elif kinds == {int} and all(-2**63 <= x < 2**63 for x in values):
+        dtype = np.int64
+    else:
+        dtype = object
+    assert all(eng.inboxes[d].val.dtype == dtype for d in range(n) if boxes[d])
+    k = len(values)
+    recvs = [len(box) for box in boxes]
+    total = sum(recvs)
+    rec = eng.ledger.records[-1]
+    assert (rec.max_send, rec.max_recv, rec.total_msgs) == (
+        n - 1 if k else 0, max(recvs), total)
+    assert rec.rounds == (1 if total else 0)
+
+    # The same words as ordinary batches give the same delivery.
+    batches = CliqueEngine(n)
+    batches.run_phase("b", lambda v, st, box: None if words[v] is None else (
+        np.delete(np.arange(n), v), *words[v]))
+    assert batches.ledger.records == eng.ledger.records
+    for d in range(n):
+        assert batches.inboxes[d].messages() == eng.inboxes[d].messages()
+
+
+def test_broadcast_header_outside_int64_raises():
+    eng = CliqueEngine(3)
+    with pytest.raises(SimulationError,
+                       match="phase 'b': node 1 sent a i1 field outside int64"):
+        eng.run_broadcast("b", lambda v, st: (0, 2**63 if v == 1 else v, 0, 0))
+    assert eng.ledger.records == []
 
 
 def test_mailbox_order_is_sender_then_emission():

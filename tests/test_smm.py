@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
-from cliquemul.engine import CliqueEngine, Inbox, SimulationError
+from cliquemul.engine import CliqueEngine, Inbox, SimulationError, value_column
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
@@ -165,6 +166,14 @@ def test_build_subsequences_properties(case):
         assert sum(side.size[q] for q in ids) <= side.block + total // (n + 1)
 
 
+def node_requests(ownership, asks):
+    """Node 0's request batch when it asks for the lines of ``asks`` and
+    every other node asks for nothing."""
+    n = len(ownership.s.owned)
+    return fragment_requests(ownership, [([lines] + [[]] * (n - 1), wanted)
+                                         for lines, wanted in asks])(0, {})
+
+
 def test_fragment_requests_skip_empty_fragments():
     # Line 1 is fragments 2 (2 entries, node 1) and 3 (empty, node 3);
     # node 3 owns only empty fragments and hears nothing.  Every owner
@@ -174,7 +183,7 @@ def test_fragment_requests_skip_empty_fragments():
     assert side.size[3] == side.size[5] == 0
 
     def words(rhs, asks):
-        reqs = messages(fragment_requests(SubseqOwnership(side, rhs), asks))
+        reqs = messages(node_requests(SubseqOwnership(side, rhs), asks))
         assert len({u for u, *_ in reqs}) == len(reqs)
         return sorted((u, s_mask, t_mask) for u, _tag, s_mask, t_mask, _ in reqs)
 
@@ -194,7 +203,7 @@ def test_fragment_responder_rejects_unowned_bits():
     respond = fragment_responder(ownership, [0] * 4, [0] * 4)
     # One band per side: the lhs bucket holds the entry at row 1, value 7.
     state = {"buckets": Buckets(np.array([1]), np.array([7]), np.array([0, 1, 1]), (1, 1))}
-    (_, req, s_mask, t_mask, _), = messages(fragment_requests(ownership, [([3], None)]))
+    (_, req, s_mask, t_mask, _), = messages(node_requests(ownership, [([3], None)]))
     assert (s_mask, t_mask) == (1, 1)
 
     def request(s_mask, t_mask):
@@ -336,6 +345,112 @@ def test_reduce_scalar_fold_equals_kernel_run(sr):
         runs.append((typed_rows(smm(S, T, engine).product), engine.ledger.to_csv()))
     assert verdicts and all(verdicts)
     assert runs[0] == runs[1]
+
+
+# -- sbmm.reduce: block product against the pair path and the scalar fold ---
+
+SMM = sys.modules["cliquemul.smm"]
+
+
+def band_entries(rng, n, height, width, pages, density, draw):
+    """One node's lhs (row, page, value) and rhs (page, column, value)
+    entries: a row band and a column band at an offset, over ``pages``
+    random pages, in shuffled arrival order."""
+    page_ids = rng.sample(range(n), pages)
+    r_lo, c_lo = rng.randrange(n - height + 1), rng.randrange(n - width + 1)
+    lhs = [(r_lo + r, p, draw()) for r in range(height) for p in page_ids
+           if rng.random() < density]
+    rhs = [(p, c_lo + c, draw()) for p in page_ids for c in range(width)
+           if rng.random() < density]
+    rng.shuffle(lhs)
+    rng.shuffle(rhs)
+    return lhs, rhs
+
+
+def reduce_by_path(monkeypatch, sr, n, lhs, rhs, per_pair):
+    """One node's partials as typed messages: the scalar fold's, and
+    ``_kernel_partials``'s with the size rule's constant at ``per_pair``,
+    plus the ``block_exact`` verdicts that run asked for."""
+    ident = np.arange(n)
+    inbox = Inbox(np.zeros(len(lhs) + len(rhs), dtype=np.int64),
+                  np.repeat((SMM._ENT_S, SMM._ENT_T), (len(lhs), len(rhs))),
+                  np.array([e[0] for e in lhs + rhs], dtype=np.int64),
+                  np.array([e[1] for e in lhs + rhs], dtype=np.int64),
+                  value_column([e[2] for e in lhs + rhs]))
+    pages = sorted({p for _, p, _ in lhs} | {p for p, _, _ in rhs})
+
+    def typed(batch):
+        return [] if batch is None else [m + (type(m[4]),) for m in messages(batch)]
+
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(sr.kernel.block_exact(*args))
+        return verdicts[-1]
+
+    spied = dataclasses.replace(sr, kernel=dataclasses.replace(sr.kernel, block_exact=spy))
+    monkeypatch.setattr(SMM, "_BLOCK_PER_PAIR", per_pair)
+    columns = [(inbox.i1[tag], inbox.i2[tag], inbox.val[tag])
+               for tag in (inbox.tag == SMM._ENT_S, inbox.tag == SMM._ENT_T)]
+    kernel = typed(SMM._kernel_partials(spied, n, *columns, ident, ident))
+    return typed(SMM._scalar_partials(sr, pages, inbox, ident, ident)), kernel, verdicts
+
+
+NEVER, ALWAYS = 0, 2**62     # size-rule constants that force pairs or blocks
+
+
+@pytest.mark.parametrize("sr", [counting_semiring(), boolean_semiring()],
+                         ids=lambda sr: sr.name)
+@pytest.mark.parametrize("seed", range(12))
+def test_block_product_matches_pairs_and_scalar_fold(monkeypatch, sr, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    draw = ((lambda: rng.choice((-1, 1)) * rng.randint(1, 9)) if sr.name == "counting"
+            else (lambda: True))
+    lhs, rhs = band_entries(rng, n, rng.randint(1, n), rng.randint(1, n),
+                            rng.randint(1, n), rng.random(), draw)
+    scalar, pairs, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, NEVER)
+    assert pairs == scalar and asked == []
+    scalar, block, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, ALWAYS)
+    assert block == scalar
+    # The block path ran whenever the node had a pair to multiply.
+    has_pair = bool({p for _, p, _ in lhs} & {p for p, _, _ in rhs})
+    assert asked == ([True] if has_pair else [])
+
+
+def test_block_product_past_2_53_falls_back_to_pairs(monkeypatch):
+    # One product of 2**53 + 2**30 + 2**23 + 1, odd and past 2**53, so no
+    # float64 holds it; a second page makes the sum span two terms.
+    big, other = 2**30 + 1, 2**23 + 1
+    assert float(big * other) != big * other
+    lhs, rhs = [(0, 0, big), (1, 3, 5)], [(0, 2, other), (3, 2, -7)]
+    scalar, block, asked = reduce_by_path(monkeypatch, COUNT, 4, lhs, rhs, ALWAYS)
+    assert asked == [False]
+    assert block == scalar == [(0, SMM._RED, 2, 0, big * other, int),
+                               (1, SMM._RED, 2, 0, -35, int)]
+    # Just inside the envelope, max|lhs| * max|rhs| * pages == 2**53.
+    lhs, rhs = [(0, 0, 2**26), (0, 1, 1)], [(0, 0, 2**26), (1, 0, 1)]
+    scalar, block, asked = reduce_by_path(monkeypatch, COUNT, 2, lhs, rhs, ALWAYS)
+    assert asked == [True] and block == scalar == [(0, SMM._RED, 0, 0, 2**52 + 1, int)]
+
+
+@pytest.mark.parametrize("sr", [counting_semiring(), boolean_semiring()],
+                         ids=lambda sr: sr.name)
+def test_sparse_wide_band_keeps_pairs(monkeypatch, sr):
+    rng = random.Random(7)
+    n = 512
+    draw = (lambda: rng.randint(1, 9)) if sr.name == "counting" else (lambda: True)
+    lhs, rhs = band_entries(rng, n, 256, 256, 64, 0.002, draw)
+    lhs.append((100, lhs[0][1], draw()))      # at least one pair
+    rhs.append((lhs[0][1], 100, draw()))
+    pair_count = sum(1 for _, p, _ in lhs for q, _, _ in rhs if p == q)
+    # The blocks span every row, page and column the node holds.
+    volume = ((max(r for r, _, _ in lhs) - min(r for r, _, _ in lhs) + 1)
+              * len({p for _, p, _ in lhs} | {p for p, _, _ in rhs})
+              * (max(c for _, c, _ in rhs) - min(c for _, c, _ in rhs) + 1))
+    assert volume > SMM._BLOCK_PER_PAIR * pair_count
+    scalar, pairs, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, SMM._BLOCK_PER_PAIR)
+    assert asked == [] and pairs == scalar
 
 
 @pytest.mark.parametrize("sr", [min_plus_semiring(), MAX_MIN], ids=lambda sr: sr.name)

@@ -20,12 +20,18 @@ previously broadcast to all nodes.  The engine hands a handler only
 those objects, so violations take deliberate effort.
 
 Messages travel as columns.  A handler returns one batch ``(dst, tag,
-i1, i2, val)``: parallel columns (numpy arrays or sequences), message k
-being ``(dst[k], tag[k], i1[k], i2[k], val[k])``, or None for no
-message.  Any column but ``dst`` may be a single value, which every
-message of the batch carries.  The four header columns hold int64s; a
-header value outside int64 or a destination outside [0, n) raises
-SimulationError naming the phase and the node.
+i1, i2, val)``: parallel columns, message k being ``(dst[k], tag[k],
+i1[k], i2[k], val[k])``, or None for no message.  ``dst`` is a numpy
+array, list or tuple; any other column may also be one value that every
+message of the batch carries (for a header, one Python int).  Header
+columns hold signed integers or bools of any width.  The engine joins
+each field once per phase, one ``np.concatenate`` of the batches'
+columns and one ``np.repeat`` of their single values, and checks the
+joined column.  An unsigned array, values that do not all fit int64
+(numpy then joins them as unsigned, float or object), a column whose
+length is not its batch's, or a destination outside [0, n) raises
+SimulationError naming the phase and the first node at fault; only then
+are the batches walked one by one.
 
 The value column keeps every value's exact Python type, as ``.tolist()``
 gives it back: its dtype is int64 when every value is an ``int`` inside
@@ -34,20 +40,28 @@ rule holds for each handler's batch and for each phase's delivery as a
 whole, so batches whose dtypes differ are joined as object, never
 promoted by numpy (int64 with bool would give int64).
 
-The engine concatenates the phase's batches in sender order, takes the
-loads from ``bincount`` of sources and destinations with messages to
-self excluded (they are delivered free of charge), and orders the
-delivery by one stable argsort on ``dst``.  Mailbox order is thus
-canonical: sender id ascending, then emission order.  Node v's inbox is
-an ``Inbox``, the slice of the sorted columns addressed to v, with a
-``src`` column in place of ``dst``.
+A delivery is five columns in the narrowest layout that keeps every
+value: ``src`` in ``node_dtype(n)`` (int16 up to 2**15 nodes, int32
+beyond), ``tag`` int16 when every tag of the phase fits and int64
+otherwise, ``i1`` and ``i2`` always int64, since handlers compute with
+them, and ``val`` by the rule above: 28 bytes per int64-valued message.
+No destination column is kept: node v's inbox is rows ``bounds[v]:bounds[v
++ 1]``, an ``Inbox``.
+
+The engine joins ``dst`` first, takes the loads from ``bincount`` of
+sources and destinations with messages to self excluded (they are
+delivered free of charge), and orders the delivery by one stable argsort
+on ``dst``.  Mailbox order is thus canonical: sender id ascending, then
+emission order.  Each other field is then joined, dropped from the
+batches and put in that order in turn, so at most one unsorted column is
+alive at a time.
 
 A broadcast phase (``run_broadcast``) skips that path: each node's
 handler returns its one word, and the engine lays the delivery out in
 destination order straight from the k words, node d's inbox being every
 sender but d in ascending order.  The loads are known without counting
 (n - 1 sent per sender, k less one per sender received), and the
-mailboxes, value dtype included, are those of the n - 1 copies sent as
+mailboxes, dtypes included, are those of the n - 1 copies sent as
 ordinary batches.
 """
 
@@ -64,7 +78,9 @@ from .sparse import DimensionError
 Batch = tuple  # (dst, tag, i1, i2, val) columns
 Handler = Callable[[int, dict, "Inbox"], Optional[Batch]]
 
-_HEADER = ("dst", "tag", "i1", "i2")
+_FIELDS = ("dst", "tag", "i1", "i2", "val")
+_COLUMN = (list, tuple, np.ndarray)     # anything else is one value for the batch
+_INT16 = np.iinfo(np.int16)
 
 
 class SimulationError(RuntimeError):
@@ -74,6 +90,12 @@ class SimulationError(RuntimeError):
 class _Word(tuple):
     """A handler's broadcast word ``(tag, i1, i2, val)``, for every other
     node; only ``run_broadcast`` makes them."""
+
+
+def node_dtype(n: int) -> np.dtype:
+    """The signed dtype of node ids on an n-node clique: int16 up to 2**15
+    nodes, int32 beyond."""
+    return np.dtype(np.int16 if n <= 2**15 else np.int32)
 
 
 def value_column(values) -> np.ndarray:
@@ -127,46 +149,96 @@ class Delivery(Inbox):
     """Every message of one phase, sorted by destination; ``self[v]`` is
     node v's inbox, rows ``bounds[v]:bounds[v + 1]`` of the columns."""
 
-    __slots__ = ("dst", "bounds")
+    __slots__ = ("bounds", "_none")
 
-    def __init__(self, dst, src, tag, i1, i2, val, bounds: list[int]):
+    def __init__(self, src, tag, i1, i2, val, bounds: list[int]):
         super().__init__(src, tag, i1, i2, val)
-        self.dst, self.bounds = dst, bounds
+        self.bounds = bounds
+        self._none = Inbox(src[:0], tag[:0], i1[:0], i2[:0], val[:0])
 
     @classmethod
     def empty(cls, n: int) -> "Delivery":
         none = np.zeros(0, dtype=np.int64)
-        return cls(none, none, none, none, none, none, [0] * (n + 1))
+        return cls(np.zeros(0, dtype=node_dtype(n)), np.zeros(0, dtype=np.int16),
+                   none, none, none, [0] * (n + 1))
 
     def __getitem__(self, v: int) -> Inbox:
         lo, hi = self.bounds[v], self.bounds[v + 1]
         if lo == hi:
-            return _NO_MAIL
+            return self._none
         return Inbox(self.src[lo:hi], self.tag[lo:hi], self.i1[lo:hi],
                      self.i2[lo:hi], self.val[lo:hi])
 
 
-_NO_MAIL = Inbox(*[np.zeros(0, dtype=np.int64)] * 5)
+def _join_header(columns: list, lengths: list[int]) -> np.ndarray | None:
+    """One header field of every batch, joined in sender order; None when
+    a column's length is not its batch's or the joined values do not all
+    fit int64.
 
-
-def _header_column(column, k: int, label: str, v: int, name: str) -> np.ndarray:
-    if isinstance(column, np.ndarray) and column.dtype == np.int64 and column.shape == (k,):
-        return column
-    if isinstance(column, int):
-        try:
-            return np.full(k, column, dtype=np.int64)
-        except OverflowError:
-            column = np.zeros(0, dtype=object)
+    ``lengths`` holds each batch's message count.  The columns are joined
+    by one concatenate, the single values by one repeat, and a field that
+    mixes both interleaves the two by a mask.  An unsigned array fails
+    even where numpy would join it with signed ones exactly, so a node's
+    batch is valid or not whatever the other nodes send.
+    """
+    one = [not isinstance(c, _COLUMN) for c in columns]
+    if all(one):
+        joined = np.array(columns).repeat(lengths)
     else:
-        column = np.asarray(column)
-        if column.ndim == 0:
-            column = np.full(k, column)
-    # uint64 and object columns hold ints past int64; floats are no header.
-    if column.dtype.kind not in "bi":
-        raise SimulationError(f"phase {label!r}: node {v} sent a {name} field outside int64")
-    if column.shape != (k,):
-        raise SimulationError(f"phase {label!r}: node {v} sent columns of unequal length")
-    return column.astype(np.int64, copy=False)
+        arrays, sizes = columns, lengths
+        if any(one):
+            arrays = [c for c, o in zip(columns, one) if not o]
+            sizes = [k for k, o in zip(lengths, one) if not o]
+        if list(map(len, arrays)) != sizes or any(
+                isinstance(a, np.ndarray) and a.dtype.kind == "u" for a in arrays):
+            return None
+        joined = np.concatenate(arrays)
+        if any(one):
+            values = np.array([c for c, o in zip(columns, one) if o])
+            at = np.array(one).repeat(lengths)
+            mixed = np.empty(len(at), dtype=np.result_type(joined, values))
+            mixed[~at] = joined
+            mixed[at] = values.repeat([k for k, o in zip(lengths, one) if o])
+            joined = mixed
+    # uint64, float and object joins hold values that int64 may not.
+    return joined if joined.dtype.kind in "bi" else None
+
+
+def _join_values(columns: list, lengths: list[int]) -> np.ndarray | None:
+    """Every batch's value column joined in sender order by the value
+    rule; None when a column's length is not its batch's."""
+    if not any(isinstance(c, _COLUMN) for c in columns):
+        return value_column(columns).repeat(lengths)
+    columns = [value_column(c) if isinstance(c, _COLUMN) else value_column([c]).repeat(k)
+               for c, k in zip(columns, lengths)]
+    if list(map(len, columns)) != lengths:
+        return None
+    return concat_values(columns)
+
+
+def _batch_fault(label: str, senders: list[int], fields: list,
+                 lengths: list[int]) -> SimulationError:
+    """The error naming the first sender whose batch is at fault in a field
+    still held; a field already joined and checked is None."""
+    for b, v in enumerate(senders):
+        for name, columns in zip(_FIELDS, fields):
+            if columns is None:
+                continue
+            column = columns[b]
+            if name != "val" and np.asarray(column).dtype.kind not in "bi":
+                return SimulationError(
+                    f"phase {label!r}: node {v} sent a {name} field outside int64")
+            if isinstance(column, _COLUMN) and len(column) != lengths[b]:
+                return SimulationError(
+                    f"phase {label!r}: node {v} sent columns of unequal length")
+    return SimulationError(f"phase {label!r}: malformed batch columns")
+
+
+def _tag_column(tag: np.ndarray) -> np.ndarray:
+    """A joined tag column as int16 when every tag fits, else int64."""
+    if tag.dtype.itemsize > 2 and (tag.min() < _INT16.min or tag.max() > _INT16.max):
+        return tag.astype(np.int64, copy=False)
+    return tag.astype(np.int16, copy=False)
 
 
 def _word_headers(words: list, senders: list[int], label: str) -> np.ndarray:
@@ -174,29 +246,9 @@ def _word_headers(words: list, senders: list[int], label: str) -> np.ndarray:
     outside int64 raises as it would in a batch, naming its sender."""
     head = np.array([word[:3] for word in words])
     if head.dtype.kind not in "bi":
-        for v, word in zip(senders, words):
-            for field, name in zip(word[:3], _HEADER[1:]):
-                _header_column(field, 1, label, v, name)
+        fields = [None] + [list(field) for field in zip(*(word[:3] for word in words))]
+        raise _batch_fault(label, senders, fields, [1] * len(words))
     return head.astype(np.int64, copy=False)
-
-
-def _batch_columns(batch: Batch, label: str, v: int) -> list | None:
-    """A handler's batch checked and normalized: int64 headers, one value
-    column; None for an empty batch."""
-    k = len(batch[0])
-    if k == 0:
-        return None
-    columns = [_header_column(col, k, label, v, name)
-               for col, name in zip(batch[:4], _HEADER)]
-    val = batch[4]
-    if isinstance(val, (list, tuple, np.ndarray)):
-        val = value_column(val)
-    else:
-        val = value_column([val]).repeat(k)
-    if len(val) != k:
-        raise SimulationError(f"phase {label!r}: node {v} sent columns of unequal length")
-    columns.append(val)
-    return columns
 
 
 @dataclass
@@ -206,6 +258,10 @@ class PhaseRecord:
     max_send: int
     max_recv: int
     total_msgs: int
+    # The node that sent (received) max_send (max_recv) messages, the
+    # lowest id on ties, so 0 when nothing crosses a link.
+    peak_send_node: int = 0
+    peak_recv_node: int = 0
 
 
 class RoundLedger:
@@ -215,13 +271,15 @@ class RoundLedger:
         self.records: list[PhaseRecord] = []
 
     def charge_for_loads(
-        self, label: str, n: int, max_send: int, max_recv: int, total_msgs: int
+        self, label: str, n: int, max_send: int, max_recv: int, total_msgs: int,
+        peak_send_node: int = 0, peak_recv_node: int = 0,
     ) -> int:
         if total_msgs == 0:
             rounds = 0
         else:
             rounds = max(1, math.ceil(max(max_send, max_recv) / (n - 1)))
-        self.records.append(PhaseRecord(label, rounds, max_send, max_recv, total_msgs))
+        self.records.append(PhaseRecord(label, rounds, max_send, max_recv, total_msgs,
+                                        peak_send_node, peak_recv_node))
         return rounds
 
     def mark(self) -> int:
@@ -250,8 +308,10 @@ class CliqueEngine:
             raise ValueError("need at least one node")
         self.n = n
         self.states: list[dict] = [{} for _ in range(n)]
-        self.inboxes = Delivery.empty(n)
+        # Read-only, so one empty delivery serves every phase.
+        self._no_mail = self.inboxes = Delivery.empty(n)
         self.ledger = RoundLedger()
+        self._node_dtype = node_dtype(n)
         # Stable-sort keys this narrow take numpy's radix sort.
         self._key_dtype = np.min_scalar_type(n - 1)
 
@@ -271,24 +331,26 @@ class CliqueEngine:
             if type(out) is _Word:
                 senders.append(v)
                 words.append(out)
-            elif out is not None:
-                columns = _batch_columns(out, label, v)
-                if columns is not None:
-                    senders.append(v)
-                    batches.append(columns)
+            elif out is not None and len(out[0]):
+                senders.append(v)
+                batches.append(out)
         del mail
-        self.inboxes = Delivery.empty(n)
+        self.inboxes = self._no_mail
         if words:
             assert not batches, "a broadcast phase carries words only"
             return self._deliver_words(label, senders, words)
         if not batches:
             return self.ledger.charge_for_loads(label, n, 0, 0, 0)
-        lengths = [len(columns[0]) for columns in batches]
+        lengths = [len(batch[0]) for batch in batches]
         emitted = sum(lengths)
-        src = np.repeat(np.array(senders, dtype=np.int64), lengths)
-        dst, tag, i1, i2 = (np.concatenate([b[f] for b in batches]) for f in range(4))
-        val = concat_values([b[4] for b in batches])
-        del batches
+        # Per field, every batch's column; a field is dropped once joined.
+        fields = [list(columns) for columns in zip(*batches)]
+        batches.clear()
+        dst = _join_header(fields[0], lengths)
+        if dst is None:
+            raise _batch_fault(label, senders, fields, lengths)
+        fields[0] = None
+        src = np.array(senders, dtype=self._node_dtype).repeat(lengths)
         if dst.min() < 0 or dst.max() >= n:
             v = int(src[((dst < 0) | (dst >= n)).argmax()])
             own = dst[src == v]
@@ -297,6 +359,7 @@ class CliqueEngine:
                 f"phase {label!r}: node {v} addressed nonexistent node "
                 f"{lo if lo < 0 else hi}"
             )
+        dst = dst.astype(self._key_dtype, copy=False)
         sent = np.zeros(n, dtype=np.int64)
         sent[senders] = lengths
         received = np.bincount(dst, minlength=n)
@@ -304,37 +367,48 @@ class CliqueEngine:
             raise SimulationError(f"phase {label!r}: message conservation violated")
         kept = np.bincount(dst[dst == src], minlength=n)     # free: sent to self
         sends, recvs = sent - kept, received - kept
-        order = np.argsort(dst.astype(self._key_dtype), kind="stable")
-        # Column by column, so only one unsorted column outlives its copy.
-        dst = dst[order]
-        src = src[order]
-        tag = tag[order]
-        i1 = i1[order]
-        i2 = i2[order]
-        val = val[order]
+        order = np.argsort(dst, kind="stable")
+        del dst
+        columns = [src[order], None, None, None, None]
+        del src
+        # Column by column, the widest batch column first, so only one
+        # unsorted column is alive at a time; i1 and i2 widen once the
+        # order is gone.
+        for f in (4, 1, 2, 3):
+            joined = (_join_values if f == 4 else _join_header)(fields[f], lengths)
+            if joined is None:
+                raise _batch_fault(label, senders, fields, lengths)
+            fields[f] = None
+            columns[f] = (_tag_column(joined) if f == 1 else joined)[order]
+            del joined
+        del order
+        for f in (2, 3):
+            columns[f] = columns[f].astype(np.int64, copy=False)
         bounds = [0] + np.cumsum(received).tolist()
-        self.inboxes = Delivery(dst, src, tag, i1, i2, val, bounds)
+        self.inboxes = Delivery(*columns, bounds)
         return self.ledger.charge_for_loads(
-            label, n, int(sends.max()), int(recvs.max()), int(sends.sum()))
+            label, n, int(sends.max()), int(recvs.max()), int(sends.sum()),
+            int(sends.argmax()), int(recvs.argmax()))
 
     def _deliver_words(self, label: str, senders: list[int], words: list) -> int:
         """Delivery of broadcast words, laid out in destination order."""
         n, k = self.n, len(words)
         head = _word_headers(words, senders, label)
         val = value_column([word[3] for word in words])
-        src = np.array(senders, dtype=np.int64)
-        # Node d hears every sender but itself, in sender order.
-        which = np.tile(np.arange(k), n)
-        dst = np.repeat(np.arange(n), k)
-        heard = src[which] != dst
-        which, dst = which[heard], dst[heard]
+        # Node d hears every sender but itself, in sender order: the k words
+        # repeated n times, less each sender's own copy.
+        heard = np.ones(n * k, dtype=np.bool_)
+        heard[np.array(senders) * k + np.arange(k)] = False
+        which = np.tile(np.arange(k, dtype=self._node_dtype), n)[heard]
         received = np.full(n, k, dtype=np.int64)
-        received[src] -= 1
+        received[senders] -= 1
         bounds = [0] + np.cumsum(received).tolist()
-        self.inboxes = Delivery(dst, src[which], head[which, 0], head[which, 1],
-                                head[which, 2], val[which], bounds)
+        src = np.array(senders, dtype=self._node_dtype)
+        self.inboxes = Delivery(src[which], _tag_column(head[:, 0])[which],
+                                head[which, 1], head[which, 2], val[which], bounds)
         return self.ledger.charge_for_loads(
-            label, n, n - 1, int(received.max()), k * (n - 1))
+            label, n, n - 1, int(received.max()), k * (n - 1),
+            senders[0], int(received.argmax()))
 
     def run_ingest_emit(self, label: str, ingest, emit) -> int:
         """One phase in two steps: ``ingest(v, state, inbox)`` keeps what
@@ -379,7 +453,7 @@ class CliqueEngine:
     def drain_inboxes(self) -> Delivery:
         """The last phase's delivery, which the driver reads where each
         node would act on its own inbox; the mailboxes are left empty."""
-        mail, self.inboxes = self.inboxes, Delivery.empty(self.n)
+        mail, self.inboxes = self.inboxes, self._no_mail
         return mail
 
 

@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import (CliqueEngine, PhaseRecord, SimulationError, concat_values,
-                     engine_for, value_column)
+                     engine_for, node_dtype, value_column)
 from .partition import avg_partition, balanced_assignment, balanced_assignments
 from .semiring import Semiring
 from .sparse import DimensionError, SparseMatrix
@@ -301,9 +301,11 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
 
     ``band_s[pos]`` is the band of an lhs entry at row pos and
     ``band_t[pos]`` that of an rhs entry at column pos.  Leaves
-    ``state["buckets"]``, the node's ``Buckets``.
+    ``state["buckets"]``, the node's ``Buckets``, positions in
+    ``node_dtype``.
     """
     band_s, band_t = np.asarray(band_s), np.asarray(band_t)
+    nodes = node_dtype(len(band_s))
     s_count, t_count = int(band_s.max()) + 1, int(band_t.max()) + 1
 
     def ingest(v, state, inbox):
@@ -317,7 +319,8 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
         size = len(s_owned) * s_count + len(t_owned) * t_count
         bounds = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=size), out=bounds[1:])
-        state["buckets"] = Buckets(pos[order], inbox.val[order], bounds, (s_count, t_count))
+        state["buckets"] = Buckets(pos.astype(nodes)[order], inbox.val[order], bounds,
+                                   (s_count, t_count))
 
     return ingest
 
@@ -337,10 +340,13 @@ def fragment_requests(ownership: SubseqOwnership, asks):
     nonzero when the count words reported entries of that fragment in
     the node's band; an unflagged fragment is not asked for either.  None
     asks for every nonempty fragment of the lines.  The masks of all
-    nodes are filled by one ``bitwise_or.at`` per side and set.
+    nodes are filled by one ``bitwise_or.at`` per side and set.  A set
+    takes two bits of a mask, so the int8 table holds up to three sets;
+    smm asks one and triangle listing two.
     """
+    assert len(asks) <= 3, "request masks are int8"
     n = len(ownership.s.owned)
-    masks = np.zeros((2, n, n), dtype=np.int64)     # side, requester, owner
+    masks = np.zeros((2, n, n), dtype=np.int8)      # side, requester, owner
     for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
         line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
         asker = np.repeat(np.arange(n), [len(own) for own in lines])
@@ -353,7 +359,7 @@ def fragment_requests(ownership: SubseqOwnership, asks):
             if wanted is not None:
                 keep &= wanted[k][who, q]
             q, who = q[keep], who[keep]
-            np.bitwise_or.at(masks[k], (who, owner[q]), bit[q] << shift)
+            np.bitwise_or.at(masks[k], (who, owner[q]), (bit[q] << shift).astype(np.int8))
 
     def emit(v, state):
         dst = np.flatnonzero(masks[0, v] | masks[1, v])
@@ -373,11 +379,13 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
     row ell ``(_ENT_T, ell, pos, val)`` for those in the rhs band.  Each
     requester's answer is one run, lhs fragments first.  A bit naming no
     owned fragment, or a request from a node without a band, raises
-    SimulationError.
+    SimulationError.  Headers go out in ``node_dtype`` and int16 tags,
+    which the engine widens on delivery.
     """
     bands = np.stack((np.asarray(lhs_band), np.asarray(rhs_band)))   # side, node
     # Slot 2 * side + k stands for the node's k-th owned fragment of a side.
     slot_side, slot_bit = np.array([0, 0, 1, 1]), np.array([1, 2, 1, 2])
+    entry_tags = np.array([_ENT_S, _ENT_T], dtype=np.int16)     # by side
 
     def respond(v, state, inbox):
         if not len(inbox):
@@ -398,7 +406,7 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
             raise SimulationError(f"node {v} was asked by node {src[req[band.argmin()]]}, "
                                   "which has no band")
         # Per slot, its fragment's bucket in band 0 and its line.
-        first, line = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+        first, line = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=pos.dtype)
         base = 0
         for sd, (table, ids) in enumerate(zip((ownership.s, ownership.t), owned)):
             for k, q in enumerate(ids):
@@ -409,10 +417,11 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
         lo = bounds[bucket]
         length = bounds[bucket + 1] - lo
         entry = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
-        is_s = np.repeat(side == 0, length)
+        side = np.repeat(side, length)
+        is_s = side == 0
         ell = np.repeat(line[slot], length)
         p = pos[entry]
-        return (np.repeat(src[req], length), np.where(is_s, _ENT_S, _ENT_T),
+        return (np.repeat(src[req], length), entry_tags[side],
                 np.where(is_s, p, ell), np.where(is_s, ell, p), val[entry])
 
     return respond
@@ -673,7 +682,7 @@ def _gather_rows(semiring: Semiring, mail, n: int) -> list[list]:
     if kernel is None or not kernel.sums_exact(mail.val):
         return [_fold_partials(semiring, mail[r]) for r in range(n)]
     red = mail.tag == _RED
-    cell = mail.dst[red] * n + mail.i1[red]
+    cell = np.repeat(np.arange(n), np.diff(mail.bounds))[red] * n + mail.i1[red]
     if not len(cell):
         return [[] for _ in range(n)]
     order = np.argsort(cell)        # exact sums: any order within a cell

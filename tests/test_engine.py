@@ -227,6 +227,26 @@ VALUES = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(2**63, 2**66),
                    st.floats(allow_nan=False))
 
 
+# How a handler may hand over one column of its batch: a list, an array
+# of one of these dtypes, or (any column but dst) one value for the batch.
+FORMS = ["list", "scalar", np.int8, np.int16, np.int32, np.int64, np.bool_]
+
+
+def as_column(values: list, form):
+    """``values`` in ``form``, or as a list when the form cannot hold them."""
+    if form == "scalar":
+        if len({(type(x), x) for x in values}) == 1:
+            return values[0]
+    elif form == np.bool_:
+        if set(values) <= {0, 1}:
+            return np.array(values, dtype=np.bool_)
+    elif form != "list":
+        info = np.iinfo(form)
+        if all(info.min <= x <= info.max for x in values):
+            return np.array(values, dtype=form)
+    return values
+
+
 @st.composite
 def phases(draw):
     n = draw(st.integers(1, 6))
@@ -234,25 +254,29 @@ def phases(draw):
     values = st.one_of(*(
         {"int": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(), "any": VALUES}[k]
         for k in sorted(kinds)))
-    word = st.tuples(st.integers(0, n - 1), st.integers(0, 9),
-                     st.integers(-2**63, 2**63 - 1), st.integers(-5, 5), values)
+    # Small header values fit every form; tag 2**40 needs an int64 tag column.
+    word = st.tuples(st.integers(0, n - 1), st.integers(0, 9) | st.just(2**40),
+                     st.integers(-2**63, 2**63 - 1) | st.integers(-1, 1),
+                     st.integers(-5, 5), values)
     sent = draw(st.lists(st.lists(word, max_size=8), min_size=n, max_size=n))
-    as_arrays = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return n, sent, as_arrays
+    forms = draw(st.lists(st.tuples(st.sampled_from(FORMS[:1] + FORMS[2:]),
+                                    *[st.sampled_from(FORMS)] * 3,
+                                    st.sampled_from(["list", "scalar"])),
+                          min_size=n, max_size=n))
+    return n, sent, forms
 
 
 @settings(max_examples=200, deadline=None)
 @given(phases())
+@example((3, [[(1, 2**40, 0, 0, 5)], [(1, 3, 1, 1, 6), (0, 3, 1, 1, 6)], []],
+          [("list",) * 5, (np.int8, "scalar", np.bool_, np.int16, "scalar"), ("list",) * 5]))
 def test_delivery_matches_reference_model(case):
-    n, sent, as_arrays = case
+    n, sent, forms = case
 
     def handler(v, st, box):
         if not sent[v]:
             return None
-        dst, tag, i1, i2, val = map(list, zip(*sent[v]))
-        if as_arrays[v]:
-            dst, tag, i1, i2 = (np.array(col, dtype=np.int64) for col in (dst, tag, i1, i2))
-        return dst, tag, i1, i2, val
+        return tuple(as_column(list(col), form) for col, form in zip(zip(*sent[v]), forms[v]))
 
     eng = CliqueEngine(n)
     rounds = eng.run_phase("p", handler)
@@ -279,12 +303,66 @@ def test_delivery_matches_reference_model(case):
         dtype = np.int64
     else:
         dtype = object
-    assert all(eng.inboxes[v].val.dtype == dtype for v in range(n) if boxes[v])
+    tags = [m[1] for box in boxes for m in box]
+    tag_dtype = np.int16 if all(t < 2**15 for t in tags) else np.int64
+    for v in range(n):
+        if boxes[v]:
+            box = eng.inboxes[v]
+            assert (box.src.dtype, box.tag.dtype, box.i1.dtype, box.i2.dtype, box.val.dtype) == (
+                np.int16, tag_dtype, np.int64, np.int64, dtype)
     total = sum(sends)
     want = 0 if total == 0 else max(1, math.ceil(max(max(sends), max(recvs)) / (n - 1)))
     rec = eng.ledger.records[-1]
     assert (rec.max_send, rec.max_recv, rec.total_msgs, rec.rounds, rounds) == (
         max(sends), max(recvs), total, want, want)
+    assert (rec.peak_send_node, rec.peak_recv_node) == (
+        sends.index(max(sends)), recvs.index(max(recvs)))
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint8, object])
+def test_unsigned_and_object_headers_raise_naming_the_node(field, dtype):
+    # Node 0 sends int64 columns, so a join alone would turn node 1's small
+    # unsigned column into a valid int64 one.
+    name = ("dst", "tag", "i1", "i2")[field]
+
+    def handler(v, st, box):
+        columns = [np.zeros(2, dtype=np.int64) for _ in range(4)] + [0]
+        if v == 1:
+            columns[field] = np.zeros(2, dtype=dtype)
+        return tuple(columns)
+
+    eng = CliqueEngine(3)
+    with pytest.raises(SimulationError,
+                       match=f"phase 'u': node 1 sent a {name} field outside int64"):
+        eng.run_phase("u", handler)
+    assert eng.ledger.records == []
+
+
+@pytest.mark.parametrize("n, src_dtype", [(2**15, np.int16), (2**15 + 1, np.int32)])
+def test_source_column_widens_past_int16_node_ids(n, src_dtype):
+    last = n - 1
+    eng = CliqueEngine(n)
+    eng.run_phase("far", lambda v, st, box:
+                  ([0, last], 1, v, -v, v) if v in (0, last) else None)
+    assert eng.inboxes[0].messages() == [(0, 1, 0, 0, 0), (last, 1, last, -last, last)]
+    assert eng.inboxes[last].messages() == [(0, 1, 0, 0, 0), (last, 1, last, -last, last)]
+    assert eng.inboxes[0].src.dtype == src_dtype
+    rec = eng.ledger.records[-1]
+    assert (rec.max_send, rec.peak_send_node, rec.peak_recv_node) == (1, 0, 0)
+
+
+def test_delivery_footprint_is_at_most_28_bytes_per_message():
+    # src int16, tag int16, i1 and i2 int64, val int64: no destination column.
+    n = 512
+    eng = CliqueEngine(n)
+    eng.run_phase("all", lambda v, st, box: (np.arange(n), 3, v, np.arange(n), v))
+    mail = eng.inboxes
+    k = n * n
+    assert len(mail) == k
+    assert sum(getattr(mail, f).nbytes for f in ("src", "tag", "i1", "i2", "val")) <= 28 * k
+    assert not hasattr(mail, "dst")
+    assert mail[5].messages()[:2] == [(0, 3, 0, 5, 0), (1, 3, 1, 5, 1)]
 
 
 def test_only_the_engine_reads_mailboxes():

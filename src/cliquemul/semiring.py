@@ -49,14 +49,17 @@ scalar values once cast back to the kernel's dtype:
 Min-plus has no block product.
 
 Outside the envelope, and for semirings built without a kernel, callers
-use the scalar ``add``/``mul``.
+use ``Semiring.fold_kernel``: the scalar ``add``/``mul`` themselves as
+object-dtype ufuncs.  It is exact by definition, and its
+``add.reduceat`` sums each segment left to right in the order given, so
+a caller that fixes the order fixes a saturated counting sum too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -110,6 +113,17 @@ class Semiring:
     parse_value: Callable[[str], Value] = field(default=int, repr=False)
     format_value: Callable[[Value], str] = field(default=str, repr=False)
     kernel: ArrayKernel | None = field(default=None, repr=False)
+
+    @cached_property
+    def fold_kernel(self) -> ArrayKernel:
+        """``add``/``mul`` on object columns, exact for every value; its
+        dtype, object, tells it from a numpy kernel."""
+        return ArrayKernel(object, np.frompyfunc(self.mul, 2, 1), np.frompyfunc(self.add, 2, 1),
+                           _always, _always)
+
+
+def _always(*_) -> bool:
+    return True
 
 
 def _sat(x: int) -> int:

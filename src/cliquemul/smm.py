@@ -25,16 +25,18 @@ row/column permutations, then the balanced multiplication protocol.
   band-restricted fragments of its pages that have entries in its band;
 * sbmm.reduce: locally computed page products are summed into result
   rows, each partial sent straight to the owner of its unpermuted row.
-  A node runs its semiring's array kernel when its values lie inside the
-  kernel's exactness envelope (see ``semiring.py``) and the scalar fold
-  otherwise; both send the same messages.  Inside the envelope, a node
-  whose kernel has an exact block product (counting and boolean) and
-  whose dense blocks are small against its pair count multiplies its
-  (rows x pages) and (pages x columns) blocks in one float64 product;
-  the others multiply entry pairs page by page.  Node r then sums its
-  row's partials, all rows at once with the kernel when its
-  ``sums_exact`` holds on the delivered partials, else with the scalar
-  fold in mailbox order.
+  A node runs its semiring's numpy kernel when its values lie inside the
+  kernel's exactness envelope (see ``semiring.py``) and the semiring's
+  fold kernel, its scalar ``add``/``mul`` on object columns, otherwise.
+  Inside the envelope, a node whose kernel has an exact block product
+  (counting and boolean) and whose dense blocks are small against its
+  pair count multiplies its (rows x pages) and (pages x columns) blocks
+  in one float64 product; the others multiply entry pairs, and
+  ``_cell_sums`` sums them per cell, the fold kernel a cell's products
+  in page order.  Node r then sums its row's partials, all rows at once,
+  by ``_cell_sums`` again: with the numpy kernel when its ``sums_exact``
+  holds on the delivered partials, else with the fold kernel in mailbox
+  order.
 
 Triangle listing's LearnPaths runs the fragment dealing and routing
 below (``deal_fragments``, ``bucket_fragments``, ``fragment_requests``,
@@ -53,7 +55,6 @@ local computation, not extra communication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
@@ -62,7 +63,7 @@ import numpy as np
 from .engine import (CliqueEngine, PhaseRecord, SimulationError, concat_values,
                      engine_for, node_dtype, value_column)
 from .partition import avg_partition, balanced_assignment, balanced_assignments
-from .semiring import Semiring
+from .semiring import ArrayKernel, Semiring
 from .sparse import DimensionError, SparseMatrix
 
 # message tags
@@ -131,6 +132,13 @@ def _bands(line_nz: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, np.repeat(np.arange(k), [len(g) for g in groups])
 
 
+def ranges(starts, lengths) -> np.ndarray:
+    """The runs ``arange(s, s + k)`` of each start s and length k, end to end."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
 def grid_cells(n: int, a: int, b: int) -> np.ndarray:
     """Node -> its (i, j, k) row: group (i, j) of the a-by-b grid, place k in it.
 
@@ -142,8 +150,7 @@ def grid_cells(n: int, a: int, b: int) -> np.ndarray:
     sizes = np.full(cells, -(-n // cells), dtype=np.int64)
     sizes[:(-n) % cells] -= 1
     group = np.repeat(np.arange(cells), sizes)
-    k = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return np.column_stack((group // b, group % b, k))
+    return np.column_stack((group // b, group % b, ranges(0, sizes)))
 
 
 # -- subsequences -----------------------------------------------------------
@@ -161,34 +168,18 @@ class SubseqSide:
     """
 
     block: int                    # largest fragment, the slicing stride
-    size: list[int]               # fragment id -> entries
-    origin: list[int]             # fragment id -> line
-    owner: list[int]              # fragment id -> owning node
+    size: np.ndarray              # fragment id -> entries
+    origin: np.ndarray            # fragment id -> line
+    owner: np.ndarray             # fragment id -> owning node
+    bit: np.ndarray               # fragment id -> its bit in the owner's request mask
+    first: np.ndarray             # line -> its first fragment id
+    count: np.ndarray             # line -> its fragment count
     owned: list[list[int]]        # node -> fragment ids it owns
-    by_line: list[list[int]]      # line -> fragment ids, ascending
-    bit: list[int]                # fragment id -> its bit in the owner's request mask
-
-    def slice_bounds(self, q: int) -> tuple[int, int]:
-        p = q - self.by_line[self.origin[q]][0]
-        return p * self.block, (p + 1) * self.block
-
-    @cached_property
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The per-fragment lists as int64 arrays, plus each line's first
-        fragment id (``first``) and fragment count (``count``)."""
-        cols = {name: np.array(getattr(self, name), dtype=np.int64)
-                for name in ("size", "origin", "owner", "bit")}
-        cols["count"] = np.array([len(ids) for ids in self.by_line], dtype=np.int64)
-        cols["first"] = np.cumsum(cols["count"]) - cols["count"]
-        return cols
 
     def fragments_of(self, lines) -> np.ndarray:
         """Ids of every fragment of ``lines``, line by line, ascending."""
         lines = np.asarray(lines, dtype=np.int64)
-        count = self.arrays["count"][lines]
-        ends = np.cumsum(count)
-        return np.repeat(self.arrays["first"][lines] - (ends - count), count) + np.arange(
-            ends[-1] if len(ends) else 0)
+        return ranges(self.first[lines], self.count[lines])
 
 
 def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
@@ -207,29 +198,25 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     # Chunking fills every fragment of a line but its last nonempty one, so
     # the largest fragment is the stride (floor(avg) + 1 once any line is
     # cut in two).
-    size = [c for line in sizes for c in line]
-    block = max(size, default=0)
-    origin: list[int] = []
-    by_line: list[list[int]] = []
-    for line, frags in enumerate(sizes):
-        by_line.append(list(range(len(origin), len(origin) + len(frags))))
-        origin.extend([line] * len(frags))
-    total_frags = len(origin)
+    size = np.array([c for line in sizes for c in line], dtype=np.int64)
+    block = int(size.max(initial=0))
+    count = np.array([len(line) for line in sizes], dtype=np.int64)
+    total_frags = len(size)
     assert total_frags <= 2 * n
-    owner = list(range(total_frags))
+    owner = np.arange(total_frags)
     if total_frags > n:
-        order = [None] * (2 * n - total_frags) + sorted(
-            range(total_frags), key=lambda q: (size[q], q))
-        for j in range(n):
-            for q in (order[j], order[2 * n - 1 - j]):
-                if q is not None:
-                    owner[q] = j
+        # -1 placeholders pad the ids sorted by (size, id) at the front.
+        order = np.concatenate((np.full(2 * n - total_frags, -1),
+                                np.argsort(size, kind="stable")))
+        picks, nodes = np.concatenate((order[:n], order[::-1][:n])), np.tile(np.arange(n), 2)
+        owner[picks[picks >= 0]] = nodes[picks >= 0]
     owned: list[list[int]] = [[] for _ in range(n)]
-    bit = [0] * total_frags
-    for q, u in enumerate(owner):
+    bit = np.zeros(total_frags, dtype=np.int64)
+    for q, u in enumerate(owner.tolist()):
         bit[q] = 1 << len(owned[u])
         owned[u].append(q)
-    return SubseqSide(block, size, origin, owner, owned, by_line, bit)
+    return SubseqSide(block, size, np.repeat(np.arange(len(count)), count),
+                      owner, bit, np.cumsum(count) - count, count, owned)
 
 
 @dataclass
@@ -256,12 +243,12 @@ def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
         frags, positions, values = [], [], []
         for side, (pos, val) in zip(sides, lines(v, state)):
             # Entry k of the line lies in its (k // block)-th fragment.
-            frags.append(side.arrays["first"][v] + np.arange(len(pos)) // max(side.block, 1))
+            frags.append(side.first[v] + np.arange(len(pos)) // max(side.block, 1))
             positions.append(pos)
             values.append(val)
         q = np.concatenate(frags)
         tags = np.repeat((_SUB_S, _SUB_T), [len(f) for f in frags])
-        dst = np.concatenate([side.arrays["owner"][f] for side, f in zip(sides, frags)])
+        dst = np.concatenate([side.owner[f] for side, f in zip(sides, frags)])
         return dst, tags, q, np.concatenate(positions), concat_values(values)
 
     engine.run_phase(prefix + "subseq", emit_fragments)
@@ -351,15 +338,14 @@ def fragment_requests(ownership: SubseqOwnership, asks):
         line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
         asker = np.repeat(np.arange(n), [len(own) for own in lines])
         for k, side in enumerate((ownership.s, ownership.t)):
-            size, owner, bit, count = (side.arrays[name]
-                                       for name in ("size", "owner", "bit", "count"))
             q = side.fragments_of(line)
-            who = np.repeat(asker, count[line])
-            keep = size[q] > 0
+            who = np.repeat(asker, side.count[line])
+            keep = side.size[q] > 0
             if wanted is not None:
                 keep &= wanted[k][who, q]
             q, who = q[keep], who[keep]
-            np.bitwise_or.at(masks[k], (who, owner[q]), (bit[q] << shift).astype(np.int8))
+            np.bitwise_or.at(masks[k], (who, side.owner[q]),
+                             (side.bit[q] << shift).astype(np.int8))
 
     def emit(v, state):
         dst = np.flatnonzero(masks[0, v] | masks[1, v])
@@ -416,7 +402,7 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
         bucket = first[slot] + band
         lo = bounds[bucket]
         length = bounds[bucket + 1] - lo
-        entry = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
+        entry = ranges(lo, length)
         side = np.repeat(side, length)
         is_s = side == 0
         ell = np.repeat(line[slot], length)
@@ -501,20 +487,18 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
         def line_counts(band, inbox):
             counts = _fragment_counts(inbox, side, slots, k, n)
             line_weights = np.zeros(n, dtype=np.int64)
-            np.add.at(line_weights, side.arrays["origin"], counts)
+            np.add.at(line_weights, side.origin, counts)
             # Own counts travel as free self-messages and are already in
             # the inbox, so the weights are complete.  The requests need
             # only which fragments hold entries in the band.
-            return line_weights.tobytes(), (counts > 0).tobytes()
+            return line_weights, counts > 0
 
         bands: dict[int, list[int]] = {}
         for u, band in enumerate(cells[:, k].tolist()):
             bands.setdefault(band, []).append(u)
         derived = engine.derive_per_group(bands, line_counts)
-        weights.append(np.stack([np.frombuffer(derived[b][0], dtype=np.int64)
-                                 for b in range(len(bands))]))
-        flags.append(np.stack([np.frombuffer(derived[b][1], dtype=np.bool_)
-                               for b in range(len(bands))]))
+        weights.append(np.stack([derived[b][0] for b in range(len(bands))]))
+        flags.append(np.stack([derived[b][1] for b in range(len(bands))]))
 
     # Group (i, j) weighs page ell by both bands' entries on it; the groups
     # of one size are striped together.
@@ -550,11 +534,8 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, pages: list,
     A node whose values lie in its semiring kernel's exactness envelope
     (at most one product per page per cell, so ``terms`` is its page
     count) multiplies and sums with the kernel; any other node, and every
-    node of a semiring without a kernel, folds with the scalar ``add`` and
-    ``mul``.  Both emit the same messages in (r, c) order.
+    node of a semiring without a kernel, with the fold kernel.
     """
-    kernel = semiring.kernel
-
     def reduce(v, state, inbox):
         del state["buckets"]    # its last reader was respond
         if not len(inbox):
@@ -563,41 +544,19 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, pages: list,
         # (row, page, value) of the lhs entries, (page, column, value) of the rhs.
         lhs = inbox.i1[is_s], inbox.i2[is_s], inbox.val[is_s]
         rhs = inbox.i1[is_t], inbox.i2[is_t], inbox.val[is_t]
-        if kernel is not None and kernel.exact(lhs[2], rhs[2], len(pages[v])):
-            return _kernel_partials(semiring, engine.n, lhs, rhs, row_dst, col_out)
-        return _scalar_partials(semiring, pages[v], inbox, row_dst, col_out)
+        kernel = semiring.kernel
+        if kernel is None or not kernel.exact(lhs[2], rhs[2], len(pages[v])):
+            kernel = semiring.fold_kernel
+        return _kernel_partials(kernel, semiring.omitted, engine.n, lhs, rhs, row_dst, col_out)
 
     engine.run_phase("sbmm.reduce", reduce)
 
 
-def _scalar_partials(semiring: Semiring, pages: list[int], inbox,
-                     row_dst: np.ndarray, col_out: np.ndarray) -> tuple:
-    add, mul, omitted = semiring.add, semiring.mul, semiring.omitted
-    s_frags: dict[int, list] = {}
-    t_frags: dict[int, list] = {}
-    for _, tag, i1, i2, val in inbox.messages():
-        if tag == _ENT_S:
-            s_frags.setdefault(i2, []).append((i1, val))
-        elif tag == _ENT_T:
-            t_frags.setdefault(i1, []).append((i2, val))
-    acc: dict[tuple[int, int], object] = {}
-    for ell in pages:
-        for r, sval in s_frags.get(ell, ()):
-            for c, tval in t_frags.get(ell, ()):
-                p = mul(sval, tval)
-                key = (r, c)
-                prev = acc.get(key)
-                acc[key] = p if prev is None else add(prev, p)
-    cells = [(r, c, val) for (r, c), val in sorted(acc.items()) if val != omitted]
-    if not cells:
-        return None
-    rows, cols, vals = zip(*cells)
-    return row_dst[list(rows)], _RED, col_out[list(cols)], 0, list(vals)
-
-
-def _kernel_partials(semiring: Semiring, n: int, lhs: tuple, rhs: tuple,
+def _kernel_partials(kernel: ArrayKernel, omitted, n: int, lhs: tuple, rhs: tuple,
                      row_dst: np.ndarray, col_out: np.ndarray) -> tuple | None:
-    """``_scalar_partials`` in array form.  A node holds entries of its own
+    """One node's partials: the sum over its pages of lhs entry (r, page)
+    times rhs entry (page, c), per cell (r, c) whose sum is not
+    ``omitted``, sent in (r, c) order.  A node holds entries of its own
     pages only, as it asked for no others.
 
     When the kernel has a block product that is exact on the node's
@@ -605,10 +564,9 @@ def _kernel_partials(semiring: Semiring, n: int, lhs: tuple, rhs: tuple,
     (``_BLOCK_PER_PAIR``), the node multiplies (rows x pages) by (pages x
     columns), over the row and column ranges it holds and the pages it
     holds entries of; otherwise every (lhs, rhs) entry pair of a page is
-    multiplied and the products are summed per cell.  Either way the
-    nonzero cells go out in (r, c) order with the same values.
+    multiplied and the products are summed per cell, by the fold kernel
+    in page order.  Either way the cells and values are the same.
     """
-    kernel = semiring.kernel
     (s_row, s_page, s_val), (t_page, t_col, t_val) = lhs, rhs
     s_count, t_count = np.bincount(s_page, minlength=n), np.bincount(t_page, minlength=n)
     reps = t_count[s_page]
@@ -630,24 +588,31 @@ def _kernel_partials(semiring: Semiring, n: int, lhs: tuple, rhs: tuple,
         block = (s_block @ t_block).astype(kernel.dtype)
         r, c = np.nonzero(block)
         return row_dst[r + r_lo], _RED, col_out[c + c_lo], 0, block[r, c]
-    # Lhs entry k pairs with each rhs entry of its page: rhs entries sorted
-    # by page, the pair's rhs index is the page's first one plus an offset.
-    # Kernel sums are exact in any order, so no sort here needs to be stable.
-    t_order = np.argsort(t_page)
-    t_first = np.cumsum(t_count) - t_count
-    li = np.repeat(np.arange(len(s_page)), reps)
-    offset = np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps)
-    ri = t_order[np.repeat(t_first[s_page], reps) + offset]
-    cell = s_row[li] * n + t_col[ri]
-    order = np.argsort(cell)
-    li, ri, cell = li[order], ri[order], cell[order]
-    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    sums = kernel.add.reduceat(kernel.mul(s_val[li].astype(kernel.dtype),
-                                          t_val[ri].astype(kernel.dtype)), starts)
-    cell = cell[starts]
-    kept = sums != semiring.omitted
-    cell, sums = cell[kept], sums[kept]
+    # Each lhs entry, page by page, pairs with every rhs entry of its page:
+    # rhs entries sorted by page, the pair's rhs index runs from the page's
+    # first one.  A cell's products thus come in page order.
+    s_order, t_order = np.argsort(s_page), np.argsort(t_page)
+    li = np.repeat(s_order, reps[s_order])
+    ri = t_order[ranges((np.cumsum(t_count) - t_count)[s_page[s_order]], reps[s_order])]
+    cell, sums = _cell_sums(kernel, omitted, s_row[li] * n + t_col[ri],
+                            kernel.mul(s_val[li].astype(kernel.dtype),
+                                       t_val[ri].astype(kernel.dtype)))
     return row_dst[cell // n], _RED, col_out[cell % n], 0, sums
+
+
+def _cell_sums(kernel: ArrayKernel, omitted, cell: np.ndarray,
+               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells ascending and their sums of ``values``, omitted sums dropped.
+
+    The fold kernel sums a cell's values in the order given; a numpy
+    kernel sums exactly in any order, so its sort need not be stable.
+    """
+    order = np.argsort(cell, kind="stable" if kernel.dtype is object else None)
+    cell = cell[order]
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))[:len(cell)]
+    sums = kernel.add.reduceat(values[order], starts)
+    kept = sums != omitted
+    return cell[starts][kept], sums[kept]
 
 
 def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
@@ -657,7 +622,6 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
 
     ``bands`` holds the band of each permuted row and column, and
     ``cells`` is ``grid_cells``'s node table."""
-    n = engine.n
     pages, wanted = compute_receiving(engine, ownership, *bands, cells)
     # A node asks for a line's fragments only from owners whose count word
     # reported entries in its band.  The request masks are gone before the
@@ -668,44 +632,27 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     engine.run_phase("sbmm.respond",
                      fragment_responder(ownership, cells[:, 0], cells[:, 1]))
     _reduce_phase(engine, semiring, pages, row_dst, col_out)
-    return SparseMatrix(n, semiring, _gather_rows(semiring, engine.drain_inboxes(), n))
+    return SparseMatrix(engine.n, semiring, _gather_rows(engine, semiring))
 
 
-def _gather_rows(semiring: Semiring, mail, n: int) -> list[list]:
+def _gather_rows(engine: CliqueEngine, semiring: Semiring) -> list[list]:
     """Result rows from the reduce delivery: node r sums its partials per column.
 
     With the semiring's kernel exact on the partials every row is summed
-    at once; otherwise each row folds with the scalar ``add`` in mailbox
-    order.  Omitted sums are dropped.
+    by it, else by the fold kernel, each cell's partials in mailbox
+    order.  Omitted sums are dropped, and the delivery is released before
+    the rows are built.
     """
+    n, mail = engine.n, engine.drain_inboxes()
     kernel = semiring.kernel
     if kernel is None or not kernel.sums_exact(mail.val):
-        return [_fold_partials(semiring, mail[r]) for r in range(n)]
-    red = mail.tag == _RED
-    cell = np.repeat(np.arange(n), np.diff(mail.bounds))[red] * n + mail.i1[red]
-    if not len(cell):
-        return [[] for _ in range(n)]
-    order = np.argsort(cell)        # exact sums: any order within a cell
-    cell = cell[order]
-    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
-    sums = kernel.add.reduceat(mail.val[red][order], starts)
-    cell = cell[starts]
-    kept = sums != semiring.omitted
-    cell, sums = cell[kept], sums[kept]
+        kernel = semiring.fold_kernel
+    cell, sums = _cell_sums(kernel, semiring.omitted,
+                            np.repeat(np.arange(n), np.diff(mail.bounds)) * n + mail.i1, mail.val)
+    del mail
     bounds = np.searchsorted(cell, np.arange(n + 1) * n).tolist()
     cols, vals = (cell % n).tolist(), sums.tolist()
     return [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _fold_partials(semiring: Semiring, inbox) -> list[tuple]:
-    add, omitted = semiring.add, semiring.omitted
-    row: dict[int, object] = {}
-    for _, tag, c, _i2, val in inbox.messages():
-        if tag != _RED:
-            continue
-        prev = row.get(c)
-        row[c] = val if prev is None else add(prev, val)
-    return sorted((c, val) for c, val in row.items() if val != omitted)
 
 
 # -- public entry points ----------------------------------------------------

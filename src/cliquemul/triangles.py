@@ -48,7 +48,7 @@ from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for
 from .graphs import Graph
 from .partition import balanced_assignment
 from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
-                  fragment_requests, fragment_responder)
+                  fragment_requests, fragment_responder, ranges)
 
 _VC, _NC, _DEG, _PKT, _EDGE, _PSUM = range(200, 206)
 
@@ -105,7 +105,7 @@ def close_cycles(inbox: Inbox, xs: np.ndarray, ys: np.ndarray, pos: np.ndarray,
     closing = np.zeros((len(pos), width), dtype=np.bool_)   # [z, pos[x]]: z -> x
     closing[inbox.i1[is_t], pos[inbox.i2[is_t]]] = True
     row = np.repeat(np.arange(len(xs)), count)
-    z = heads[np.arange(len(row)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    z = heads[ranges(lo, count)]
     x = xs[row]
     keep = (x < z) & closing[z, pos[x]]
     hit = row[keep]

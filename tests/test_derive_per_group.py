@@ -8,6 +8,7 @@ smm's page assignment, and triangle listing's N-sets, N-id table and path
 partitions.
 """
 
+import numpy as np
 import pytest
 
 from cliquemul.cli import generate_graph, generate_matrix
@@ -15,6 +16,16 @@ from cliquemul.engine import CliqueEngine
 from cliquemul.semiring import semiring_by_name
 from cliquemul.smm import smm
 from cliquemul.triangles import list_triangles
+
+
+def same(a, b) -> bool:
+    """Equal values, arrays compared by dtype and contents, item by item
+    inside tuples and lists."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    return a == b
 
 
 @pytest.fixture
@@ -26,7 +37,7 @@ def groups_checked(monkeypatch):
         values = {}
         for key, members in groups.items():
             derived = [derive(key, self.inboxes[v]) for v in members]
-            assert all(d == derived[0] for d in derived), (key, members)
+            assert all(same(d, derived[0]) for d in derived), (key, members)
             values[key] = derived[0]
             checked.append(len(members))
         return values

@@ -21,6 +21,7 @@ from cliquemul.smm import (
     fragment_requests,
     fragment_responder,
     grid_cells,
+    ranges,
     smm,
     split_cost,
 )
@@ -86,6 +87,18 @@ def test_choose_split_is_argmin():
         assert (got.a, got.b) == min(pairs, key=lambda ab: split_cost(nzS, nzT, n, *ab))
 
 
+def test_ranges_concatenates_aranges():
+    rng = random.Random(3)
+    for _ in range(50):
+        lengths = [rng.choice((0, 0, 1, rng.randint(2, 9))) for _ in range(rng.randint(0, 8))]
+        starts = [rng.randint(-20, 20) for _ in lengths]
+        want = np.concatenate([np.arange(s, s + k) for s, k in zip(starts, lengths)]
+                              + [np.zeros(0, dtype=np.int64)])
+        got = ranges(np.array(starts, dtype=np.int64), lengths)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert ranges(0, [2, 0, 3]).tolist() == [0, 1, 0, 1, 2]
+
+
 def test_grid_cells_uneven_groups():
     for n, a, b in ((23, 4, 5), (13, 2, 3), (20, 3, 3), (7, 1, 7), (16, 4, 4)):
         cells = grid_cells(n, a, b).tolist()
@@ -103,42 +116,50 @@ def test_grid_cells_uneven_groups():
 
 # -- subsequence table ------------------------------------------------------
 
+def by_line(side):
+    """Line -> its fragment ids, read through ``fragments_of``."""
+    return [side.fragments_of([line]).tolist() for line in range(len(side.count))]
+
+
 def test_build_subsequences_frozen():
     side = build_subsequences([3, 1, 0, 2], 4)    # avg 3/2
     assert side.block == 2
-    assert side.size == [2, 1, 1, 2, 0]
-    assert side.origin == [0, 0, 1, 3, 3]
+    assert side.size.tolist() == [2, 1, 1, 2, 0]
+    assert side.origin.tolist() == [0, 0, 1, 3, 3]
     # By (size, id) with three placeholders in front: -, -, -, 4, 1, 2, 0, 3;
     # node j owns the j-th smallest and the j-th largest.
-    assert side.owner == [1, 3, 2, 0, 3]
+    assert side.owner.tolist() == [1, 3, 2, 0, 3]
     assert side.owned == [[3], [0], [2], [1, 4]]
-    assert side.by_line == [[0, 1], [2], [], [3, 4]]
-    assert side.slice_bounds(1) == (2, 4)
-    assert side.slice_bounds(3) == (0, 2)
-    assert side.slice_bounds(4) == (2, 4)
+    assert side.bit.tolist() == [1, 1, 1, 1, 2]
+    assert side.first.tolist() == [0, 2, 3, 3] and side.count.tolist() == [2, 1, 0, 2]
+    assert by_line(side) == [[0, 1], [2], [], [3, 4]]
+    assert side.fragments_of([3, 0, 2]).tolist() == [3, 4, 0, 1]
 
 
 def test_build_subsequences_one_per_node():
     # avg 1, so 4 fragments on 4 nodes: each gets its own owner
     side = build_subsequences([3, 1, 0, 0], 4)
-    assert [len(frags) for frags in side.by_line] == [3, 1, 0, 0]
-    assert side.origin == [0, 0, 0, 1]
-    assert side.owner == [0, 1, 2, 3]
+    assert side.count.tolist() == [3, 1, 0, 0]
+    assert by_line(side) == [[0, 1, 2], [3], [], []]
+    assert side.origin.tolist() == [0, 0, 0, 1]
+    assert side.owner.tolist() == [0, 1, 2, 3]
     assert side.owned == [[0], [1], [2], [3]]
     # 6 fragments on 4 nodes: dealt in size pairs, each full fragment
     # beside an empty one or alone
     side = build_subsequences([2, 2, 0, 2], 4)
-    assert side.size == [2, 0, 2, 0, 2, 0]
-    assert side.owner == [2, 2, 1, 3, 0, 3]
+    assert side.size.tolist() == [2, 0, 2, 0, 2, 0]
+    assert side.owner.tolist() == [2, 2, 1, 3, 0, 3]
     assert side.owned == [[4], [2], [0, 1], [3, 5]]
+    assert by_line(side) == [[0, 1], [2, 3], [], [4, 5]]
     # full density: every line is one fragment, owned by its own node
     side = build_subsequences([4] * 4, 4)
-    assert side.owner == side.origin == [0, 1, 2, 3]
+    assert side.owner.tolist() == side.origin.tolist() == [0, 1, 2, 3]
 
 
 def test_build_subsequences_empty():
     side = build_subsequences([0] * 4, 4)
-    assert side.block == 0 and side.origin == [] and side.by_line == [[]] * 4
+    assert side.block == 0 and side.origin.tolist() == [] and by_line(side) == [[]] * 4
+    assert side.fragments_of([0, 1, 2, 3]).tolist() == []
 
 
 @st.composite
@@ -154,7 +175,10 @@ def test_build_subsequences_properties(case):
     n, nz = case
     side = build_subsequences(nz, n)
     assert len(side.origin) <= 2 * n
-    assert [sum(side.size[q] for q in frags) for frags in side.by_line] == nz
+    # Each line's fragments are consecutive ids from its first.
+    assert side.first.tolist() == np.concatenate(([0], np.cumsum(side.count)[:-1])).tolist()
+    assert all((side.origin[frags] == line).all() for line, frags in enumerate(by_line(side)))
+    assert [int(side.size[frags].sum()) for frags in by_line(side)] == nz
     assert all(size <= side.block for size in side.size)
     assert sorted(q for ids in side.owned for q in ids) == list(range(len(side.origin)))
     total = sum(nz)
@@ -268,7 +292,7 @@ def test_dense_reduce_load():
     assert rec.rounds <= math.ceil(16 / 7)
 
 
-# -- sbmm.reduce: array kernel against the scalar fold ----------------------
+# -- sbmm.reduce: numpy kernel against the fold kernel ----------------------
 
 MAX_MIN = Semiring("max-min", add=max, mul=min, omitted=-math.inf, one=math.inf)
 
@@ -347,7 +371,38 @@ def test_reduce_scalar_fold_equals_kernel_run(sr):
     assert runs[0] == runs[1]
 
 
-# -- sbmm.reduce: block product against the pair path and the scalar fold ---
+MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("seed, differs", [
+    (6, {(0, 3): -6, (3, 0): -MAX, (3, 1): -MAX + 13, (3, 3): 5}),
+    (14, {(0, 3): MAX, (1, 2): MAX, (1, 3): MAX, (2, 2): 3, (2, 3): 0, (2, 4): 15,
+          (3, 1): 12, (3, 4): -MAX + 15, (4, 0): 0, (4, 2): -MAX, (4, 3): -MAX}),
+    (28, {(1, 0): -6, (2, 0): -MAX + 8, (2, 2): 10, (4, 0): 4, (4, 2): -10}),
+])
+def test_saturated_counting_keeps_fold_order(seed, differs):
+    # Saturating sums of mixed signs depend on their order: a node sums a
+    # cell's products page by page, and the row's owner sums its partials
+    # in mailbox order (seed 14 hangs on the second, 6 and 28 on the
+    # first).  ``differs`` holds smm's value, 0 for a dropped cell, of
+    # every cell where it differs from the sequential reference.
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+
+    def draw():
+        return rng.choice((1, -1)) * rng.choice((2, 3, 2**62))
+
+    S, T = (SparseMatrix.from_entries(n, COUNT, [(i, j, draw()) for i in range(n)
+                                                for j in range(n) if rng.random() < 0.9])
+            for _ in range(2))
+    got, ref = ({(r, c): v for r, row in enumerate(M.rows) for c, v in row}
+                for M in (smm(S, T).product, oracle.dense_multiply_reference(S, T)))
+    assert {type(v) for v in got.values()} == {int}
+    assert {cell: got.get(cell, 0) for cell in got.keys() | ref.keys()
+            if got.get(cell, 0) != ref.get(cell, 0)} == differs
+
+
+# -- sbmm.reduce: block product against the pair path and the fold kernel ---
 
 SMM = sys.modules["cliquemul.smm"]
 
@@ -368,16 +423,15 @@ def band_entries(rng, n, height, width, pages, density, draw):
 
 
 def reduce_by_path(monkeypatch, sr, n, lhs, rhs, per_pair):
-    """One node's partials as typed messages: the scalar fold's, and
-    ``_kernel_partials``'s with the size rule's constant at ``per_pair``,
-    plus the ``block_exact`` verdicts that run asked for."""
+    """One node's partials from ``_kernel_partials`` as typed messages: with
+    the fold kernel, and with the numpy kernel at the size rule's constant
+    ``per_pair``, plus the ``block_exact`` verdicts that run asked for."""
     ident = np.arange(n)
     inbox = Inbox(np.zeros(len(lhs) + len(rhs), dtype=np.int64),
                   np.repeat((SMM._ENT_S, SMM._ENT_T), (len(lhs), len(rhs))),
                   np.array([e[0] for e in lhs + rhs], dtype=np.int64),
                   np.array([e[1] for e in lhs + rhs], dtype=np.int64),
                   value_column([e[2] for e in lhs + rhs]))
-    pages = sorted({p for _, p, _ in lhs} | {p for p, _, _ in rhs})
 
     def typed(batch):
         return [] if batch is None else [m + (type(m[4]),) for m in messages(batch)]
@@ -388,12 +442,13 @@ def reduce_by_path(monkeypatch, sr, n, lhs, rhs, per_pair):
         verdicts.append(sr.kernel.block_exact(*args))
         return verdicts[-1]
 
-    spied = dataclasses.replace(sr, kernel=dataclasses.replace(sr.kernel, block_exact=spy))
+    spied = dataclasses.replace(sr.kernel, block_exact=spy)
     monkeypatch.setattr(SMM, "_BLOCK_PER_PAIR", per_pair)
     columns = [(inbox.i1[tag], inbox.i2[tag], inbox.val[tag])
                for tag in (inbox.tag == SMM._ENT_S, inbox.tag == SMM._ENT_T)]
-    kernel = typed(SMM._kernel_partials(spied, n, *columns, ident, ident))
-    return typed(SMM._scalar_partials(sr, pages, inbox, ident, ident)), kernel, verdicts
+    kernel = typed(SMM._kernel_partials(spied, sr.omitted, n, *columns, ident, ident))
+    fold = typed(SMM._kernel_partials(sr.fold_kernel, sr.omitted, n, *columns, ident, ident))
+    return fold, kernel, verdicts
 
 
 NEVER, ALWAYS = 0, 2**62     # size-rule constants that force pairs or blocks
@@ -409,10 +464,10 @@ def test_block_product_matches_pairs_and_scalar_fold(monkeypatch, sr, seed):
             else (lambda: True))
     lhs, rhs = band_entries(rng, n, rng.randint(1, n), rng.randint(1, n),
                             rng.randint(1, n), rng.random(), draw)
-    scalar, pairs, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, NEVER)
-    assert pairs == scalar and asked == []
-    scalar, block, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, ALWAYS)
-    assert block == scalar
+    fold, pairs, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, NEVER)
+    assert pairs == fold and asked == []
+    fold, block, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, ALWAYS)
+    assert block == fold
     # The block path ran whenever the node had a pair to multiply.
     has_pair = bool({p for _, p, _ in lhs} & {p for p, _, _ in rhs})
     assert asked == ([True] if has_pair else [])
@@ -424,14 +479,14 @@ def test_block_product_past_2_53_falls_back_to_pairs(monkeypatch):
     big, other = 2**30 + 1, 2**23 + 1
     assert float(big * other) != big * other
     lhs, rhs = [(0, 0, big), (1, 3, 5)], [(0, 2, other), (3, 2, -7)]
-    scalar, block, asked = reduce_by_path(monkeypatch, COUNT, 4, lhs, rhs, ALWAYS)
+    fold, block, asked = reduce_by_path(monkeypatch, COUNT, 4, lhs, rhs, ALWAYS)
     assert asked == [False]
-    assert block == scalar == [(0, SMM._RED, 2, 0, big * other, int),
+    assert block == fold == [(0, SMM._RED, 2, 0, big * other, int),
                                (1, SMM._RED, 2, 0, -35, int)]
     # Just inside the envelope, max|lhs| * max|rhs| * pages == 2**53.
     lhs, rhs = [(0, 0, 2**26), (0, 1, 1)], [(0, 0, 2**26), (1, 0, 1)]
-    scalar, block, asked = reduce_by_path(monkeypatch, COUNT, 2, lhs, rhs, ALWAYS)
-    assert asked == [True] and block == scalar == [(0, SMM._RED, 0, 0, 2**52 + 1, int)]
+    fold, block, asked = reduce_by_path(monkeypatch, COUNT, 2, lhs, rhs, ALWAYS)
+    assert asked == [True] and block == fold == [(0, SMM._RED, 0, 0, 2**52 + 1, int)]
 
 
 @pytest.mark.parametrize("sr", [counting_semiring(), boolean_semiring()],
@@ -449,8 +504,8 @@ def test_sparse_wide_band_keeps_pairs(monkeypatch, sr):
               * len({p for _, p, _ in lhs} | {p for p, _, _ in rhs})
               * (max(c for _, c, _ in rhs) - min(c for _, c, _ in rhs) + 1))
     assert volume > SMM._BLOCK_PER_PAIR * pair_count
-    scalar, pairs, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, SMM._BLOCK_PER_PAIR)
-    assert asked == [] and pairs == scalar
+    fold, pairs, asked = reduce_by_path(monkeypatch, sr, n, lhs, rhs, SMM._BLOCK_PER_PAIR)
+    assert asked == [] and pairs == fold
 
 
 @pytest.mark.parametrize("sr", [min_plus_semiring(), MAX_MIN], ids=lambda sr: sr.name)

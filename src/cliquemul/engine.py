@@ -33,8 +33,8 @@ length is not its batch's, or a destination outside [0, n) raises
 SimulationError naming the phase and the first node at fault; only then
 are the batches walked one by one.
 
-The value column keeps every value's exact Python type, as ``.tolist()``
-gives it back: its dtype is int64 when every value is an ``int`` inside
+The value column keeps every value's exact Python type by the rule of
+``sparse.value_column``: int64 when every value is an ``int`` inside
 int64, bool when every value is a ``bool``, and object otherwise.  The
 rule holds for each handler's batch and for each phase's delivery as a
 whole, so batches whose dtypes differ are joined as object, never
@@ -73,7 +73,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparse import DimensionError
+from .sparse import DimensionError, concat_values, value_column
 
 Batch = tuple  # (dst, tag, i1, i2, val) columns
 Handler = Callable[[int, dict, "Inbox"], Optional[Batch]]
@@ -96,36 +96,6 @@ def node_dtype(n: int) -> np.dtype:
     """The signed dtype of node ids on an n-node clique: int16 up to 2**15
     nodes, int32 beyond."""
     return np.dtype(np.int16 if n <= 2**15 else np.int32)
-
-
-def value_column(values) -> np.ndarray:
-    """``values`` as a value column: int64 if every value is an ``int``
-    inside int64, bool if every value is a ``bool``, object otherwise."""
-    if isinstance(values, np.ndarray):
-        if values.dtype == np.int64 or values.dtype == np.bool_:
-            return values
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if kinds == {bool}:
-        return np.array(values, dtype=np.bool_)
-    if kinds == {int}:
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    column = np.empty(len(values), dtype=object)
-    column[:] = values
-    return column
-
-
-def concat_values(columns) -> np.ndarray:
-    """Value columns joined end to end; differing dtypes join as object.
-
-    An empty column holds no value, so its dtype does not count."""
-    columns = [c for c in columns if len(c)] or columns[:1]
-    if len({c.dtype for c in columns}) > 1:
-        columns = [c.astype(object) for c in columns]
-    return np.concatenate(columns)
 
 
 class Inbox:

@@ -49,10 +49,11 @@ def count_4_cycles(G: Graph, engine: CliqueEngine | None = None) -> FourCycleRes
     A = G.to_adjacency(counting_semiring())
     sq = smm(A, A, engine=engine).product
 
-    # Node v holds row v of A^2, so both of its terms are local.
+    # Node v holds row v of A^2, so both of its terms are local.  An entry
+    # of A^2 is at most n, so its int64 sum of squares is exact.
     def terms(v, state):
         d = G.d_out(v)
-        return (_TERMS, 2 * d * d - d, sum(val * val for _, val in sq.rows[v]), 0)
+        return (_TERMS, 2 * d * d - d, int((sq.row(v)[1] ** 2).sum()), 0)
 
     words = engine.run_broadcast("c4.terms", terms)
     engine.drain_inboxes()
@@ -89,9 +90,8 @@ def apsp(G: Graph, engine: CliqueEngine | None = None) -> ApspResult:
     sizes = [1] * n
 
     def status(v, state):
-        row = power.rows[v]
-        grew = len(row) > sizes[v]
-        return (_STATUS, len(row), int(max(val for _, val in row)), int(grew))
+        cols, vals = power.row(v)
+        return (_STATUS, len(cols), int(vals.max()), int(len(cols) > sizes[v]))
 
     while True:
         words = engine.run_broadcast("apsp.status", status)

@@ -45,7 +45,8 @@ def dense_multiply_reference(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
             for k in range(n):
                 acc = add(acc, mul(si[k], dt[k][j]))
             oi[j] = acc
-    return SparseMatrix.from_dense(out, sr)
+    return SparseMatrix.from_entries(
+        n, sr, [(i, j, v) for i, row in enumerate(out) for j, v in enumerate(row)])
 
 
 def _fast_eligible(S: SparseMatrix, T: SparseMatrix) -> bool:
@@ -54,41 +55,22 @@ def _fast_eligible(S: SparseMatrix, T: SparseMatrix) -> bool:
     name = S.semiring.name
     if name == "boolean":
         return True
-    if name == "counting":
-        return all(
-            abs(v) <= _FAST_VALUE_BOUND for _, _, v in S.entries()
-        ) and all(abs(v) <= _FAST_VALUE_BOUND for _, _, v in T.entries())
-    if name == "min-plus":
-        return all(
-            v == math.inf or abs(v) <= _FAST_VALUE_BOUND for _, _, v in S.entries()
-        ) and all(v == math.inf or abs(v) <= _FAST_VALUE_BOUND for _, _, v in T.entries())
+    if name in ("counting", "min-plus"):
+        # Stored values are never the omitted one (min-plus's inf).
+        return all(((M.vals >= -_FAST_VALUE_BOUND) & (M.vals <= _FAST_VALUE_BOUND)).all()
+                   for M in (S, T))
     return False
 
 
 def _to_array(M: SparseMatrix, dtype, fill):
     arr = np.full((M.n, M.n), fill, dtype=dtype)
-    for i, j, v in M.entries():
-        arr[i, j] = v
+    arr[np.repeat(np.arange(M.n), np.diff(M.ptr)), M.cols] = M.vals
     return arr
 
 
 def _fast_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
     sr = S.semiring
     n = S.n
-    if sr.name == "boolean":
-        a = _to_array(S, np.int64, 0)
-        b = _to_array(T, np.int64, 0)
-        prod = (a @ b) > 0
-        entries = [(int(i), int(j), True) for i, j in zip(*np.nonzero(prod))]
-        return SparseMatrix.from_entries(n, sr, entries)
-    if sr.name == "counting":
-        a = _to_array(S, np.int64, 0)
-        b = _to_array(T, np.int64, 0)
-        prod = a @ b
-        entries = [
-            (int(i), int(j), int(prod[i, j])) for i, j in zip(*np.nonzero(prod))
-        ]
-        return SparseMatrix.from_entries(n, sr, entries)
     if sr.name == "min-plus":
         a = _to_array(S, np.float64, np.inf)
         b = _to_array(T, np.float64, np.inf)
@@ -97,15 +79,18 @@ def _fast_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             prod[lo:hi] = np.min(a[lo:hi, :, None] + b[None, :, :], axis=1)
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                v = prod[i, j]
-                if v != np.inf:
-                    fv = float(v)
-                    entries.append((i, j, int(fv) if fv == int(fv) else fv))
-        return SparseMatrix.from_entries(n, sr, entries)
-    raise ValueError(f"no fast path for semiring {sr.name}")
+    elif sr.name in ("boolean", "counting"):
+        prod = _to_array(S, np.int64, 0) @ _to_array(T, np.int64, 0)
+        if sr.name == "boolean":
+            prod = prod > 0
+    else:
+        raise ValueError(f"no fast path for semiring {sr.name}")
+    i, j = np.nonzero(prod != sr.omitted)
+    values = prod[i, j].tolist()
+    if sr.name == "min-plus":
+        # A sum of ints is an int, as the scalar semiring gives it.
+        values = [int(v) if v == int(v) else v for v in values]
+    return SparseMatrix.from_entries(n, sr, zip(i.tolist(), j.tolist(), values))
 
 
 def dense_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:

@@ -16,7 +16,7 @@ saturated result can depend on the order in which the protocol sums.
 
 Each shipped semiring also carries an ``ArrayKernel``: numpy ufuncs that
 multiply and sum whole arrays of values, plus two predicates that say,
-from the value columns themselves (see ``engine.py`` for their dtype
+from the value columns themselves (see ``sparse.py`` for their dtype
 rule), when the array arithmetic equals the scalar definition.
 ``exact(lhs, rhs, terms)`` covers any sum of at most ``terms`` products
 of an lhs and an rhs value; ``sums_exact(values)`` covers summing the

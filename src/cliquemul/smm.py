@@ -4,8 +4,8 @@ Pipeline: split-pair selection from nonzero counts, sparsity-balancing
 row/column permutations, then the balanced multiplication protocol.
 ``smm()`` runs seven communication phases:
 
-* distribute: both operands are scattered into columns, so node v holds
-  row v and column v of S and of T;
+* distribute: node v reads its own input rows, row v of S and of T, and
+  scatters both into columns, so it then holds row v and column v of each;
 * stats: one broadcast word per node carries its four nonzero counts
   (S row, T column, S column, T row).  Every node derives the split and
   the permutations sigma and tau from them.  Column v of S' = sigma(S)
@@ -60,11 +60,10 @@ from itertools import chain
 from typing import NamedTuple
 import numpy as np
 
-from .engine import (CliqueEngine, PhaseRecord, SimulationError, concat_values,
-                     engine_for, node_dtype, value_column)
+from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for, node_dtype
 from .partition import avg_partition, balanced_assignment, balanced_assignments
 from .semiring import ArrayKernel, Semiring
-from .sparse import DimensionError, SparseMatrix
+from .sparse import DimensionError, SparseMatrix, concat_values, value_column
 
 # message tags
 (_S_COL, _T_COL, _NZ, _SUB_S, _SUB_T, _CNT,
@@ -632,16 +631,17 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOw
     engine.run_phase("sbmm.respond",
                      fragment_responder(ownership, cells[:, 0], cells[:, 1]))
     _reduce_phase(engine, semiring, pages, row_dst, col_out)
-    return SparseMatrix(engine.n, semiring, _gather_rows(engine, semiring))
+    return SparseMatrix(engine.n, semiring, *_gather_rows(engine, semiring))
 
 
-def _gather_rows(engine: CliqueEngine, semiring: Semiring) -> list[list]:
-    """Result rows from the reduce delivery: node r sums its partials per column.
+def _gather_rows(engine: CliqueEngine, semiring: Semiring) -> tuple:
+    """The product's ``(ptr, cols, vals)`` from the reduce delivery: node
+    r sums its partials per column.
 
     With the semiring's kernel exact on the partials every row is summed
     by it, else by the fold kernel, each cell's partials in mailbox
     order.  Omitted sums are dropped, and the delivery is released before
-    the rows are built.
+    the row pointer is built.
     """
     n, mail = engine.n, engine.drain_inboxes()
     kernel = semiring.kernel
@@ -650,9 +650,7 @@ def _gather_rows(engine: CliqueEngine, semiring: Semiring) -> list[list]:
     cell, sums = _cell_sums(kernel, semiring.omitted,
                             np.repeat(np.arange(n), np.diff(mail.bounds)) * n + mail.i1, mail.val)
     del mail
-    bounds = np.searchsorted(cell, np.arange(n + 1) * n).tolist()
-    cols, vals = (cell % n).tolist(), sums.tolist()
-    return [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    return np.searchsorted(cell, np.arange(n + 1) * n), cell % n, value_column(sums)
 
 
 # -- public entry points ----------------------------------------------------
@@ -685,18 +683,12 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     engine = engine_for(n, engine)
     mark = engine.ledger.mark()
 
-    for v in range(n):
-        st = engine.states[v]
-        st["S_row"] = S.rows[v]
-        st["T_row"] = T.rows[v]
-
-    # Both operands are scattered into columns: node v then holds row v
-    # and column v of S and of T.
+    # Node v starts with row v of S and of T.  Both operands are scattered
+    # into columns: node v then holds row v and column v of each.
     def emit_cols(v, state):
-        s_row, t_row = state["S_row"], state["T_row"]
-        tags = np.repeat((_S_COL, _T_COL), (len(s_row), len(t_row)))
-        return ([c for c, _ in s_row] + [c for c, _ in t_row], tags, v, 0,
-                [x for _, x in s_row] + [x for _, x in t_row])
+        (s_cols, s_vals), (t_cols, t_vals) = S.row(v), T.row(v)
+        tags = np.repeat((_S_COL, _T_COL), (len(s_cols), len(t_cols)))
+        return np.concatenate((s_cols, t_cols)), tags, v, 0, concat_values([s_vals, t_vals])
 
     engine.run_ingest_emit("distribute", None, emit_cols)
 
@@ -710,8 +702,8 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     base = n + 1
     words = engine.run_broadcast(
         "stats",
-        lambda v, state: (_NZ, len(state.pop("S_row")), state.pop("nz_t_col"),
-                          len(state["S_col"][0]) * base + len(state["T_row"])),
+        lambda v, state: (_NZ, len(S.row(v)[0]), state.pop("nz_t_col"),
+                          len(state["S_col"][0]) * base + len(T.row(v)[0])),
         ingest_cols,
     )
     row_nz = [w[1] for w in words]
@@ -724,12 +716,10 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     # on node v: both are local relabels.
     def relabel(v, state):
         rows, s_vals = state.pop("S_col")
-        t_row = state.pop("T_row")
-        s_pos = sigma_of[rows]
-        t_pos = tau_of[np.array([c for c, _ in t_row], dtype=np.int64)]
+        t_cols, t_vals = T.row(v)
+        s_pos, t_pos = sigma_of[rows], tau_of[t_cols]
         s_order, t_order = np.argsort(s_pos), np.argsort(t_pos)
-        return ((s_pos[s_order], s_vals[s_order]),
-                (t_pos[t_order], value_column([x for _, x in t_row])[t_order]))
+        return (s_pos[s_order], s_vals[s_order]), (t_pos[t_order], t_vals[t_order])
 
     ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
     # Partials go straight to the owner of the unpermuted result row, as

@@ -1,11 +1,18 @@
-"""Square sparse matrices in row-major coordinate form, and Matrix Market IO.
+"""Square sparse matrices in compressed-row form, and Matrix Market IO.
 
 Matrices are n-by-n over a semiring; entries equal to the semiring's
-omitted value are never stored.  Row lists are kept sorted by column so
-every traversal order is deterministic.
+omitted value are never stored.  A matrix is three arrays: row i's
+entries are positions ``ptr[i]:ptr[i + 1]`` of ``cols``, ascending, and
+of ``vals``, a value column (``value_column``), whose ``.tolist()`` gives
+back every value's exact Python type.  The engine carries message values
+by the same rule.
 """
 
 from __future__ import annotations
+
+from itertools import pairwise
+
+import numpy as np
 
 from .semiring import Semiring
 
@@ -18,72 +25,110 @@ class DimensionError(ValueError):
     """Operands disagree on size or semiring."""
 
 
+def value_column(values) -> np.ndarray:
+    """``values`` as a value column: int64 if every value is an ``int``
+    inside int64, bool if every value is a ``bool``, object otherwise."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64 or values.dtype == np.bool_:
+            return values
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds == {bool}:
+        return np.array(values, dtype=np.bool_)
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+def concat_values(columns) -> np.ndarray:
+    """Value columns joined end to end; differing dtypes join as object.
+
+    An empty column holds no value, so its dtype does not count."""
+    columns = [c for c in columns if len(c)] or columns[:1]
+    if len({c.dtype for c in columns}) > 1:
+        columns = [c.astype(object) for c in columns]
+    return np.concatenate(columns)
+
+
 class SparseMatrix:
-    """n-by-n matrix over ``semiring``; ``rows[i]`` is a sorted (col, value) list."""
+    """n-by-n matrix over ``semiring`` in compressed rows ``ptr``, ``cols``, ``vals``."""
 
-    __slots__ = ("n", "semiring", "rows")
+    __slots__ = ("n", "semiring", "ptr", "cols", "vals")
 
-    def __init__(self, n: int, semiring: Semiring, rows=None):
+    def __init__(self, n: int, semiring: Semiring, ptr: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray):
         if n < 1:
             raise ValueError("matrix size must be at least 1")
         self.n = n
         self.semiring = semiring
-        self.rows = rows if rows is not None else [[] for _ in range(n)]
+        self.ptr, self.cols, self.vals = ptr, cols, vals
 
     @classmethod
     def from_entries(cls, n: int, semiring: Semiring, entries) -> "SparseMatrix":
-        """Build from (row, col, value) triples; duplicate coordinates are an error."""
-        rows: list[list] = [[] for _ in range(n)]
-        for i, j, v in entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise FormatError(f"entry ({i}, {j}) outside [0, {n})")
-            rows[i].append((j, v))
-        seen_cols = set()
-        for i, row in enumerate(rows):
-            row.sort()
-            seen_cols.clear()
-            for j, _ in row:
-                if j in seen_cols:
-                    raise FormatError(f"duplicate entry at ({i}, {j})")
-                seen_cols.add(j)
-        omitted = semiring.omitted
-        rows = [[(j, v) for j, v in row if v != omitted] for row in rows]
-        return cls(n, semiring, rows)
+        """Build from (row, col, value) triples.
 
-    @classmethod
-    def from_dense(cls, dense, semiring: Semiring) -> "SparseMatrix":
-        n = len(dense)
-        omitted = semiring.omitted
-        rows = [
-            [(j, v) for j, v in enumerate(drow) if v != omitted]
-            for drow in dense
-        ]
-        return cls(n, semiring, rows)
+        The first entry outside [0, n) in input order, then the first
+        duplicate coordinate in (row, col) order, raises FormatError;
+        entries holding the omitted value are dropped after both checks.
+        """
+        entries = list(entries)
+        i, j, values = map(list, zip(*entries)) if entries else ([], [], [])
+        # numpy holds an index beyond int64 as float or object, which
+        # compares outside [0, n) all the same.
+        rows, cols = np.array(i), np.array(j)
+        bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+        if bad.any():
+            r, c, _ = entries[int(bad.argmax())]
+            raise FormatError(f"entry ({r}, {c}) outside [0, {n})")
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order].astype(np.int64), cols[order].astype(np.int64)
+        dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if len(dup):
+            raise FormatError(f"duplicate entry at ({rows[dup[0]]}, {cols[dup[0]]})")
+        vals = value_column(values)[order]
+        kept = vals != semiring.omitted
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[kept], minlength=n), out=ptr[1:])
+        return cls(n, semiring, ptr, cols[kept], value_column(vals[kept]))
 
     # -- access -------------------------------------------------------------
 
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i's columns and values, as views of the stored arrays."""
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        return self.cols[lo:hi], self.vals[lo:hi]
+
+    @property
+    def rows(self) -> list[list[tuple]]:
+        """Every row as a list of (col, value) tuples of Python values."""
+        cols, vals = self.cols.tolist(), self.vals.tolist()
+        return [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in pairwise(self.ptr.tolist())]
+
     def nz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return len(self.cols)
 
     def entry(self, i: int, j: int):
-        for c, v in self.rows[i]:
-            if c == j:
-                return v
-            if c > j:
-                break
+        cols, vals = self.row(i)
+        k = int(np.searchsorted(cols, j))
+        if k < len(cols) and cols[k] == j:
+            return vals[k:k + 1].tolist()[0]
         return self.semiring.omitted
 
     def entries(self):
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                yield i, j, v
+        """(row, col, value) triples of Python values in (row, col) order."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.ptr))
+        return zip(rows.tolist(), self.cols.tolist(), self.vals.tolist())
 
     def to_dense(self) -> list[list]:
         omitted = self.semiring.omitted
         dense = [[omitted] * self.n for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                dense[i][j] = v
+        for i, j, v in self.entries():
+            dense[i][j] = v
         return dense
 
     def __eq__(self, other) -> bool:
@@ -91,7 +136,9 @@ class SparseMatrix:
             isinstance(other, SparseMatrix)
             and self.n == other.n
             and self.semiring.name == other.semiring.name
-            and self.rows == other.rows
+            and np.array_equal(self.ptr, other.ptr)
+            and np.array_equal(self.cols, other.cols)
+            and self.vals.tolist() == other.vals.tolist()
         )
 
     def __repr__(self) -> str:

@@ -191,18 +191,16 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     def class_n_sets(i, inbox):
         """N-partitions of class i towards every class j."""
         members = v_sets[i]
-        table: dict[int, list[int]] = {u: [0] * q for u in members}
-        for src, tag, j, cnt, _ in inbox.messages():
-            if tag == _VC:
-                table[src][j] = cnt
+        vc = inbox.tag == _VC
+        table = np.zeros((n, q), dtype=np.int64)       # [u, j]: u's arcs into V_j
+        table[inbox.src[vc], inbox.i1[vc]] = inbox.i2[vc]
         groups = []
-        for j in range(q):
-            m_ij = sum(table[u][j] for u in members)
+        for weights in table[members].T.tolist():
+            m_ij = sum(weights)
             if m_ij == 0:
                 groups.append([])
                 continue
             parts = math.ceil(Fraction(m_ij * Q, m))
-            weights = [table[u][j] for u in members]
             groups.append([[members[idx] for idx in grp]
                            for grp in balanced_assignment(weights, parts, max(weights))])
         return groups
@@ -234,8 +232,11 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
                            emit_ncounts)
 
     def n_id_list(_key, inbox):
-        return sorted((v_of[src], j, ell) for src, tagw, j, cnt, _ in inbox.messages()
-                      if tagw == _NC for ell in range(cnt))
+        nc = inbox.tag == _NC
+        cnt = inbox.i2[nc]
+        ids = np.repeat(cls_of[inbox.src[nc]], cnt), np.repeat(inbox.i1[nc], cnt), ranges(0, cnt)
+        order = np.lexsort(ids[::-1])
+        return list(zip(*(x[order].tolist() for x in ids)))
 
     # Every N-id, from the count words: position pos of every class reports
     # to position pos of every class, so all n nodes receive the same q^2.

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import cliquemul
 from cliquemul import apsp, count_4_cycles, list_triangles, smm
-from cliquemul.engine import CliqueEngine, SimulationError, concat_values, value_column
+from cliquemul.engine import CliqueEngine, SimulationError
 from cliquemul.graphs import Graph
 from cliquemul.semiring import counting_semiring
-from cliquemul.sparse import DimensionError
+from cliquemul.sparse import DimensionError, concat_values, value_column
 
 
 def batch(msgs):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
-from cliquemul.engine import CliqueEngine, Inbox, SimulationError, value_column
+from cliquemul.engine import CliqueEngine, Inbox, SimulationError
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
@@ -25,7 +25,7 @@ from cliquemul.smm import (
     smm,
     split_cost,
 )
-from cliquemul.sparse import SparseMatrix
+from cliquemul.sparse import SparseMatrix, value_column
 
 COUNT = counting_semiring()
 

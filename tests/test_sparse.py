@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquemul.semiring import boolean_semiring, counting_semiring, min_plus_semiring
 from cliquemul.sparse import (FormatError, SparseMatrix, load_matrix_market,
-                              save_matrix_market)
+                              save_matrix_market, value_column)
 
 COUNT = counting_semiring()
 
@@ -18,13 +19,74 @@ def test_nz_identity_and_empty():
 def test_from_entries_drops_omitted_but_rejects_bad_input():
     M = SparseMatrix.from_entries(3, COUNT, [(0, 1, 5), (1, 2, 0)])
     assert M.nz() == 1
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^entry \(0, 3\) outside \[0, 3\)$"):
         SparseMatrix.from_entries(3, COUNT, [(0, 3, 1)])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^duplicate entry at \(0, 1\)$"):
         SparseMatrix.from_entries(3, COUNT, [(0, 1, 5), (0, 1, 7)])
     # duplicates are an error even when one copy holds the omitted value
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^duplicate entry at \(0, 1\)$"):
         SparseMatrix.from_entries(3, COUNT, [(0, 1, 0), (0, 1, 7)])
+
+
+def test_from_entries_names_the_first_bad_entry():
+    # Out of range: the first such entry in input order, checked before
+    # any duplicate, an index past int64 included.
+    for entries, bad in (([(1, 1, 1), (1, 1, 2), (-1, 0, 1), (0, 3, 1)], "-1, 0"),
+                         ([(0, 2**70, 1), (3, 0, 1)], f"0, {2**70}"),
+                         ([(0, 0, 1), (2**63, 1, 1)], f"{2**63}, 1")):
+        with pytest.raises(FormatError, match=rf"^entry \({bad}\) outside \[0, 3\)$"):
+            SparseMatrix.from_entries(3, COUNT, entries)
+    # Duplicates: the first in (row, col) order, not in input order.
+    with pytest.raises(FormatError, match=r"^duplicate entry at \(0, 2\)$"):
+        SparseMatrix.from_entries(3, COUNT, [(2, 0, 1), (2, 0, 2), (1, 1, 1), (0, 2, 1),
+                                             (0, 2, 0), (0, 0, 4)])
+
+
+# Per semiring, values that include the omitted one and ints past int64,
+# which take an object column; min-plus mixes in floats.
+STORED_VALUES = {
+    "counting": st.integers(-3, 3) | st.integers(2**63 - 2, 2**64),
+    "boolean": st.booleans(),
+    "min-plus": (st.integers(-3, 3) | st.integers(2**63 - 2, 2**64) | st.just(math.inf)
+                 | st.floats(-4, 4, allow_nan=False)),
+}
+
+
+@st.composite
+def stored(draw):
+    sr = draw(st.sampled_from([COUNT, boolean_semiring(), min_plus_semiring()]))
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          unique=True, max_size=n * n))
+    return n, sr, [(i, j, draw(STORED_VALUES[sr.name])) for i, j in cells]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored())
+def test_storage_matches_reference_model(case):
+    n, sr, entries = case
+    M = SparseMatrix.from_entries(n, sr, entries)
+
+    # Reference: a dict per row, omitted values dropped, read in column order.
+    model = [{} for _ in range(n)]
+    for i, j, v in entries:
+        if v != sr.omitted:
+            model[i][j] = v
+    want = [sorted(row.items()) for row in model]
+    typed = [(i, j, type(v), v) for i, row in enumerate(want) for j, v in row]
+    assert M.rows == want
+    assert [(i, j, type(v), v) for i, row in enumerate(M.rows) for j, v in row] == typed
+    assert [(i, j, type(v), v) for i, j, v in M.entries()] == typed
+    assert M.nz() == len(typed)
+    dense = M.to_dense()
+    for i in range(n):
+        for j in range(n):
+            v = model[i].get(j, sr.omitted)
+            assert type(M.entry(i, j)) is type(v) and M.entry(i, j) == v
+            assert type(dense[i][j]) is type(v) and dense[i][j] == v
+    if typed:
+        assert M.vals.dtype == value_column([t[3] for t in typed]).dtype
+    assert M == SparseMatrix.from_entries(n, sr, entries[::-1])
 
 
 def test_row_and_column_views():

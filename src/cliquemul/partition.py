@@ -1,21 +1,18 @@
 """Deterministic load-balancing partitions used throughout the protocols.
 
-Three primitives, all exact (rational arithmetic, no floats):
+Two primitives, both in exact integer arithmetic (no floats):
 
-* chunk partitions: split t items into ceil(t/c) consecutive blocks of at
-  most floor(c)+1 items; trailing blocks may be empty so the block count
-  is agreed upon by every node that knows t and c.
-* average chunking over a family of sets, with c fixed to the exact mean
-  set size; the family-wide block count never exceeds 2n.
+* average chunking of a family of n sets: set i of t_i items splits into
+  ceil(t_i / avg) consecutive blocks of at most floor(avg)+1 items, avg
+  being the exact mean set size; trailing blocks may be empty, so the
+  block count is agreed upon by every node that knows the sizes, and
+  the family-wide block count never exceeds 2n.
 * weight-balanced strided assignment of any weight list into k groups
   whose sizes differ by at most one and whose sums exceed the mean group
   sum by at most one maximal element.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,47 +21,30 @@ class PartitionError(ValueError):
     """Inputs violate a partition precondition."""
 
 
-def chunk_sizes(t: int, c) -> list[int]:
-    """Block sizes for splitting t items with capacity parameter c.
+def avg_partition(set_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk each of n sets with capacity the exact mean set size avg.
 
-    c may be a positive int or Fraction.  Returns ceil(t/c) sizes, each at
-    most floor(c)+1, consecutive blocks filled greedily so only trailing
-    blocks are empty.  t == 0 yields no blocks.
+    Returns ``(size, count)``: ``count[i]`` = ceil(t_i / avg) blocks of
+    set i, and ``size`` every block's item count, set by set, each set's
+    blocks in order.  Block k of a set of t items holds clip(t - k * c,
+    0, c) with c = floor(avg) + 1, so blocks fill greedily and only
+    trailing ones may be empty.  Both follow from the integers t_i, n and
+    the total, so every node computing them from the same size vector
+    agrees; the total block count is at most 2n.  A zero total (all sets
+    empty) yields no blocks.
     """
-    if t < 0:
-        raise PartitionError("item count must be nonnegative")
-    if t == 0:
-        return []
-    if c <= 0:
-        raise PartitionError("capacity must be positive")
-    count = math.ceil(Fraction(t) / Fraction(c))
-    block = math.floor(c) + 1
-    sizes = []
-    remaining = t
-    for _ in range(count):
-        take = block if remaining >= block else remaining
-        sizes.append(take)
-        remaining -= take
-    assert remaining == 0
-    return sizes
-
-
-def avg_partition(set_sizes: list[int]) -> list[list[int]]:
-    """Chunk sizes of each of n sets, with capacity the exact mean set size.
-
-    The mean is kept as a Fraction, so every node computing it from the
-    same size vector agrees on every block count.  Total block count over
-    the family is at most 2n.  A zero mean (all sets empty) yields no
-    blocks.
-    """
-    if not set_sizes:
+    t = np.asarray(set_sizes, dtype=np.int64)
+    if not len(t):
         raise PartitionError("need at least one set")
-    if any(t < 0 for t in set_sizes):
+    if (t < 0).any():
         raise PartitionError("set sizes must be nonnegative")
-    avg = Fraction(sum(set_sizes), len(set_sizes))
-    if avg == 0:
-        return [[] for _ in set_sizes]
-    return [chunk_sizes(t, avg) for t in set_sizes]
+    n, total = len(t), int(t.sum())
+    # ceil(t / (total / n)); a zero total has only empty sets, so no blocks.
+    count = -(-t * n // max(total, 1))
+    block = total // n + 1
+    # Each block's place k within its set.
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.clip(np.repeat(t, count) - k * block, 0, block), count
 
 
 def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:

@@ -78,6 +78,12 @@ class SplitPair:
     b: int
 
 
+def _split_terms(nzS: int, nzT: int, n: int, a: int, b: int) -> tuple[int, int]:
+    """Numerator and denominator of ``split_cost``."""
+    g = n // (a * b)
+    return nzS * b + nzT * a + n * n * g, a * b * n * g
+
+
 def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
     """Exact value of the round-cost surrogate (nzS/a + nzT/b)/(n*g) + n/(ab).
 
@@ -85,8 +91,7 @@ def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
     of its pages is spread over; when ab divides n this is
     nzS*b/n^2 + nzT*a/n^2 + n/(ab).
     """
-    g = n // (a * b)
-    return Fraction(nzS * b + nzT * a + n * n * g, a * b * n * g)
+    return Fraction(*_split_terms(nzS, nzT, n, a, b))
 
 
 def choose_split(nzS: int, nzT: int, n: int) -> SplitPair:
@@ -108,7 +113,7 @@ def choose_split(nzS: int, nzT: int, n: int) -> SplitPair:
         while b <= m:
             g = m // b
             b = m // g                  # the largest b with n // (ab) == g
-            num, den = nzS * b + nzT * a + n * n * g, a * b * n * g
+            num, den = _split_terms(nzS, nzT, n, a, b)
             if best is None or num * best[1] < best[0] * den:
                 best = (num, den, a, b)
             b += 1
@@ -163,17 +168,19 @@ class SubseqSide:
     position ascending).  Trailing fragments of a line may be empty: the
     agreed count is ``partition.avg_partition``'s ceil(line_nz / avg),
     not the occupied count.  ``size`` is each fragment's entry count,
-    common knowledge like the rest of the table.
+    common knowledge like the rest of the table.  A node owns at most two
+    fragments of a side, in slots 0 and 1 by ascending id, so slot 1 is
+    filled only when slot 0 is.
     """
 
     block: int                    # largest fragment, the slicing stride
     size: np.ndarray              # fragment id -> entries
     origin: np.ndarray            # fragment id -> line
     owner: np.ndarray             # fragment id -> owning node
-    bit: np.ndarray               # fragment id -> its bit in the owner's request mask
+    slot: np.ndarray              # fragment id -> its slot (0 or 1) at its owner
+    held: np.ndarray              # (node, slot) -> fragment id, -1 where empty
     first: np.ndarray             # line -> its first fragment id
     count: np.ndarray             # line -> its fragment count
-    owned: list[list[int]]        # node -> fragment ids it owns
 
     def fragments_of(self, lines) -> np.ndarray:
         """Ids of every fragment of ``lines``, line by line, ascending."""
@@ -193,13 +200,11 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     smaller and sum to at most the total, and none exceeds ``block``;
     so a node holds at most ``block + total // (n + 1)`` entries.
     """
-    sizes = avg_partition(nz_per_line)
+    size, count = avg_partition(nz_per_line)
     # Chunking fills every fragment of a line but its last nonempty one, so
     # the largest fragment is the stride (floor(avg) + 1 once any line is
     # cut in two).
-    size = np.array([c for line in sizes for c in line], dtype=np.int64)
     block = int(size.max(initial=0))
-    count = np.array([len(line) for line in sizes], dtype=np.int64)
     total_frags = len(size)
     assert total_frags <= 2 * n
     owner = np.arange(total_frags)
@@ -209,49 +214,41 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
                                 np.argsort(size, kind="stable")))
         picks, nodes = np.concatenate((order[:n], order[::-1][:n])), np.tile(np.arange(n), 2)
         owner[picks[picks >= 0]] = nodes[picks >= 0]
-    owned: list[list[int]] = [[] for _ in range(n)]
-    bit = np.zeros(total_frags, dtype=np.int64)
-    for q, u in enumerate(owner.tolist()):
-        bit[q] = 1 << len(owned[u])
-        owned[u].append(q)
+    # Ids grouped by owner, ascending within one: the k-th is in slot k.
+    slot = np.empty(total_frags, dtype=np.int64)
+    slot[np.argsort(owner, kind="stable")] = ranges(0, np.bincount(owner, minlength=n))
+    held = np.full((n, 2), -1, dtype=np.int64)
+    held[owner, slot] = np.arange(total_frags)
     return SubseqSide(block, size, np.repeat(np.arange(len(count)), count),
-                      owner, bit, np.cumsum(count) - count, count, owned)
-
-
-@dataclass
-class SubseqOwnership:
-    s: SubseqSide
-    t: SubseqSide
+                      owner, slot, held, np.cumsum(count) - count, count)
 
 
 # -- fragment dealing, counts, requests and responses -----------------------
 
 def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
-                   prefix: str, lines) -> SubseqOwnership:
+                   prefix: str, lines) -> tuple[SubseqSide, SubseqSide]:
     """Fragment tables from common-knowledge counts, and the fragments shipped.
 
     ``lines(v, state)`` returns node v's lhs column and rhs row, each a
     ``(pos, val)`` pair of columns sorted by position; v sends each
-    fragment to its owner and reads no mailbox.  The returned tables are
-    common knowledge.
+    fragment to its owner and reads no mailbox.  The returned ``(lhs,
+    rhs)`` tables are common knowledge.
     """
     n = engine.n
     sides = (build_subsequences(s_nz, n), build_subsequences(t_nz, n))
 
     def emit_fragments(v, state, inbox):
-        frags, positions, values = [], [], []
-        for side, (pos, val) in zip(sides, lines(v, state)):
-            # Entry k of the line lies in its (k // block)-th fragment.
-            frags.append(side.first[v] + np.arange(len(pos)) // max(side.block, 1))
-            positions.append(pos)
-            values.append(val)
-        q = np.concatenate(frags)
+        positions, values = zip(*lines(v, state))
+        # Entry k of the line lies in its (k // block)-th fragment.
+        frags = [side.first[v] + np.arange(len(pos)) // max(side.block, 1)
+                 for side, pos in zip(sides, positions)]
         tags = np.repeat((_SUB_S, _SUB_T), [len(f) for f in frags])
         dst = np.concatenate([side.owner[f] for side, f in zip(sides, frags)])
-        return dst, tags, q, np.concatenate(positions), concat_values(values)
+        return (dst, tags, np.concatenate(frags), np.concatenate(positions),
+                concat_values(values))
 
     engine.run_phase(prefix + "subseq", emit_fragments)
-    return SubseqOwnership(*sides)
+    return sides
 
 
 # Fragment routing, shared with triangle listing's LearnPaths: owners file
@@ -261,11 +258,12 @@ def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
 class Buckets(NamedTuple):
     """A fragment owner's entries filed by band.
 
-    A bucket holds one owned fragment's entries in one band: lhs fragment
-    k (in owned order) in band i is bucket ``k * bands[0] + i``, and the
-    rhs buckets follow the lhs ones in the same way.  Entries are sorted
-    by bucket, arrival order kept within one; bucket x is rows
-    ``bounds[x]:bounds[x + 1]`` of ``pos`` and ``val``.
+    A bucket holds the entries of one slot's fragment in one band: the
+    lhs fragment in slot k in band i is bucket ``k * bands[0] + i``, and
+    the rhs buckets follow the two slots of lhs ones in the same way, an
+    empty slot's buckets empty.  Entries are sorted by bucket, arrival
+    order kept within one; bucket x is rows ``bounds[x]:bounds[x + 1]``
+    of ``pos`` and ``val``.
     """
 
     pos: np.ndarray
@@ -273,15 +271,13 @@ class Buckets(NamedTuple):
     bounds: np.ndarray
     bands: tuple[int, int]        # lhs and rhs band counts
 
-    def counts(self, s_owned: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per side, entries of each owned fragment (row) in each band (column)."""
-        counts = np.diff(self.bounds)
-        split = s_owned * self.bands[0]
-        return (counts[:split].reshape(s_owned, self.bands[0]),
-                counts[split:].reshape(-1, self.bands[1]))
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per side, entries of each slot's fragment (row) in each band (column)."""
+        lhs, rhs = np.split(np.diff(self.bounds), [2 * self.bands[0]])
+        return lhs.reshape(2, -1), rhs.reshape(2, -1)
 
 
-def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
+def bucket_fragments(sides: tuple[SubseqSide, SubseqSide], band_s: list[int],
                      band_t: list[int]):
     """Ingest step, in the phase after dealing, filing entries by band.
 
@@ -295,14 +291,13 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
     s_count, t_count = int(band_s.max()) + 1, int(band_t.max()) + 1
 
     def ingest(v, state, inbox):
-        s_owned, t_owned = ownership.s.owned[v], ownership.t.owned[v]
         q, pos = inbox.i1, inbox.i2
+        # Fragment q reached its owner v, so it is in slot 1 iff held there.
         key = np.where(inbox.tag == _SUB_S,
-                       np.searchsorted(s_owned, q) * s_count + band_s[pos],
-                       len(s_owned) * s_count + np.searchsorted(t_owned, q) * t_count
-                       + band_t[pos])
+                       (q == sides[0].held[v, 1]) * s_count + band_s[pos],
+                       2 * s_count + (q == sides[1].held[v, 1]) * t_count + band_t[pos])
         order = np.argsort(key, kind="stable")
-        size = len(s_owned) * s_count + len(t_owned) * t_count
+        size = 2 * (s_count + t_count)
         bounds = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=size), out=bounds[1:])
         state["buckets"] = Buckets(pos.astype(nodes)[order], inbox.val[order], bounds,
@@ -311,7 +306,7 @@ def bucket_fragments(ownership: SubseqOwnership, band_s: list[int],
     return ingest
 
 
-def fragment_requests(ownership: SubseqOwnership, asks):
+def fragment_requests(sides: tuple[SubseqSide, SubseqSide], asks):
     """Emit step of a request phase, with every node's words built at once.
 
     Node v sends one word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per
@@ -319,7 +314,7 @@ def fragment_requests(ownership: SubseqOwnership, asks):
     pair: ``lines[v]`` holds node v's lines of set k, whose fragments set
     bits at shift 2k of the masks, so one word carries every set (triangle
     listing's two halves); within a set, fragment q is bit
-    ``SubseqSide.bit[q]``, as its owner holds at most two per side.  An
+    ``1 << SubseqSide.slot[q]``, as its owner holds at most two per side.  An
     empty fragment (``SubseqSide.size``, common knowledge) is never asked
     for, so an owner of only empty fragments hears nothing.  ``wanted``
     holds, per side, a table of flags indexed by (node, fragment id),
@@ -331,12 +326,12 @@ def fragment_requests(ownership: SubseqOwnership, asks):
     smm asks one and triangle listing two.
     """
     assert len(asks) <= 3, "request masks are int8"
-    n = len(ownership.s.owned)
+    n = len(sides[0].held)
     masks = np.zeros((2, n, n), dtype=np.int8)      # side, requester, owner
     for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
         line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
         asker = np.repeat(np.arange(n), [len(own) for own in lines])
-        for k, side in enumerate((ownership.s, ownership.t)):
+        for k, side in enumerate(sides):
             q = side.fragments_of(line)
             who = np.repeat(asker, side.count[line])
             keep = side.size[q] > 0
@@ -344,7 +339,7 @@ def fragment_requests(ownership: SubseqOwnership, asks):
                 keep &= wanted[k][who, q]
             q, who = q[keep], who[keep]
             np.bitwise_or.at(masks[k], (who, side.owner[q]),
-                             (side.bit[q] << shift).astype(np.int8))
+                             (1 << (side.slot[q] + shift)).astype(np.int8))
 
     def emit(v, state):
         dst = np.flatnonzero(masks[0, v] | masks[1, v])
@@ -353,12 +348,12 @@ def fragment_requests(ownership: SubseqOwnership, asks):
     return emit
 
 
-def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
+def fragment_responder(sides: tuple[SubseqSide, SubseqSide], lhs_band, rhs_band):
     """Handler answering the request words in a node's mailbox from its buckets.
 
     ``lhs_band[src]`` and ``rhs_band[src]`` are the requester's bands, -1
-    for a node that may not request.  Bit k of a mask names
-    the node's k-th owned fragment of that side, whose line ell is its
+    for a node that may not request.  Bit k of a mask names the node's
+    fragment in slot k of that side, whose line ell is its
     ``SubseqSide.origin``: an lhs fragment of column ell gets ``(_ENT_S,
     pos, ell, val)`` for every entry in the lhs band, an rhs fragment of
     row ell ``(_ENT_T, ell, pos, val)`` for those in the rhs band.  Each
@@ -368,18 +363,22 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
     which the engine widens on delivery.
     """
     bands = np.stack((np.asarray(lhs_band), np.asarray(rhs_band)))   # side, node
-    # Slot 2 * side + k stands for the node's k-th owned fragment of a side.
+    # Column 2 * side + k stands for a node's fragment in slot k of a side:
+    # ``lines`` holds its line (0 where the slot is empty), and ``filled``
+    # the node's filled slots per side, so a mask bit at or past it is bad.
     slot_side, slot_bit = np.array([0, 0, 1, 1]), np.array([1, 2, 1, 2])
+    lines = np.concatenate([np.append(side.origin, 0)[side.held] for side in sides],
+                           axis=1).astype(node_dtype(len(bands[0])))
+    filled = np.stack([(side.held >= 0).sum(axis=1) for side in sides], axis=1)
     entry_tags = np.array([_ENT_S, _ENT_T], dtype=np.int16)     # by side
 
     def respond(v, state, inbox):
         if not len(inbox):
             return None
-        pos, val, bounds, counts = state["buckets"]
-        owned = (ownership.s.owned[v], ownership.t.owned[v])
+        pos, val, bounds, (s_bands, t_bands) = state["buckets"]
         src = inbox.src
         masks = np.stack((inbox.i1, inbox.i2), axis=1)
-        unowned = (masks >> [len(ids) for ids in owned]).any(axis=1)
+        unowned = (masks >> filled[v]).any(axis=1)
         if unowned.any():
             raise SimulationError(f"node {v} was asked by node {src[unowned.argmax()]} "
                                   "for a fragment it does not own")
@@ -390,21 +389,15 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
         if (band < 0).any():
             raise SimulationError(f"node {v} was asked by node {src[req[band.argmin()]]}, "
                                   "which has no band")
-        # Per slot, its fragment's bucket in band 0 and its line.
-        first, line = np.zeros(4, dtype=np.int64), np.zeros(4, dtype=pos.dtype)
-        base = 0
-        for sd, (table, ids) in enumerate(zip((ownership.s, ownership.t), owned)):
-            for k, q in enumerate(ids):
-                first[2 * sd + k] = base + k * counts[sd]
-                line[2 * sd + k] = table.origin[q]
-            base += len(ids) * counts[sd]
+        # Per slot, its fragment's bucket in band 0 (see ``Buckets``).
+        first = np.array([0, s_bands, 2 * s_bands, 2 * s_bands + t_bands])
         bucket = first[slot] + band
         lo = bounds[bucket]
         length = bounds[bucket + 1] - lo
         entry = ranges(lo, length)
         side = np.repeat(side, length)
         is_s = side == 0
-        ell = np.repeat(line[slot], length)
+        ell = np.repeat(lines[v, slot], length)
         p = pos[entry]
         return (np.repeat(src[req], length), entry_tags[side],
                 np.where(is_s, p, ell), np.where(is_s, ell, p), val[entry])
@@ -412,43 +405,22 @@ def fragment_responder(ownership: SubseqOwnership, lhs_band, rhs_band):
     return respond
 
 
-def _count_fields(counts: np.ndarray, n: int) -> np.ndarray:
-    """Per band, the owned fragments' entry counts packed into one field.
+def _fragment_counts(inbox, side: SubseqSide, k: int, n: int) -> np.ndarray:
+    """Decode field k (0 lhs, 1 rhs) of a mailbox of count words into an
+    array indexed by fragment id of the fragment's entries in the
+    receiver's band.
 
-    A fragment holds at most n entries, so each count fits base n + 1.
+    The field packs the counts of the sender's two slots of that side as
+    ``slot0 * (n + 1) + slot1`` (a fragment holds at most n entries); a
+    fragment without a word has no entry in the band.
     """
-    padded = np.zeros((2, counts.shape[1]), dtype=np.int64)
-    padded[:len(counts)] = counts
-    return padded[0] * (n + 1) + padded[1]
-
-
-def _owned_slots(side: SubseqSide) -> np.ndarray:
-    """Node -> its first and second owned fragment ids, -1 where none."""
-    slots = np.full((len(side.owned), 2), -1, dtype=np.int64)
-    for u, ids in enumerate(side.owned):
-        slots[u, :len(ids)] = ids
-    return slots
-
-
-def _fragment_counts(inbox, side: SubseqSide, slots: np.ndarray, k: int,
-                     n: int) -> np.ndarray:
-    """Decode field k (0 lhs, 1 rhs) of the count words into an array
-    indexed by fragment id of the fragment's entries in the receiver's band.
-
-    The field packs the counts of the sender's (at most two) owned
-    fragments of that side, in id order, as ``first * (n + 1) + second``;
-    a fragment without a word has no entry in the band.
-    """
-    words = inbox.tag == _CNT
-    field = (inbox.i1, inbox.i2)[k][words]
-    # The extra last slot takes the second count of one-fragment owners.
+    # The extra last entry takes the counts of empty slots, id -1.
     cnt = np.zeros(len(side.origin) + 1, dtype=np.int64)
-    for slot, value in zip(slots[inbox.src[words]].T, divmod(field, n + 1)):
-        cnt[slot] = value
+    cnt[side.held[inbox.src]] = np.stack(divmod((inbox.i1, inbox.i2)[k], n + 1), axis=1)
     return cnt[:-1]
 
 
-def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
+def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide],
                       band_s: np.ndarray, band_t: np.ndarray, cells: np.ndarray
                       ) -> tuple[list[list[int]], tuple[np.ndarray, np.ndarray]]:
     """Band-count exchange and per-group page assignment.
@@ -464,12 +436,11 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     indexed by (node, fragment id).
     """
     n = engine.n
-    ingest = bucket_fragments(ownership, band_s, band_t)
+    ingest = bucket_fragments(sides, band_s, band_t)
 
     def emit_counts(v, state):
-        s_counts, t_counts = state["buckets"].counts(len(ownership.s.owned[v]))
-        s_field = _count_fields(s_counts, n)[cells[:, 0]]
-        t_field = _count_fields(t_counts, n)[cells[:, 1]]
+        s_field, t_field = ((c[0] * (n + 1) + c[1])[cells[:, k]]
+                            for k, c in enumerate(state["buckets"].counts()))
         dst = np.flatnonzero(s_field | t_field)
         return dst, _CNT, s_field[dst], t_field[dst], 0
 
@@ -480,24 +451,21 @@ def compute_receiving(engine: CliqueEngine, ownership: SubseqOwnership,
     # reads as 0, so every member of a band derives the same line weights
     # from that field: one derivation per band and side.
     weights, flags = [], []
-    for k, side in enumerate((ownership.s, ownership.t)):
-        slots = _owned_slots(side)
-
+    for k, side in enumerate(sides):
         def line_counts(band, inbox):
-            counts = _fragment_counts(inbox, side, slots, k, n)
-            line_weights = np.zeros(n, dtype=np.int64)
-            np.add.at(line_weights, side.origin, counts)
+            counts = _fragment_counts(inbox, side, k, n)
+            # Exact in float64: a line holds at most n entries.
+            line_weights = np.bincount(side.origin, counts, n).astype(np.int64)
             # Own counts travel as free self-messages and are already in
             # the inbox, so the weights are complete.  The requests need
             # only which fragments hold entries in the band.
             return line_weights, counts > 0
 
-        bands: dict[int, list[int]] = {}
-        for u, band in enumerate(cells[:, k].tolist()):
-            bands.setdefault(band, []).append(u)
-        derived = engine.derive_per_group(bands, line_counts)
-        weights.append(np.stack([derived[b][0] for b in range(len(bands))]))
-        flags.append(np.stack([derived[b][1] for b in range(len(bands))]))
+        band_of = cells[:, k]
+        derived = engine.derive_per_group(
+            {b: np.flatnonzero(band_of == b) for b in range(band_of.max() + 1)}, line_counts)
+        weights.append(np.stack([derived[b][0] for b in range(len(derived))]))
+        flags.append(np.stack([derived[b][1] for b in range(len(derived))]))
 
     # Group (i, j) weighs page ell by both bands' entries on it; the groups
     # of one size are striped together.
@@ -614,22 +582,23 @@ def _cell_sums(kernel: ArrayKernel, omitted, cell: np.ndarray,
     return cell[starts][kept], sums[kept]
 
 
-def _balanced_core(engine: CliqueEngine, semiring: Semiring, ownership: SubseqOwnership,
+def _balanced_core(engine: CliqueEngine, semiring: Semiring,
+                   sides: tuple[SubseqSide, SubseqSide],
                    bands: tuple[np.ndarray, np.ndarray], cells: np.ndarray,
                    row_dst: np.ndarray, col_out: np.ndarray):
     """Counts through reduce on dealt fragments; returns the gathered product.
 
     ``bands`` holds the band of each permuted row and column, and
     ``cells`` is ``grid_cells``'s node table."""
-    pages, wanted = compute_receiving(engine, ownership, *bands, cells)
+    pages, wanted = compute_receiving(engine, sides, *bands, cells)
     # A node asks for a line's fragments only from owners whose count word
     # reported entries in its band.  The request masks are gone before the
     # responses are built.
     engine.run_ingest_emit("sbmm.request", None,
-                           fragment_requests(ownership, [(pages, wanted)]))
+                           fragment_requests(sides, [(pages, wanted)]))
     del wanted
     engine.run_phase("sbmm.respond",
-                     fragment_responder(ownership, cells[:, 0], cells[:, 1]))
+                     fragment_responder(sides, cells[:, 0], cells[:, 1]))
     _reduce_phase(engine, semiring, pages, row_dst, col_out)
     return SparseMatrix(engine.n, semiring, *_gather_rows(engine, semiring))
 
@@ -721,13 +690,13 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
         s_order, t_order = np.argsort(s_pos), np.argsort(t_pos)
         return (s_pos[s_order], s_vals[s_order]), (t_pos[t_order], t_vals[t_order])
 
-    ownership = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
+    sides = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
     # Partials go straight to the owner of the unpermuted result row, as
     # the unpermuted result column.
     row_dst, col_out = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     row_dst[sigma_of] = np.arange(n)
     col_out[tau_of] = np.arange(n)
-    product = _balanced_core(engine, sr, ownership, (band_s, band_t),
+    product = _balanced_core(engine, sr, sides, (band_s, band_t),
                              grid_cells(n, split.a, split.b), row_dst, col_out)
     return SmmResult(product, split, sigma_of.tolist(), tau_of.tolist(),
                      engine.ledger.since(mark))

@@ -217,8 +217,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         return [(np.array(adj[v], dtype=np.int64), np.ones(len(adj[v]), dtype=np.bool_))
                 for adj in (G.in_adj, G.out_adj)]
 
-    ownership = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
-                               "tri.lp.", own_lines)
+    sides = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
+                           "tri.lp.", own_lines)
 
     # --- N-set counts cross the classes; halves and team assignment -------
     def emit_ncounts(v, state):
@@ -228,7 +228,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         return np.repeat(targets, q), _NC, j, np.array(counts)[j], 0
 
     # Fragment endpoints are filed by class, the filter of every response.
-    engine.run_ingest_emit("tri.ncounts", bucket_fragments(ownership, v_of, v_of),
+    engine.run_ingest_emit("tri.ncounts", bucket_fragments(sides, v_of, v_of),
                            emit_ncounts)
 
     def n_id_list(_key, inbox):
@@ -321,8 +321,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     # --- LearnPaths: one request word per owner asks for both halves' lines
     engine.run_ingest_emit("tri.lp.request", None, fragment_requests(
-        ownership, [([parts[v // q][v % q] if v // q in parts else [] for v in range(n)], None)
-                    for parts in state_view.p_parts]))
+        sides, [([parts[v // q][v % q] if v // q in parts else [] for v in range(n)], None)
+                for parts in state_view.p_parts]))
 
     def responder(half):
         # In-edges of the path part come from V_j, out-edges go to V_i; an
@@ -330,7 +330,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         bands = np.full((2, n), -1, dtype=np.int64)
         for team, (i_d, j_d, _) in enumerate(half):
             bands[:, team * q:(team + 1) * q] = [[j_d], [i_d]]
-        return fragment_responder(ownership, bands[0], bands[1])
+        return fragment_responder(sides, bands[0], bands[1])
 
     answer = [responder(half) for half in halves]
 

@@ -110,7 +110,8 @@ def test_run_bench_triangles(tmp_path):
 def test_run_bench_triangles_non_cube_runs_on_the_next_cube(tmp_path):
     rows = run_bench(BenchConfig("triangles", [10], edges=[12], seed=1,
                                  out=tmp_path / "t.csv"))
-    assert [(r["n"], r["m"]) for r in rows] == [(27, 24)]
+    # n is the graph's size, nodes the clique it was charged on
+    assert [(r["n"], r["nodes"], r["m"]) for r in rows] == [(10, 27, 24)]
 
 
 def test_run_bench_empty_sizes_writes_header(tmp_path):

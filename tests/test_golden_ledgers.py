@@ -5,12 +5,20 @@ byte for byte with ``tests/golden/<case>.csv``.  A refactor that moves,
 adds or drops a single message changes some phase's load or message count
 and fails here, even when the output stays correct.
 
+Loads and rounds do not show what a message carries, so each case's
+deliveries are pinned too: ``tests/golden/deliveries.json`` holds one
+sha256 per case over every phase's label, header columns (dtype and
+bytes), value column (dtype and ``tolist()`` repr) and mailbox bounds.
+A refactor that keeps every load but changes a mailbox fails there.
+
 Run as a script, ``python3 tests/test_golden_ledgers.py`` prints, per
-case, the golden rows that differ from a fresh run and the rounds before
-and after; it writes no file.
+case, the golden rows that differ from a fresh run, the rounds before
+and after, and whether the deliveries still match; it writes no file.
 """
 
 import difflib
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -75,16 +83,42 @@ CASES = {
 }
 
 
-def ledger_csv(case: str) -> str:
+class DigestEngine(CliqueEngine):
+    """An engine that hashes each phase's delivery as it is made."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.digest = hashlib.sha256()
+
+    def run_phase(self, label, handler):
+        rounds = super().run_phase(label, handler)
+        mail, h = self.inboxes, self.digest
+        h.update(label.encode())
+        for column in (mail.src, mail.tag, mail.i1, mail.i2):
+            h.update(column.dtype.str.encode())
+            h.update(column.tobytes())
+        h.update(mail.val.dtype.str.encode())
+        h.update(repr(mail.val.tolist()).encode())
+        h.update(repr(list(mail.bounds)).encode())
+        return rounds
+
+
+def run_case(case: str) -> DigestEngine:
     n, run = CASES[case]
-    engine = CliqueEngine(n)
+    engine = DigestEngine(n)
     run(engine)
-    return engine.ledger.to_csv()
+    return engine
+
+
+def golden_deliveries() -> dict[str, str]:
+    return json.loads((GOLDEN / "deliveries.json").read_text(encoding="ascii"))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_ledger_matches_golden(case):
-    assert ledger_csv(case) == (GOLDEN / f"{case}.csv").read_text(encoding="ascii")
+    engine = run_case(case)
+    assert engine.ledger.to_csv() == (GOLDEN / f"{case}.csv").read_text(encoding="ascii")
+    assert engine.digest.hexdigest() == golden_deliveries()[case]
 
 
 def test_every_phase_moves_messages():
@@ -101,10 +135,13 @@ def test_every_phase_moves_messages():
 def print_row_diff() -> None:
     for case in sorted(CASES):
         old = (GOLDEN / f"{case}.csv").read_text(encoding="ascii").splitlines()
-        new = ledger_csv(case).splitlines()
+        engine = run_case(case)
+        new = engine.ledger.to_csv().splitlines()
         before, after = (sum(int(row.split(",")[1]) for row in rows[1:])
                          for rows in (old, new))
-        print(f"{case}: {before} -> {after} rounds")
+        same = engine.digest.hexdigest() == golden_deliveries().get(case)
+        print(f"{case}: {before} -> {after} rounds, deliveries "
+              f"{'match' if same else 'differ'}")
         for line in difflib.unified_diff(old, new, lineterm="", n=0):
             if line[:1] in "+-" and line[:3] not in ("+++", "---"):
                 print("  " + line)

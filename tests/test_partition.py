@@ -1,37 +1,71 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquemul.partition import (PartitionError, avg_partition,
-                                 balanced_assignment, chunk_sizes)
+from cliquemul.partition import PartitionError, avg_partition, balanced_assignment
+
+
+def by_set(sizes):
+    """``avg_partition``'s block sizes as one list per set."""
+    size, count = avg_partition(sizes)
+    assert size.dtype == count.dtype == np.int64 and len(count) == len(sizes)
+    return [block.tolist() for block in np.split(size, np.cumsum(count)[:-1])]
+
+
+def greedy_blocks(sizes):
+    """Scalar model: ceil(t / avg) blocks per set, avg the exact mean,
+    each filled with floor(avg) + 1 items while any are left."""
+    avg = Fraction(sum(sizes), len(sizes))
+    blocks = []
+    for t in sizes:
+        line, left = [], t
+        for _ in range(math.ceil(t / avg) if avg else 0):
+            line.append(min(left, math.floor(avg) + 1))
+            left -= line[-1]
+        assert left == 0
+        blocks.append(line)
+    return blocks
 
 
 def test_chunk_examples():
-    assert chunk_sizes(10, 3) == [4, 4, 2, 0]
-    assert chunk_sizes(5, 5) == [5]
-    assert chunk_sizes(7, 1) == [2, 2, 2, 1, 0, 0, 0]
+    # avg 3: a set of 10 takes ceil(10/3) = 4 blocks of at most 4
+    assert by_set([10, 0, 0, 2]) == [[4, 4, 2, 0], [], [], [2]]
+    assert by_set([5, 5]) == [[5], [5]]
+    # avg 1: blocks of at most 2, so the trailing three stay empty
+    assert by_set([7, 0, 0, 0, 0, 0, 0]) == [[2, 2, 2, 1, 0, 0, 0]] + [[]] * 6
 
 
 def test_avg_partition_examples():
-    assert avg_partition([4, 4, 4, 4]) == [[4], [4], [4], [4]]
-    assert avg_partition([8, 0, 0, 0]) == [[3, 3, 2, 0], [], [], []]   # avg = 2
-    assert avg_partition([1, 1]) == [[1], [1]]
-    assert avg_partition([0, 0, 0]) == [[], [], []]
+    assert by_set([4, 4, 4, 4]) == [[4], [4], [4], [4]]
+    assert by_set([8, 0, 0, 0]) == [[3, 3, 2, 0], [], [], []]   # avg = 2
+    assert by_set([1, 1]) == [[1], [1]]
+    assert by_set([0, 0, 0]) == [[], [], []]
 
 
-@given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
+@st.composite
+def one_dominant(draw):
+    small = draw(st.lists(st.integers(0, 3), min_size=0, max_size=11))
+    at = draw(st.integers(0, len(small)))
+    return small[:at] + [draw(st.integers(50, 10 ** 6))] + small[at:]
+
+
+@given(st.one_of(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12),
+                 st.lists(st.just(0), min_size=1, max_size=12),
+                 one_dominant()))
 def test_avg_partition_bounds(sizes):
+    # the closed form agrees with the greedy fill, within the bounds
     n = len(sizes)
-    chunks = avg_partition(sizes)
+    blocks = by_set(sizes)
+    assert blocks == greedy_blocks(sizes)
     total = sum(sizes)
-    assert sum(len(c) for c in chunks) <= 2 * n
-    for t, chunk in zip(sizes, chunks):
-        assert sum(chunk) == t
-        if total:
-            # exact rational size bound: |part| <= avg + 1
-            for size in chunk:
-                assert Fraction(size) <= Fraction(total, n) + 1
+    assert sum(len(line) for line in blocks) <= 2 * n
+    for t, line in zip(sizes, blocks):
+        assert sum(line) == t
+        # exact rational size bound: |part| <= avg + 1
+        assert all(Fraction(size) <= Fraction(total, n) + 1 for size in line)
 
 
 def test_weight_balanced_examples():
@@ -114,4 +148,4 @@ def test_determinism():
     a = balanced_assignment(ws, 4, 9)
     b = balanced_assignment(list(ws), 4, 9)
     assert a == b
-    assert avg_partition([5, 2, 0, 9]) == avg_partition([5, 2, 0, 9])
+    assert by_set([5, 2, 0, 9]) == by_set([5, 2, 0, 9])

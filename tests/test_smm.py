@@ -15,7 +15,6 @@ from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
 from cliquemul.smm import (
     Buckets,
     SplitPair,
-    SubseqOwnership,
     build_subsequences,
     choose_split,
     fragment_requests,
@@ -129,8 +128,8 @@ def test_build_subsequences_frozen():
     # By (size, id) with three placeholders in front: -, -, -, 4, 1, 2, 0, 3;
     # node j owns the j-th smallest and the j-th largest.
     assert side.owner.tolist() == [1, 3, 2, 0, 3]
-    assert side.owned == [[3], [0], [2], [1, 4]]
-    assert side.bit.tolist() == [1, 1, 1, 1, 2]
+    assert side.held.tolist() == [[3, -1], [0, -1], [2, -1], [1, 4]]
+    assert (1 << side.slot).tolist() == [1, 1, 1, 1, 2]
     assert side.first.tolist() == [0, 2, 3, 3] and side.count.tolist() == [2, 1, 0, 2]
     assert by_line(side) == [[0, 1], [2], [], [3, 4]]
     assert side.fragments_of([3, 0, 2]).tolist() == [3, 4, 0, 1]
@@ -143,13 +142,13 @@ def test_build_subsequences_one_per_node():
     assert by_line(side) == [[0, 1, 2], [3], [], []]
     assert side.origin.tolist() == [0, 0, 0, 1]
     assert side.owner.tolist() == [0, 1, 2, 3]
-    assert side.owned == [[0], [1], [2], [3]]
+    assert side.held.tolist() == [[0, -1], [1, -1], [2, -1], [3, -1]]
     # 6 fragments on 4 nodes: dealt in size pairs, each full fragment
     # beside an empty one or alone
     side = build_subsequences([2, 2, 0, 2], 4)
     assert side.size.tolist() == [2, 0, 2, 0, 2, 0]
     assert side.owner.tolist() == [2, 2, 1, 3, 0, 3]
-    assert side.owned == [[4], [2], [0, 1], [3, 5]]
+    assert side.held.tolist() == [[4, -1], [2, -1], [0, 1], [3, 5]]
     assert by_line(side) == [[0, 1], [2, 3], [], [4, 5]]
     # full density: every line is one fragment, owned by its own node
     side = build_subsequences([4] * 4, 4)
@@ -180,54 +179,63 @@ def test_build_subsequences_properties(case):
     assert all((side.origin[frags] == line).all() for line, frags in enumerate(by_line(side)))
     assert [int(side.size[frags].sum()) for frags in by_line(side)] == nz
     assert all(size <= side.block for size in side.size)
-    assert sorted(q for ids in side.owned for q in ids) == list(range(len(side.origin)))
+    frags = np.arange(len(side.origin))
+    assert side.held.shape == (n, 2)
+    assert (side.held[side.owner, side.slot] == frags).all()
+    # slot 1 is filled only when slot 0 is, and every fragment sits in
+    # exactly one (node, slot) cell
+    assert not ((side.held[:, 0] < 0) & (side.held[:, 1] >= 0)).any()
+    assert sorted(side.held[side.held >= 0].tolist()) == frags.tolist()
     total = sum(nz)
-    for v, ids in enumerate(side.owned):
-        assert len(ids) <= 2 and ids == sorted(ids)
+    for v, ids in enumerate(side.held.tolist()):
+        ids = [q for q in ids if q >= 0]
+        assert ids == sorted(ids)
         assert all(side.owner[q] == v for q in ids)
         # the j-th smallest is at most total // (n + 1), the j-th largest
         # at most block
         assert sum(side.size[q] for q in ids) <= side.block + total // (n + 1)
 
 
-def node_requests(ownership, asks):
+def node_requests(sides, asks):
     """Node 0's request batch when it asks for the lines of ``asks`` and
     every other node asks for nothing."""
-    n = len(ownership.s.owned)
-    return fragment_requests(ownership, [([lines] + [[]] * (n - 1), wanted)
-                                         for lines, wanted in asks])(0, {})
+    n = len(sides[0].held)
+    return fragment_requests(sides, [([lines] + [[]] * (n - 1), wanted)
+                                     for lines, wanted in asks])(0, {})
 
 
 def test_fragment_requests_skip_empty_fragments():
     # Line 1 is fragments 2 (2 entries, node 1) and 3 (empty, node 3);
     # node 3 owns only empty fragments and hears nothing.  Every owner
-    # asked gets one word, with a bit per owned fragment on each side.
+    # asked gets one word, with bit k for its fragment in slot k of a side.
     side = build_subsequences([2, 2, 0, 2], 4)
-    assert side.owned == [[4], [2], [0, 1], [3, 5]]
+    assert side.held.tolist() == [[4, -1], [2, -1], [0, 1], [3, 5]]
     assert side.size[3] == side.size[5] == 0
 
     def words(rhs, asks):
-        reqs = messages(node_requests(SubseqOwnership(side, rhs), asks))
+        reqs = messages(node_requests((side, rhs), asks))
         assert len({u for u, *_ in reqs}) == len(reqs)
         return sorted((u, s_mask, t_mask) for u, _tag, s_mask, t_mask, _ in reqs)
 
     assert words(side, [([0, 1, 3], None)]) == [(0, 1, 1), (1, 1, 1), (2, 1, 1)]
     # A second set of lines sets its bits two places up in the same words.
     assert words(side, [([0], None), ([0, 1], None)]) == [(1, 4, 4), (2, 5, 5)]
-    # Nonempty fragment 3 is node 3's second rhs fragment: mask bit 2.
+    # Nonempty fragment 3 is in node 3's rhs slot 1: mask bit 2.
     rhs = build_subsequences([4, 1, 1, 0], 4)
-    assert rhs.owned[3] == [2, 3] and rhs.size[2] == 0 < rhs.size[3]
+    assert rhs.held[3].tolist() == [2, 3] and rhs.size[2] == 0 < rhs.size[3]
     assert words(rhs, [([1], None)]) == [(1, 1, 0), (3, 0, 2)]
 
 
 def test_fragment_responder_rejects_unowned_bits():
     # Node 0 owns one fragment per side, id 4 of line 3: mask bit 1 only.
     side = build_subsequences([2, 2, 0, 2], 4)
-    ownership = SubseqOwnership(side, side)
-    respond = fragment_responder(ownership, [0] * 4, [0] * 4)
-    # One band per side: the lhs bucket holds the entry at row 1, value 7.
-    state = {"buckets": Buckets(np.array([1]), np.array([7]), np.array([0, 1, 1]), (1, 1))}
-    (_, req, s_mask, t_mask, _), = messages(node_requests(ownership, [([3], None)]))
+    sides = (side, side)
+    respond = fragment_responder(sides, [0] * 4, [0] * 4)
+    # One band per side, so four buckets (lhs slots 0 and 1, then rhs):
+    # lhs slot 0 holds the entry at row 1, value 7.
+    state = {"buckets": Buckets(np.array([1]), np.array([7]), np.array([0, 1, 1, 1, 1]),
+                                (1, 1))}
+    (_, req, s_mask, t_mask, _), = messages(node_requests(sides, [([3], None)]))
     assert (s_mask, t_mask) == (1, 1)
 
     def request(s_mask, t_mask):

@@ -112,10 +112,7 @@ class BenchConfig:
 
 
 def _tri_group(label: str) -> str:
-    rest = label.split(".", 1)[1]          # strip "tri."
-    if rest and rest[0].isdigit():
-        rest = rest.split(".", 1)[1]       # strip the half number
-    return rest
+    return label.removeprefix("tri.")
 
 
 def _phase_rounds(records, group=lambda label: label) -> dict[str, int]:

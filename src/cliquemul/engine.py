@@ -109,11 +109,6 @@ class Inbox:
     def __len__(self) -> int:
         return len(self.src)
 
-    def messages(self) -> list[tuple]:
-        """``(src, tag, i1, i2, val)`` tuples of Python values."""
-        return list(zip(self.src.tolist(), self.tag.tolist(), self.i1.tolist(),
-                        self.i2.tolist(), self.val.tolist()))
-
 
 class Delivery(Inbox):
     """Every message of one phase, sorted by destination; ``self[v]`` is

@@ -306,40 +306,33 @@ def bucket_fragments(sides: tuple[SubseqSide, SubseqSide], band_s: list[int],
     return ingest
 
 
-def fragment_requests(sides: tuple[SubseqSide, SubseqSide], asks):
+def fragment_requests(sides: tuple[SubseqSide, SubseqSide], lines, wanted):
     """Emit step of a request phase, with every node's words built at once.
 
     Node v sends one word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per
-    owner it asks, owners ascending.  ``asks[k]`` is a ``(lines, wanted)``
-    pair: ``lines[v]`` holds node v's lines of set k, whose fragments set
-    bits at shift 2k of the masks, so one word carries every set (triangle
-    listing's two halves); within a set, fragment q is bit
-    ``1 << SubseqSide.slot[q]``, as its owner holds at most two per side.  An
-    empty fragment (``SubseqSide.size``, common knowledge) is never asked
-    for, so an owner of only empty fragments hears nothing.  ``wanted``
-    holds, per side, a table of flags indexed by (node, fragment id),
-    nonzero when the count words reported entries of that fragment in
-    the node's band; an unflagged fragment is not asked for either.  None
-    asks for every nonempty fragment of the lines.  The masks of all
-    nodes are filled by one ``bitwise_or.at`` per side and set.  A set
-    takes two bits of a mask, so the int8 table holds up to three sets;
-    smm asks one and triangle listing two.
+    owner it asks, owners ascending, for the fragments of ``lines[v]``:
+    fragment q is bit ``1 << SubseqSide.slot[q]``, as its owner holds at
+    most two per side.  An empty fragment (``SubseqSide.size``, common
+    knowledge) is never asked for, so an owner of only empty fragments
+    hears nothing.  ``wanted`` holds, per side, a table of flags indexed
+    by (node, fragment id), nonzero when the count words reported entries
+    of that fragment in the node's band; an unflagged fragment is not
+    asked for either.  None asks for every nonempty fragment of the
+    lines.  The masks of all nodes are filled by one ``bitwise_or.at``
+    per side.
     """
-    assert len(asks) <= 3, "request masks are int8"
     n = len(sides[0].held)
     masks = np.zeros((2, n, n), dtype=np.int8)      # side, requester, owner
-    for shift, (lines, wanted) in zip(range(0, 2 * len(asks), 2), asks):
-        line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
-        asker = np.repeat(np.arange(n), [len(own) for own in lines])
-        for k, side in enumerate(sides):
-            q = side.fragments_of(line)
-            who = np.repeat(asker, side.count[line])
-            keep = side.size[q] > 0
-            if wanted is not None:
-                keep &= wanted[k][who, q]
-            q, who = q[keep], who[keep]
-            np.bitwise_or.at(masks[k], (who, side.owner[q]),
-                             (1 << (side.slot[q] + shift)).astype(np.int8))
+    line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
+    asker = np.repeat(np.arange(n), [len(own) for own in lines])
+    for k, side in enumerate(sides):
+        q = side.fragments_of(line)
+        who = np.repeat(asker, side.count[line])
+        keep = side.size[q] > 0
+        if wanted is not None:
+            keep &= wanted[k][who, q]
+        q, who = q[keep], who[keep]
+        np.bitwise_or.at(masks[k], (who, side.owner[q]), (1 << side.slot[q]).astype(np.int8))
 
     def emit(v, state):
         dst = np.flatnonzero(masks[0, v] | masks[1, v])
@@ -595,7 +588,7 @@ def _balanced_core(engine: CliqueEngine, semiring: Semiring,
     # reported entries in its band.  The request masks are gone before the
     # responses are built.
     engine.run_ingest_emit("sbmm.request", None,
-                           fragment_requests(sides, [(pages, wanted)]))
+                           fragment_requests(sides, pages, wanted))
     del wanted
     engine.run_phase("sbmm.respond",
                      fragment_responder(sides, cells[:, 0], cells[:, 1]))

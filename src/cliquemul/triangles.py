@@ -4,43 +4,39 @@ The vertex set is cut three ways, so n must be a cube, q = n^(1/3); any
 other graph runs padded with isolated vertices up to the next cube:
 
 * V-partition: q degree-balanced vertex classes;
-* D-partition: n^(2/3) fixed consecutive blocks of q nodes, the worker
-  teams;
 * N-sets: each (V_i, V_j) class pair is split into node groups whose
-  outgoing edge mass into V_j is bounded by beta = m/n^(2/3) + n.
+  outgoing edge mass into V_j is bounded by beta = m/n^(2/3) + n; the
+  K <= 2n^(2/3) N-sets are named by their N-ids;
+* teams: N-id k's team is the k-th of K consecutive runs of floor(n/K)
+  or ceil(n/K) >= q/2 nodes (``smm.grid_cells(n, 1, K)``), so every
+  node works on one N-set.
 
 All three balanced splits (classes, N-sets, team path parts) are
 ``partition.balanced_assignment``.
 
-Every triangle (x, y, z) with x in some N-set assigned to team D_k and
-y in the matching V_j is found by the team member responsible for the
-path part containing z: LearnEdges ships E(N, V_j) to the whole team,
+Every triangle (x, y, z) with x in some N-set and y in the matching V_j
+is found by the member of that N-set's team responsible for the path
+part containing z: LearnEdges ships E(N, V_j) to the whole team,
 LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member, and
 that member closes the cycle by a local join (``close_cycles``) of its
-learned arcs with its ``lp.respond`` mailbox, so no phase follows it.
-Each rotation of a triangle closes at exactly one member, and only the
-rotation led by its smallest vertex is kept, so every triangle is
-listed once with no deduplication.  The N-ids are split into two
-halves, so each team handles at most one N-set per half.  The halves
-share every phase but the response: a word carries its half or both
-halves' fields, and each half closes its cycles on its own
-``lp.respond`` mailbox.
+learned arcs with its ``tri.lp.respond`` mailbox, so no phase follows
+it.  Each rotation of a triangle closes at exactly one member, and only
+the rotation led by its smallest vertex is kept, so every triangle is
+listed once with no deduplication.
 
 LearnPaths is smm's fragment dealing and routing run on the adjacency
 matrix, with the vertex classes as bands.  Node v holds its column and
 row (its in- and out-arcs) and the degree words give their lengths, so
-the fragments are dealt once, before the halves, which both request from
-the same buckets.  Class count tables, the N-id table (from the
-``tri.ncounts`` words) and team path partitions come from
-``CliqueEngine.derive_per_group``.
+the fragments are dealt before the N-ids are known.  Class count
+tables, the N-id table (from the ``tri.ncounts`` words) and team path
+partitions come from ``CliqueEngine.derive_per_group``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -48,7 +44,7 @@ from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for
 from .graphs import Graph
 from .partition import balanced_assignment
 from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
-                  fragment_requests, fragment_responder, ranges)
+                  fragment_requests, fragment_responder, grid_cells, ranges)
 
 _VC, _NC, _DEG, _PKT, _EDGE, _PSUM = range(200, 206)
 
@@ -125,8 +121,8 @@ class TriplePartitionState:
     v_of: list[int]                      # vertex -> class index
     n_sets: dict[tuple[int, int], list[list[int]]]   # (i, j) -> node groups
     n_ids: list[tuple[int, int, int]]    # lex-ordered (i, j, ell)
-    halves: list[list[tuple[int, int, int]]]  # half -> team -> N-id
-    p_parts: list[dict[int, list[list[int]]]] = field(default_factory=list)
+    team_of: list[int]                   # node -> index of its team's N-id
+    p_parts: dict[int, list[list[int]]]  # N-id index -> member -> path part
 
 
 @dataclass
@@ -151,7 +147,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     if q ** 3 != G.n:
         G = G.padded(q ** 3)
     n = G.n
-    Q = q * q                     # n^(2/3): team count and class size
+    Q = q * q                     # n^(2/3): class size, half the N-id bound
     m = G.m
     engine = engine_for(n, engine)
     mark = engine.ledger.mark()
@@ -210,7 +206,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     n_sets: dict[tuple[int, int], list[list[int]]] = {
         (i, j): groups for i, by_j in per_class.items() for j, groups in enumerate(by_j)}
 
-    # --- LearnPaths' fragments, dealt once for both halves ----------------
+    # --- LearnPaths' fragments ---------------------------------------------
     # Column v of the adjacency matrix is v's in-arcs and row v its
     # out-arcs (both sorted); the degree words carry their lengths.
     def own_lines(v, state):
@@ -220,7 +216,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     sides = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
                            "tri.lp.", own_lines)
 
-    # --- N-set counts cross the classes; halves and team assignment -------
+    # --- N-set counts cross the classes; one team per N-id ----------------
     def emit_ncounts(v, state):
         targets = [v_sets[tgt_class][pos[v]] for tgt_class in range(q)]
         counts = [len(n_sets[(v_of[v], j)]) for j in range(q)]
@@ -241,127 +237,103 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # Every N-id, from the count words: position pos of every class reports
     # to position pos of every class, so all n nodes receive the same q^2.
     n_ids = engine.derive_per_group({0: range(n)}, n_id_list)[0]
-    assert len(n_ids) <= 2 * Q
-    first = (len(n_ids) + 1) // 2
-    halves = [n_ids[:first], n_ids[first:]]
-    # Team r of half t works on halves[t][r]; teams past the half's end
-    # idle.  dest[v][j] is the (team, half) of v's N-set towards class j.
-    dest: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
-    for t, half in enumerate(halves):
-        for r, (i, j, ell) in enumerate(half):
-            for u in n_sets[(i, j)][ell]:
-                dest[u][j] = (r, t)
+    K = len(n_ids)
+    assert K <= 2 * Q
+    # N-id k's team is the k-th run of ``grid_cells(n, 1, K)``: floor(n/K)
+    # or ceil(n/K) >= q/2 consecutive nodes.  An edgeless graph has no
+    # N-ids, so no teams: ``team_of`` is empty and no node asks for paths.
+    team_of = grid_cells(n, 1, K)[:, 1] if K else np.zeros(0, dtype=np.int64)
+    team_size = np.bincount(team_of, minlength=K)
+    team_start = np.cumsum(team_size) - team_size
+    i_of, j_of, _ = np.array(n_ids, dtype=np.int64).reshape(-1, 3).T
+    # dest[v, j]: the N-id of v's N-set towards class j.
+    dest = np.zeros((n, q), dtype=np.int64)
+    for k, (i, j, ell) in enumerate(n_ids):
+        dest[n_sets[(i, j)][ell], j] = k
 
-    state_view = TriplePartitionState(
-        n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,
-        n_sets=n_sets, n_ids=n_ids, halves=halves)
-
-    # --- LearnEdges, both halves at once: allocation, team forwarding ----
+    # --- LearnEdges: allocation, team forwarding --------------------------
     # Arc (v, u) is a packet for the team of N-id (v_of[v], v_of[u], ell),
-    # which sits in one half, so node v's packet count is d_out(v), known
-    # to every node from the degree words.
+    # so node v's packet count is d_out(v), known to every node from the
+    # degree words.
     cap, starts = packet_allocation([w[2] for w in words])
 
     def allocate(v, state):
         out = G.out_adj[v]
         if not out:
             return None
-        teams, halves_of = zip(*(dest[v][v_of[u]] for u in out))
-        return ((starts[v] + np.arange(len(out))) // cap, _PKT, out, teams, list(halves_of))
+        return ((starts[v] + np.arange(len(out))) // cap, _PKT, out, dest[v, cls_of[out]], 0)
 
     engine.run_ingest_emit("tri.le.alloc", None, allocate)
 
     def forward(v, state, inbox):
         pkt = inbox.tag == _PKT
-        team = inbox.i2[pkt]
-        member = (team * q).repeat(q) + np.arange(len(team) * q) % q
-        return (member, _EDGE, inbox.src[pkt].repeat(q), inbox.i1[pkt].repeat(q),
-                inbox.val[pkt].repeat(q))
+        k = inbox.i2[pkt]          # the packet's N-id: one copy per member of its team
+        copies = team_size[k]
+        return (ranges(team_start[k], copies), _EDGE, inbox.src[pkt].repeat(copies),
+                inbox.i1[pkt].repeat(copies), 0)
 
     engine.run_phase("tri.le.forward", forward)
 
-    # --- path-count scatter: every active team balances its path work -----
-    # learned[t][v]: node v's learned arcs x -> y of half t with x < y, as
-    # (x, y) columns; only those start a listed rotation of a triangle.
-    learned: list[list] = [[None] * n for _ in halves]
-    members = np.arange(len(halves[0]) * q)
-    team = members // q
-    # path_counts[t, v, r]: node v's arcs from V_j plus its arcs to V_i, for
-    # team r of half t working on (i, j, ell); 0 past the half's end.
-    path_counts = np.zeros((len(halves), n, len(halves[0])), dtype=np.int64)
-    for t, half in enumerate(halves):
-        for r, (i_d, j_d, _) in enumerate(half):
-            path_counts[t, :, r] = in_cls[:, j_d] + out_cls[:, i_d]
+    # --- path-count scatter: every team balances its path work ------------
+    # learned[v]: node v's learned arcs x -> y with x < y, as (x, y)
+    # columns; only those start a listed rotation of a triangle.
+    learned: list = [None] * n
+    # path_counts[v, k]: node v's arcs from V_j plus its arcs to V_i, for
+    # N-id k = (i, j, ell).
+    path_counts = in_cls[:, j_of] + out_cls[:, i_of]
 
     def psums(v, state, inbox):
-        # The word carries the edge endpoints and half; the sender is just
-        # the allocation node that held the packet.
+        # The word carries the edge endpoints; the sender is just the
+        # allocation node that held the packet.
         edge = inbox.tag == _EDGE
-        x, y, half = inbox.i1[edge], inbox.i2[edge], inbox.val[edge]
+        x, y = inbox.i1[edge], inbox.i2[edge]
         lead = x < y
-        for t in range(len(halves)):
-            keep = lead & (half == t)
-            learned[t][v] = (x[keep], y[keep])
-        # One word per team member carries both halves' path counts.
-        return members, _PSUM, team, path_counts[0, v, team], path_counts[1, v, team]
+        learned[v] = (x[lead], y[lead])
+        # Every team member gets v's path count for its team's N-id.
+        return np.arange(len(team_of)), _PSUM, path_counts[v, team_of], 0, 0
 
     engine.run_phase("tri.psums", psums)
 
-    def team_paths(t, team, inbox):
-        """The team's half-t path partition from its members' path counts."""
+    def team_paths(k, inbox):
+        """Team k's path partition, one part per member, from the path counts."""
         scalars = np.zeros(n, dtype=np.int64)
-        mine = (inbox.tag == _PSUM) & (inbox.i1 == team)
-        scalars[inbox.src[mine]] = (inbox.i2, inbox.val)[t][mine]
-        return balanced_assignment(scalars.tolist(), q, 2 * n)
+        scalars[inbox.src] = inbox.i1
+        return balanced_assignment(scalars.tolist(), int(team_size[k]), 2 * n)
 
     # Members of one team all receive the same path counts.
-    for t, teams in enumerate(halves):
-        active = {team: range(team * q, (team + 1) * q) for team in range(len(teams))}
-        state_view.p_parts.append(engine.derive_per_group(active, partial(team_paths, t)))
+    p_parts = engine.derive_per_group(
+        {k: range(team_start[k], team_start[k] + team_size[k]) for k in range(K)}, team_paths)
 
-    # --- LearnPaths: one request word per owner asks for both halves' lines
-    engine.run_ingest_emit("tri.lp.request", None, fragment_requests(
-        sides, [([parts[v // q][v % q] if v // q in parts else [] for v in range(n)], None)
-                for parts in state_view.p_parts]))
+    # --- LearnPaths: each member asks for the lines of its path part ------
+    lines: list = [[] for _ in range(n)]
+    for k, parts in p_parts.items():
+        lines[team_start[k]:team_start[k] + team_size[k]] = parts
+    engine.run_ingest_emit("tri.lp.request", None, fragment_requests(sides, lines, None))
 
-    def responder(half):
-        # In-edges of the path part come from V_j, out-edges go to V_i; an
-        # idle team member has no band.
-        bands = np.full((2, n), -1, dtype=np.int64)
-        for team, (i_d, j_d, _) in enumerate(half):
-            bands[:, team * q:(team + 1) * q] = [[j_d], [i_d]]
-        return fragment_responder(sides, bands[0], bands[1])
+    # In-edges of the path part come from V_j, out-edges go to V_i.
+    answer = fragment_responder(sides, j_of[team_of], i_of[team_of])
 
-    answer = [responder(half) for half in halves]
-
-    def words_of_half(inbox, s_mask, t_mask):
-        asked = (s_mask | t_mask) != 0
-        return Inbox(inbox.src[asked], inbox.tag[asked], s_mask[asked], t_mask[asked],
-                     inbox.val[asked])
-
-    def respond_first(v, state, inbox):
-        # Half 1's masks, above half 0's two bits, wait for the second respond.
-        state["lp_req"] = words_of_half(inbox, inbox.i1 >> 2, inbox.i2 >> 2)
-        return answer[0](v, state, words_of_half(inbox, inbox.i1 & 3, inbox.i2 & 3))
-
-    def respond_second(v, state, inbox):
-        out = answer[1](v, state, state.pop("lp_req"))
+    def respond(v, state, inbox):
+        out = answer(v, state, inbox)
         del state["buckets"]       # no later phase reads them
         return out
 
-    # --- each half closes its cycles locally, node by node ----------------
+    engine.run_phase("tri.lp.respond", respond)
+
+    # --- each member closes its cycles locally, node by node --------------
+    # Learned edges are freed node by node as they are joined.
+    mail = engine.drain_inboxes()
     none = np.zeros(0, dtype=np.int64)
     found = [(none, none, none)]
-    for t, respond in enumerate((respond_first, respond_second)):
-        engine.run_phase(f"tri.{t + 1}.lp.respond", respond)
-        # Learned edges are freed node by node as they are joined.
-        mail = engine.drain_inboxes()
-        for v, (xs, ys) in enumerate(learned[t]):
-            inbox = mail[v]
-            if len(xs) and len(inbox):
-                found.append(close_cycles(inbox, xs, ys, pos, Q))
-            learned[t][v] = None
-        del mail
+    for v, (xs, ys) in enumerate(learned):
+        inbox = mail[v]
+        if len(xs) and len(inbox):
+            found.append(close_cycles(inbox, xs, ys, pos, Q))
+        learned[v] = None
+    del mail
 
+    state_view = TriplePartitionState(
+        n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,
+        n_sets=n_sets, n_ids=n_ids, team_of=team_of.tolist(), p_parts=p_parts)
     triangles = set(zip(*(np.concatenate(col).tolist() for col in zip(*found))))
     return TriangleResult(triangles, state_view, engine.ledger.since(mark))

@@ -196,12 +196,11 @@ def test_build_subsequences_properties(case):
         assert sum(side.size[q] for q in ids) <= side.block + total // (n + 1)
 
 
-def node_requests(sides, asks):
-    """Node 0's request batch when it asks for the lines of ``asks`` and
-    every other node asks for nothing."""
+def node_requests(sides, lines):
+    """Node 0's request batch when it asks for ``lines`` and every other
+    node asks for nothing."""
     n = len(sides[0].held)
-    return fragment_requests(sides, [([lines] + [[]] * (n - 1), wanted)
-                                     for lines, wanted in asks])(0, {})
+    return fragment_requests(sides, [lines] + [[]] * (n - 1), None)(0, {})
 
 
 def test_fragment_requests_skip_empty_fragments():
@@ -212,18 +211,16 @@ def test_fragment_requests_skip_empty_fragments():
     assert side.held.tolist() == [[4, -1], [2, -1], [0, 1], [3, 5]]
     assert side.size[3] == side.size[5] == 0
 
-    def words(rhs, asks):
-        reqs = messages(node_requests((side, rhs), asks))
+    def words(rhs, lines):
+        reqs = messages(node_requests((side, rhs), lines))
         assert len({u for u, *_ in reqs}) == len(reqs)
         return sorted((u, s_mask, t_mask) for u, _tag, s_mask, t_mask, _ in reqs)
 
-    assert words(side, [([0, 1, 3], None)]) == [(0, 1, 1), (1, 1, 1), (2, 1, 1)]
-    # A second set of lines sets its bits two places up in the same words.
-    assert words(side, [([0], None), ([0, 1], None)]) == [(1, 4, 4), (2, 5, 5)]
+    assert words(side, [0, 1, 3]) == [(0, 1, 1), (1, 1, 1), (2, 1, 1)]
     # Nonempty fragment 3 is in node 3's rhs slot 1: mask bit 2.
     rhs = build_subsequences([4, 1, 1, 0], 4)
     assert rhs.held[3].tolist() == [2, 3] and rhs.size[2] == 0 < rhs.size[3]
-    assert words(rhs, [([1], None)]) == [(1, 1, 0), (3, 0, 2)]
+    assert words(rhs, [1]) == [(1, 1, 0), (3, 0, 2)]
 
 
 def test_fragment_responder_rejects_unowned_bits():
@@ -235,7 +232,7 @@ def test_fragment_responder_rejects_unowned_bits():
     # lhs slot 0 holds the entry at row 1, value 7.
     state = {"buckets": Buckets(np.array([1]), np.array([7]), np.array([0, 1, 1, 1, 1]),
                                 (1, 1))}
-    (_, req, s_mask, t_mask, _), = messages(node_requests(sides, [([3], None)]))
+    (_, req, s_mask, t_mask, _), = messages(node_requests(sides, [3]))
     assert (s_mask, t_mask) == (1, 1)
 
     def request(s_mask, t_mask):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cliquemul import oracle
+from cliquemul.cli import generate_graph
 from cliquemul.engine import CliqueEngine
 from cliquemul.graphs import Graph
 from cliquemul.triangles import TriangleResult, list_triangles, packet_allocation
@@ -137,45 +138,74 @@ def test_partition_state_invariants():
                 assert mass <= S.beta
 
         assert len(S.n_ids) <= 2 * Q
-        assert len(S.halves[0]) == (len(S.n_ids) + 1) // 2
-        assert len(S.halves[0]) + len(S.halves[1]) == len(S.n_ids)
+        assert_one_team_per_n_id(S)
 
-        # each active team's path partition covers all n vertices evenly
-        for half_parts in S.p_parts:
-            for parts in half_parts.values():
-                assert sorted(x for p in parts for x in p) == list(range(n))
-                assert all(len(p) == n // q for p in parts)
+
+def assert_one_team_per_n_id(S):
+    """The teams are consecutive runs of floor(n/K) or ceil(n/K) nodes,
+    one per N-id, and each splits all n vertices into one path part per
+    member, of floor or ceil of n over the team size."""
+    n, K = S.n, len(S.n_ids)
+    if K == 0:
+        assert S.team_of == [] and S.p_parts == {}
+        return
+    assert len(S.team_of) == n and S.team_of == sorted(S.team_of)
+    sizes = [S.team_of.count(k) for k in range(K)]
+    assert set(sizes) <= {n // K, -(-n // K)} and sum(sizes) == n
+    assert min(sizes) >= S.q / 2
+    assert sorted(S.p_parts) == list(range(K))
+    for k, parts in S.p_parts.items():
+        assert len(parts) == sizes[k]
+        assert sorted(x for p in parts for x in p) == list(range(n))
+        assert {len(p) for p in parts} <= {n // sizes[k], -(-n // sizes[k])}
+
+
+@pytest.mark.parametrize("G, K", [
+    (generate_graph(27, 200, 3, directed=True), 13),       # K > Q = 9, K does not divide n
+    (generate_graph(64, 2048, 2048, directed=True), 23),   # K > Q = 16, K does not divide n
+    (Graph(27, []), 0),                                    # no arcs, no N-ids, no teams
+    (Graph(27, [(3, 5)]), 9),                              # one arc: 8 of its 9 N-sets hold none
+], ids=["n27_K13", "n64_K23", "edgeless", "one_arc"])
+def test_one_team_per_n_id(G, K):
+    res = list_triangles(G)
+    assert len(res.state.n_ids) == K
+    assert_one_team_per_n_id(res.state)
+    assert res.triangles == oracle.enumerate_triangles(G)
 
 
 def test_forwarding_receive_bound():
-    # allocation keeps every node's incoming packet load near average
-    rng = random.Random(3)
-    n, m = 27, 150
-    G = random_digraph(n, m, rng)
-    engine = CliqueEngine(n)
-    res = list_triangles(G, engine=engine)
-    assert isinstance(res, TriangleResult)
-    for rec in res.records:
-        if rec.label.endswith("le.alloc"):
-            assert rec.max_recv <= m // n + 1
+    # Allocation keeps every node's incoming packet load near average.  A
+    # member learns only its team's N-set, whose arcs into V_j number at
+    # most beta, so no node receives more than beta forwarded arcs.
+    for G in (random_digraph(27, 150, random.Random(3)),
+              generate_graph(27, 200, 3, directed=True),
+              generate_graph(64, 4000, 7, directed=True),
+              generate_graph(512, 16000, 100)):
+        res = list_triangles(G, engine=CliqueEngine(G.n))
+        assert isinstance(res, TriangleResult)
+        alloc, forward = (rec for rec in res.records
+                          if rec.label in ("tri.le.alloc", "tri.le.forward"))
+        assert alloc.max_recv <= G.m // G.n + 1, (G.n, G.m, alloc)
+        assert forward.max_recv <= res.state.beta, (G.n, G.m, forward)
 
 
 def test_phase_list():
     # One tri.lp.subseq deals the fragments from lines every node holds
-    # (no lp.coldist or lp.stats).  Both halves share one LearnEdges pass
-    # (every node's packet count is its out-degree, so no le.load), one
-    # path-count word and one request word per owner; each half then
-    # answers its own requests and closes its cycles on that mailbox.
+    # (no lp.coldist or lp.stats).  Every node's packet count is its
+    # out-degree, so LearnEdges needs no le.load, and each node works on
+    # one N-set: one path-count word per member, one request word per
+    # owner and one response, on whose mailbox every member closes its
+    # cycles.
     G = random_digraph(27, 120, random.Random(9))
     assert [r.label for r in list_triangles(G).records] == [
         "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.ncounts",
         "tri.le.alloc", "tri.le.forward", "tri.psums", "tri.lp.request",
-        "tri.1.lp.respond", "tri.2.lp.respond"]
+        "tri.lp.respond"]
 
 
 def test_request_is_one_word_per_owner():
-    # A requester sends each fragment owner one word for both halves, so
-    # no node sends or receives more than n - 1 and the phase is 1 round.
+    # A requester sends each fragment owner one word, so no node sends
+    # or receives more than n - 1 and the phase is 1 round.
     rng = random.Random(21)
     for n, m in ((8, 40), (27, 120), (27, 600), (64, 400), (64, 3000)):
         res = list_triangles(random_digraph(n, m, rng))

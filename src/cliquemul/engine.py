@@ -5,8 +5,9 @@ phases.  In a phase every node reads the mailbox delivered at the last
 phase boundary, updates its private state, and emits messages.  A message
 payload is one tagged word: ``(tag, i1, i2, value)``.  A word is O(log n)
 bits: a field may pack two counts that are each at most n as
-``x * (n + 1) + y``, which is how smm's stats and count words carry four
-counts each, or hold a few bit masks of O(1) bits, as request words do.
+``x * (n + 1) + y``, which is how smm's stats and count words and
+triangle listing's degree words carry four counts each, or hold a few
+bit masks of O(1) bits, as request words do.
 
 Round cost per phase is the routing charge ceil(max(max_send, max_recv) /
 (n - 1)), and at least one round whenever any message crosses a link.

@@ -41,8 +41,9 @@ row/column permutations, then the balanced multiplication protocol.
 Triangle listing's LearnPaths runs the fragment dealing and routing
 below (``deal_fragments``, ``bucket_fragments``, ``fragment_requests``,
 ``fragment_responder``) on the adjacency matrix.  There a node's column
-and row are its in- and out-arcs, which it holds from the start, so no
-redistribution precedes the dealing.
+and row are its in-arcs from and out-arcs to higher ids, which it holds
+from the start, so no redistribution precedes the dealing, and the
+fragments travel in the phase that carries the N-set counts.
 
 All coordination data flows through broadcasts, so every node derives
 identical partitions, subsequence tables, and page assignments from the
@@ -225,19 +226,21 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
 
 # -- fragment dealing, counts, requests and responses -----------------------
 
-def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
-                   prefix: str, lines) -> tuple[SubseqSide, SubseqSide]:
-    """Fragment tables from common-knowledge counts, and the fragments shipped.
+def deal_fragments(n: int, s_nz: list[int], t_nz: list[int], lines):
+    """Fragment tables from common-knowledge counts, and the emit step
+    that ships the fragments.
 
     ``lines(v, state)`` returns node v's lhs column and rhs row, each a
-    ``(pos, val)`` pair of columns sorted by position; v sends each
-    fragment to its owner and reads no mailbox.  The returned ``(lhs,
-    rhs)`` tables are common knowledge.
+    ``(pos, val)`` pair of columns sorted by position, of ``s_nz[v]`` and
+    ``t_nz[v]`` entries.  Returns the ``(lhs, rhs)`` tables, common
+    knowledge, and ``emit(v, state)``, node v's batch sending each
+    fragment to its owner.  The caller runs the emit in a phase of its
+    own (smm's ``sbmm.subseq``) or joins its batch to another phase's
+    (triangle listing's ``tri.lp.subseq``); it reads no mailbox.
     """
-    n = engine.n
     sides = (build_subsequences(s_nz, n), build_subsequences(t_nz, n))
 
-    def emit_fragments(v, state, inbox):
+    def emit(v, state):
         positions, values = zip(*lines(v, state))
         # Entry k of the line lies in its (k // block)-th fragment.
         frags = [side.first[v] + np.arange(len(pos)) // max(side.block, 1)
@@ -247,8 +250,7 @@ def deal_fragments(engine: CliqueEngine, s_nz: list[int], t_nz: list[int],
         return (dst, tags, np.concatenate(frags), np.concatenate(positions),
                 concat_values(values))
 
-    engine.run_phase(prefix + "subseq", emit_fragments)
-    return sides
+    return sides, emit
 
 
 # Fragment routing, shared with triangle listing's LearnPaths: owners file
@@ -282,25 +284,28 @@ def bucket_fragments(sides: tuple[SubseqSide, SubseqSide], band_s: list[int],
     """Ingest step, in the phase after dealing, filing entries by band.
 
     ``band_s[pos]`` is the band of an lhs entry at row pos and
-    ``band_t[pos]`` that of an rhs entry at column pos.  Leaves
-    ``state["buckets"]``, the node's ``Buckets``, positions in
-    ``node_dtype``.
+    ``band_t[pos]`` that of an rhs entry at column pos.  Only the
+    ``_SUB_S``/``_SUB_T`` rows of the mailbox are filed, so the dealing
+    phase may carry other words too.  Leaves ``state["buckets"]``, the
+    node's ``Buckets``, positions in ``node_dtype``.
     """
     band_s, band_t = np.asarray(band_s), np.asarray(band_t)
     nodes = node_dtype(len(band_s))
     s_count, t_count = int(band_s.max()) + 1, int(band_t.max()) + 1
 
     def ingest(v, state, inbox):
-        q, pos = inbox.i1, inbox.i2
+        is_s = inbox.tag == _SUB_S
+        frag = np.flatnonzero(is_s | (inbox.tag == _SUB_T))
+        is_s, q, pos, val = is_s[frag], inbox.i1[frag], inbox.i2[frag], inbox.val[frag]
         # Fragment q reached its owner v, so it is in slot 1 iff held there.
-        key = np.where(inbox.tag == _SUB_S,
+        key = np.where(is_s,
                        (q == sides[0].held[v, 1]) * s_count + band_s[pos],
                        2 * s_count + (q == sides[1].held[v, 1]) * t_count + band_t[pos])
         order = np.argsort(key, kind="stable")
         size = 2 * (s_count + t_count)
         bounds = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=size), out=bounds[1:])
-        state["buckets"] = Buckets(pos.astype(nodes)[order], inbox.val[order], bounds,
+        state["buckets"] = Buckets(pos.astype(nodes)[order], val[order], bounds,
                                    (s_count, t_count))
 
     return ingest
@@ -369,7 +374,7 @@ def fragment_responder(sides: tuple[SubseqSide, SubseqSide], lhs_band, rhs_band)
         if not len(inbox):
             return None
         pos, val, bounds, (s_bands, t_bands) = state["buckets"]
-        src = inbox.src
+        src = inbox.src.astype(np.intp)     # cast once: each int16 index would cast again
         masks = np.stack((inbox.i1, inbox.i2), axis=1)
         unowned = (masks >> filled[v]).any(axis=1)
         if unowned.any():
@@ -392,7 +397,7 @@ def fragment_responder(sides: tuple[SubseqSide, SubseqSide], lhs_band, rhs_band)
         is_s = side == 0
         ell = np.repeat(lines[v, slot], length)
         p = pos[entry]
-        return (np.repeat(src[req], length), entry_tags[side],
+        return (np.repeat(inbox.src[req], length), entry_tags[side],
                 np.where(is_s, p, ell), np.where(is_s, ell, p), val[entry])
 
     return respond
@@ -409,7 +414,8 @@ def _fragment_counts(inbox, side: SubseqSide, k: int, n: int) -> np.ndarray:
     """
     # The extra last entry takes the counts of empty slots, id -1.
     cnt = np.zeros(len(side.origin) + 1, dtype=np.int64)
-    cnt[side.held[inbox.src]] = np.stack(divmod((inbox.i1, inbox.i2)[k], n + 1), axis=1)
+    held = side.held[inbox.src.astype(np.intp)]
+    cnt[held] = np.stack(divmod((inbox.i1, inbox.i2)[k], n + 1), axis=1)
     return cnt[:-1]
 
 
@@ -683,7 +689,8 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
         s_order, t_order = np.argsort(s_pos), np.argsort(t_pos)
         return (s_pos[s_order], s_vals[s_order]), (t_pos[t_order], t_vals[t_order])
 
-    sides = deal_fragments(engine, list(s_col_nz), list(t_row_nz), "sbmm.", relabel)
+    sides, emit_fragments = deal_fragments(n, list(s_col_nz), list(t_row_nz), relabel)
+    engine.run_ingest_emit("sbmm.subseq", None, emit_fragments)
     # Partials go straight to the owner of the unpermuted result row, as
     # the unpermuted result column.
     row_dst, col_out = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)

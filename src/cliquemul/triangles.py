@@ -14,27 +14,32 @@ other graph runs padded with isolated vertices up to the next cube:
 All three balanced splits (classes, N-sets, team path parts) are
 ``partition.balanced_assignment``.
 
-Every triangle (x, y, z) with x in some N-set and y in the matching V_j
-is found by the member of that N-set's team responsible for the path
-part containing z: LearnEdges ships E(N, V_j) to the whole team,
-LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member, and
-that member closes the cycle by a local join (``close_cycles``) of its
-learned arcs with its ``tri.lp.respond`` mailbox, so no phase follows
+Every triangle x -> y -> z -> x with x in some N-set and y in the
+matching V_j is found by the member of that N-set's team responsible for
+the path part containing z: LearnEdges ships E(N, V_j) to the whole
+team, LearnPaths ships E(V_j, P) and E(P, V_i) to the responsible member,
+and that member closes the cycle by a local join (``close_cycles``) of
+its learned arcs with its ``tri.lp.respond`` mailbox, so no phase follows
 it.  Each rotation of a triangle closes at exactly one member, and only
-the rotation led by its smallest vertex is kept, so every triangle is
-listed once with no deduplication.
+the rotation whose path vertex z is its smallest vertex is kept, listed
+as (z, x, y), so every triangle is listed once with no deduplication.
+LearnPaths therefore needs only the arcs y -> z with y > z and z -> x
+with x > z: each arc in the line of its smaller endpoint, so every arc
+is dealt once.
 
 LearnPaths is smm's fragment dealing and routing run on the adjacency
 matrix, with the vertex classes as bands.  Node v holds its column and
-row (its in- and out-arcs) and the degree words give their lengths, so
-the fragments are dealt before the N-ids are known.  Class count
-tables, the N-id table (from the ``tri.ncounts`` words) and team path
-partitions come from ``CliqueEngine.derive_per_group``.
+row (its in-arcs from and out-arcs to higher ids) and the degree words
+give their lengths, so the fragments are dealt before the N-ids are
+known, in the phase that carries the N-set counts (``tri.lp.subseq``).
+Class count tables, the N-id table (from the N-set count words) and team
+path partitions come from ``CliqueEngine.derive_per_group``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,16 +84,17 @@ def packet_allocation(loads: list[int]) -> tuple[int, list[int]]:
 
 def close_cycles(inbox: Inbox, xs: np.ndarray, ys: np.ndarray, pos: np.ndarray,
                  width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One team member's triangles (x, y, z) led by their smallest vertex.
+    """One team member's triangles (z, x, y) led by their smallest vertex z.
 
-    ``xs``/``ys`` are the member's learned arcs x -> y with x < y, x in V_i
-    and y in V_j; its ``lp.respond`` inbox holds the S arcs y -> z (y in
-    V_j, z in its path part) and the T arcs z -> x (x in V_i).  ``pos[u]``
-    is u's position in its class, below ``width``.  The join expands each
-    learned arc to the z's of its y and keeps it where z -> x was
-    delivered and x < z.  Each rotation of a triangle closes at exactly
-    one member, so keeping the rotation that starts at its smallest vertex
-    lists it once.
+    ``xs``/``ys`` are the member's learned arcs x -> y, x in V_i and y in
+    V_j; its ``lp.respond`` inbox holds the S arcs y -> z (y in V_j, z in
+    its path part, y > z) and the T arcs z -> x (x in V_i, x > z).
+    ``pos[u]`` is u's position in its class, below ``width``.  The join
+    expands each learned arc to the z's of its y and keeps it where
+    z -> x was delivered.  Each rotation of a triangle closes at exactly
+    one member, and only arcs leaving or entering the path vertex from a
+    higher id are delivered, so only the rotation whose path vertex is
+    smallest closes, and the triangle is listed once.
     """
     is_s = inbox.tag == _ENT_S
     is_t = inbox.tag == _ENT_T
@@ -102,10 +108,9 @@ def close_cycles(inbox: Inbox, xs: np.ndarray, ys: np.ndarray, pos: np.ndarray,
     closing[inbox.i1[is_t], pos[inbox.i2[is_t]]] = True
     row = np.repeat(np.arange(len(xs)), count)
     z = heads[ranges(lo, count)]
-    x = xs[row]
-    keep = (x < z) & closing[z, pos[x]]
+    keep = closing[z, pos[xs[row]]]
     hit = row[keep]
-    return xs[hit], ys[hit], z[keep]
+    return z[keep], xs[hit], ys[hit]
 
 
 @dataclass
@@ -154,10 +159,23 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     alpha = Fraction(m, q) + n
     beta = Fraction(m, Q) + n
 
+    def higher_lines(v):
+        """Node v's adjacency column and row, the only arcs LearnPaths
+        ships: its in-arcs from and out-arcs to higher ids, sorted."""
+        return [adj[bisect_right(adj, v):] for adj in (G.in_adj[v], G.out_adj[v])]
+
     # --- degree broadcast: the V-partition becomes common knowledge -------
-    words = engine.run_broadcast(
-        "tri.degrees", lambda v, state: (_DEG, G.d_in(v), G.d_out(v), 0))
+    # The last field packs the column and row lengths (see the word format
+    # in engine.py).
+    base = n + 1
+
+    def degree_word(v, state):
+        col, row = map(len, higher_lines(v))
+        return _DEG, G.d_in(v), G.d_out(v), col * base + row
+
+    words = engine.run_broadcast("tri.degrees", degree_word)
     degrees = [w[1] + w[2] for w in words]      # in- plus out-degree
+    s_nz, t_nz = zip(*(divmod(w[3], base) for w in words))
     v_sets = balanced_assignment(degrees, q, 2 * n)
     cls_of = np.zeros(n, dtype=np.int64)       # u's class
     pos = np.zeros(n, dtype=np.int64)          # u's position in its class
@@ -166,13 +184,17 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         pos[members] = np.arange(len(members))
     v_of = cls_of.tolist()
 
-    # Per-class degree profiles: in_cls[v, i] counts v's arcs from class i,
-    # out_cls[v, i] its arcs to class i.
+    # Per-class degree profiles: out_cls[v, i] counts v's arcs to class i;
+    # col_cls[v, i] the arcs of v's column from class i, row_cls[v, i]
+    # those of its row to class i.
     tails, heads = np.array(G.edges, dtype=np.int64).reshape(-1, 2).T
-    in_cls = np.zeros((n, q), dtype=np.int64)
+    up = tails > heads                         # arc in its head's column
     out_cls = np.zeros((n, q), dtype=np.int64)
-    np.add.at(in_cls, (heads, cls_of[tails]), 1)
+    col_cls = np.zeros((n, q), dtype=np.int64)
+    row_cls = np.zeros((n, q), dtype=np.int64)
     np.add.at(out_cls, (tails, cls_of[heads]), 1)
+    np.add.at(col_cls, (heads[up], cls_of[tails[up]]), 1)
+    np.add.at(row_cls, (tails[~up], cls_of[heads[~up]]), 1)
 
     # --- per-class out-edge counts feed the N-set partitions --------------
     def emit_vcounts(v, state):
@@ -189,7 +211,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         members = v_sets[i]
         vc = inbox.tag == _VC
         table = np.zeros((n, q), dtype=np.int64)       # [u, j]: u's arcs into V_j
-        table[inbox.src[vc], inbox.i1[vc]] = inbox.i2[vc]
+        table[inbox.src[vc].astype(np.intp), inbox.i1[vc]] = inbox.i2[vc]
         groups = []
         for weights in table[members].T.tolist():
             m_ij = sum(weights)
@@ -206,31 +228,36 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     n_sets: dict[tuple[int, int], list[list[int]]] = {
         (i, j): groups for i, by_j in per_class.items() for j, groups in enumerate(by_j)}
 
-    # --- LearnPaths' fragments ---------------------------------------------
-    # Column v of the adjacency matrix is v's in-arcs and row v its
-    # out-arcs (both sorted); the degree words carry their lengths.
+    # --- N-set counts cross the classes, with LearnPaths' fragments -------
+    # The degree words carry the line lengths, so the fragments are dealt
+    # with the counts.
     def own_lines(v, state):
-        return [(np.array(adj[v], dtype=np.int64), np.ones(len(adj[v]), dtype=np.bool_))
-                for adj in (G.in_adj, G.out_adj)]
+        return [(np.array(ids, dtype=np.int64), np.ones(len(ids), dtype=np.bool_))
+                for ids in higher_lines(v)]
 
-    sides = deal_fragments(engine, [w[1] for w in words], [w[2] for w in words],
-                           "tri.lp.", own_lines)
+    sides, emit_fragments = deal_fragments(n, s_nz, t_nz, own_lines)
 
-    # --- N-set counts cross the classes; one team per N-id ----------------
-    def emit_ncounts(v, state):
+    def emit_ncounts_and_fragments(v, state):
         targets = [v_sets[tgt_class][pos[v]] for tgt_class in range(q)]
-        counts = [len(n_sets[(v_of[v], j)]) for j in range(q)]
+        counts = np.array([len(n_sets[(v_of[v], j)]) for j in range(q)])
         j = np.arange(q * q) % q
-        return np.repeat(targets, q), _NC, j, np.array(counts)[j], 0
+        dst, tag, i1, i2, val = emit_fragments(v, state)
+        # A count word carries no value: False keeps the fragments' bool
+        # value column.
+        return (np.concatenate((np.repeat(targets, q), dst)),
+                np.concatenate((np.full(q * q, _NC), tag)),
+                np.concatenate((j, i1)), np.concatenate((counts[j], i2)),
+                np.concatenate((np.zeros(q * q, dtype=np.bool_), val)))
 
-    # Fragment endpoints are filed by class, the filter of every response.
-    engine.run_ingest_emit("tri.ncounts", bucket_fragments(sides, v_of, v_of),
-                           emit_ncounts)
+    # The phase is LearnPaths' dealing, named as such; the count words
+    # ride along.
+    engine.run_ingest_emit("tri.lp.subseq", None, emit_ncounts_and_fragments)
 
     def n_id_list(_key, inbox):
         nc = inbox.tag == _NC
         cnt = inbox.i2[nc]
-        ids = np.repeat(cls_of[inbox.src[nc]], cnt), np.repeat(inbox.i1[nc], cnt), ranges(0, cnt)
+        ids = (np.repeat(cls_of[inbox.src[nc].astype(np.intp)], cnt),
+               np.repeat(inbox.i1[nc], cnt), ranges(0, cnt))
         order = np.lexsort(ids[::-1])
         return list(zip(*(x[order].tolist() for x in ids)))
 
@@ -263,7 +290,8 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
             return None
         return ((starts[v] + np.arange(len(out))) // cap, _PKT, out, dest[v, cls_of[out]], 0)
 
-    engine.run_ingest_emit("tri.le.alloc", None, allocate)
+    # Fragment endpoints are filed by class, the filter of every response.
+    engine.run_ingest_emit("tri.le.alloc", bucket_fragments(sides, v_of, v_of), allocate)
 
     def forward(v, state, inbox):
         pkt = inbox.tag == _PKT
@@ -275,20 +303,17 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     engine.run_phase("tri.le.forward", forward)
 
     # --- path-count scatter: every team balances its path work ------------
-    # learned[v]: node v's learned arcs x -> y with x < y, as (x, y)
-    # columns; only those start a listed rotation of a triangle.
+    # learned[v]: node v's learned arcs x -> y, as (x, y) columns.
     learned: list = [None] * n
-    # path_counts[v, k]: node v's arcs from V_j plus its arcs to V_i, for
-    # N-id k = (i, j, ell).
-    path_counts = in_cls[:, j_of] + out_cls[:, i_of]
+    # path_counts[v, k]: node v's column entries from V_j plus its row
+    # entries to V_i, for N-id k = (i, j, ell).
+    path_counts = col_cls[:, j_of] + row_cls[:, i_of]
 
     def psums(v, state, inbox):
         # The word carries the edge endpoints; the sender is just the
         # allocation node that held the packet.
         edge = inbox.tag == _EDGE
-        x, y = inbox.i1[edge], inbox.i2[edge]
-        lead = x < y
-        learned[v] = (x[lead], y[lead])
+        learned[v] = (inbox.i1[edge], inbox.i2[edge])
         # Every team member gets v's path count for its team's N-id.
         return np.arange(len(team_of)), _PSUM, path_counts[v, team_of], 0, 0
 
@@ -297,7 +322,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     def team_paths(k, inbox):
         """Team k's path partition, one part per member, from the path counts."""
         scalars = np.zeros(n, dtype=np.int64)
-        scalars[inbox.src] = inbox.i1
+        scalars[inbox.src.astype(np.intp)] = inbox.i1
         return balanced_assignment(scalars.tolist(), int(team_size[k]), 2 * n)
 
     # Members of one team all receive the same path counts.

@@ -42,7 +42,7 @@ CELLS = ([(name, n, dens) for name in SEMIRINGS for n in SIZES for dens in DENSI
             for dens in DENSITIES + (1.0,)])
 
 # Per-node load constant for criterion 6, frozen after measurement: the
-# worst LearnEdges/LearnPaths load observed across the sweep is 2.67*beta
+# worst LearnEdges/LearnPaths load observed across the sweep is 1.28*beta
 # (n=64, m=2^11, tri.lp.respond), so c = 4 leaves a margin without hiding
 # regressions.
 TRIANGLE_LOAD_CONSTANT = 4

@@ -1,17 +1,30 @@
 import random
 
+import numpy as np
 import pytest
 
 from cliquemul import oracle
 from cliquemul.cli import generate_graph
 from cliquemul.engine import CliqueEngine
 from cliquemul.graphs import Graph
+from cliquemul.smm import _ENT_S, _ENT_T, _SUB_S, _SUB_T
 from cliquemul.triangles import TriangleResult, list_triangles, packet_allocation
 
 
 def random_digraph(n, m, rng):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return Graph(n, rng.sample(pairs, m))
+
+
+def two_cycle_digraph(n, rng):
+    """Each vertex pair gets no arc, one of the two arcs or both, so
+    density is about 1/2 and a quarter of the pairs are 2-cycles."""
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            kind = rng.randrange(4)
+            arcs += [(u, v)] * (kind in (1, 3)) + [(v, u)] * (kind in (2, 3))
+    return Graph(n, arcs)
 
 
 def test_packet_allocation_uniform():
@@ -92,16 +105,7 @@ def test_complete_graph():
 
 
 def test_dense_digraph_with_two_cycles():
-    # Each vertex pair independently gets no arc, one of the two arcs or
-    # both, so density is about 1/2 and a quarter of the pairs are
-    # 2-cycles.
-    rng = random.Random(64)
-    arcs = []
-    for u in range(64):
-        for v in range(u + 1, 64):
-            kind = rng.randrange(4)
-            arcs += [(u, v)] * (kind in (1, 3)) + [(v, u)] * (kind in (2, 3))
-    G = Graph(64, arcs)
+    G = two_cycle_digraph(64, random.Random(64))
     assert abs(G.m / (64 * 63) - 0.5) < 0.05
     want = oracle.enumerate_triangles(G)
     assert len(want) > 10000
@@ -190,17 +194,56 @@ def test_forwarding_receive_bound():
 
 
 def test_phase_list():
-    # One tri.lp.subseq deals the fragments from lines every node holds
-    # (no lp.coldist or lp.stats).  Every node's packet count is its
-    # out-degree, so LearnEdges needs no le.load, and each node works on
-    # one N-set: one path-count word per member, one request word per
-    # owner and one response, on whose mailbox every member closes its
-    # cycles.
+    # tri.lp.subseq deals the fragments from lines every node holds (no
+    # lp.coldist or lp.stats) in the phase that carries the N-set counts.
+    # Every node's packet count is its out-degree, so LearnEdges needs no
+    # le.load, and each node works on one N-set: one path-count word per
+    # member, one request word per owner and one response, on whose
+    # mailbox every member closes its cycles.
     G = random_digraph(27, 120, random.Random(9))
     assert [r.label for r in list_triangles(G).records] == [
-        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.ncounts",
-        "tri.le.alloc", "tri.le.forward", "tri.psums", "tri.lp.request",
-        "tri.lp.respond"]
+        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.le.alloc",
+        "tri.le.forward", "tri.psums", "tri.lp.request", "tri.lp.respond"]
+
+
+class ColumnEngine(CliqueEngine):
+    """An engine that keeps each phase's delivered tag, i1 and i2 columns."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.delivered = {}
+
+    def run_phase(self, label, handler):
+        rounds = super().run_phase(label, handler)
+        mail = self.inboxes
+        self.delivered[label] = (mail.tag.copy(), mail.i1.copy(), mail.i2.copy())
+        return rounds
+
+
+@pytest.mark.parametrize("G", [
+    generate_graph(27, 200, 3, directed=True),
+    Graph.undirected(27, random.Random(8).sample(
+        [(u, v) for u in range(27) for v in range(u + 1, 27)], 120)),
+    two_cycle_digraph(27, random.Random(27)),
+    generate_graph(64, 400, 6),
+], ids=["digraph_n27", "undirected_n27", "two_cycles_n27", "undirected_n64"])
+def test_each_arc_is_dealt_once_in_its_lower_line(G):
+    # LearnPaths keeps the rotation whose path vertex z is smallest, so it
+    # deals arc u -> w only in the line of min(u, w): w's column when
+    # u > w, u's row otherwise.  The delivery, self-messages included,
+    # holds m fragment entries, not 2m, and every response has its path
+    # vertex as the smaller endpoint.
+    engine = ColumnEngine(G.n)
+    assert list_triangles(G, engine).triangles == oracle.enumerate_triangles(G)
+    tag, _, _ = engine.delivered["tri.lp.subseq"]
+    down = sum(u > w for u, w in G.edges)
+    assert np.count_nonzero(tag == _SUB_S) == down
+    assert np.count_nonzero(tag == _SUB_T) == G.m - down
+    tag, i1, i2 = engine.delivered["tri.lp.respond"]
+    is_s, is_t = tag == _ENT_S, tag == _ENT_T
+    assert (is_s | is_t).all() and is_s.any() and is_t.any()
+    assert (i2[is_s] < i1[is_s]).all()         # y -> z with z < y
+    assert (i1[is_t] < i2[is_t]).all()         # z -> x with z < x
 
 
 def test_request_is_one_word_per_owner():

@@ -6,11 +6,10 @@ verify-partitions.  multiply, triangles, four-cycles and apsp accept
 difference, and --ledger, which writes the ledger the entry point
 returns; they run no randomized step, so only bench and
 verify-partitions take --seed for the instances they generate.  The
-entry points size their own engines: triangles on a non-cube graph runs
-on the next cube of nodes.  A bad input (missing or malformed file,
-mismatched operands, disconnected graph for apsp) exits 2 with a
-one-line message.  Files land in --out when given, else under
-$CLIQUEMUL_OUT_DIR (default ".").
+entry points size their own engines, one node per vertex or matrix
+row.  A bad input (missing or malformed file, mismatched operands,
+disconnected graph for apsp) exits 2 with a one-line message.  Files
+land in --out when given, else under $CLIQUEMUL_OUT_DIR (default ".").
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def run_bench(config: BenchConfig) -> list[dict]:
                 row, phases = _bench_triangles(n, target, seed)
             phase_cols.update(dict.fromkeys(phases))
             rows.append({**row, **phases})
-    header = (["n", "m", "nz_lhs", "nz_rhs", "a", "b", "rounds_total", "nodes"]
+    header = (["n", "m", "nz_lhs", "nz_rhs", "a", "b", "rounds_total"]
               + list(phase_cols) + ["bound_value", "ratio"])
     out = Path(config.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -168,7 +167,7 @@ def _bench_smm(n: int, nz_target: int, seed: int) -> tuple[dict, dict]:
     total = res.rounds()
     row = {
         "n": n, "m": "", "nz_lhs": S.nz(), "nz_rhs": T.nz(),
-        "a": res.split.a, "b": res.split.b, "rounds_total": total, "nodes": n,
+        "a": res.split.a, "b": res.split.b, "rounds_total": total,
     }
     bound = (S.nz() ** (1 / 3)) * (T.nz() ** (1 / 3)) / n + 1
     row["bound_value"] = _fmt(bound)
@@ -180,14 +179,12 @@ def _bench_triangles(n: int, m_target: int, seed: int) -> tuple[dict, dict]:
     G = generate_graph(n, m_target, seed, directed=False)
     res = list_triangles(G)
     total = res.rounds()
-    # A non-cube graph runs on the next cube of nodes, which the bound uses.
-    nodes = res.state.n
     m_arcs = res.state.m
     row = {
         "n": n, "m": m_arcs, "nz_lhs": "", "nz_rhs": "",
-        "a": "", "b": "", "rounds_total": total, "nodes": nodes,
+        "a": "", "b": "", "rounds_total": total,
     }
-    bound = m_arcs / nodes ** (5 / 3) + 1
+    bound = m_arcs / n ** (5 / 3) + 1
     row["bound_value"] = _fmt(bound)
     row["ratio"] = _fmt(total / bound)
     return row, _phase_rounds(res.records, _tri_group)

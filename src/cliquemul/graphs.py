@@ -87,12 +87,6 @@ class Graph:
         # out- and in-neighbour lists coincide.
         return self.out_adj == self.in_adj
 
-    def padded(self, new_n: int) -> "Graph":
-        """Same arcs on a larger vertex set; new vertices are isolated."""
-        if new_n < self.n:
-            raise GraphError("padding cannot shrink the vertex set")
-        return Graph(new_n, self.edges)
-
     def to_adjacency(self, semiring: Semiring, explicit_diagonal: bool = False) -> SparseMatrix:
         """Adjacency matrix with ``one`` on arcs.
 

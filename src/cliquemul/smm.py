@@ -56,7 +56,6 @@ local computation, not extra communication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 import numpy as np
@@ -80,29 +79,25 @@ class SplitPair:
 
 
 def _split_terms(nzS: int, nzT: int, n: int, a: int, b: int) -> tuple[int, int]:
-    """Numerator and denominator of ``split_cost``."""
-    g = n // (a * b)
-    return nzS * b + nzT * a + n * n * g, a * b * n * g
-
-
-def split_cost(nzS: int, nzT: int, n: int, a: int, b: int) -> Fraction:
-    """Exact value of the round-cost surrogate (nzS/a + nzT/b)/(n*g) + n/(ab).
+    """Numerator and denominator of the round-cost surrogate
+    (nzS/a + nzT/b)/(n*g) + n/(ab) of split (a, b).
 
     g = n // (ab) is the smallest group's size, which the response load
     of its pages is spread over; when ab divides n this is
     nzS*b/n^2 + nzT*a/n^2 + n/(ab).
     """
-    return Fraction(*_split_terms(nzS, nzT, n, a, b))
+    g = n // (a * b)
+    return nzS * b + nzT * a + n * n * g, a * b * n * g
 
 
 def choose_split(nzS: int, nzT: int, n: int) -> SplitPair:
-    """Argmin of split_cost over every (a, b) with ab <= n, ties to the
-    lexicographically smallest: the nodes form an a-by-b grid of groups,
-    each of at least one node.
+    """Argmin of the round-cost surrogate over every (a, b) with ab <= n,
+    ties to the lexicographically smallest: the nodes form an a-by-b grid
+    of groups, each of at least one node.
 
     For fixed a and fixed g = n // (ab) the cost falls strictly as b
     grows, so only the largest such b is scored.  Costs are compared as
-    cross-multiplied integers of ``split_cost``'s fraction, and only a
+    cross-multiplied integers of ``_split_terms``' fraction, and only a
     strictly lower cost replaces the best, so ties keep the first pair.
     """
     if n < 1:

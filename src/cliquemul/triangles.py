@@ -1,15 +1,16 @@
 """Deterministic distributed triangle listing.
 
-The vertex set is cut three ways, so n must be a cube, q = n^(1/3); any
-other graph runs padded with isolated vertices up to the next cube:
+The vertex set is cut three ways, with q the largest integer with
+q^3 <= n, so q = n^(1/3) at a cube n:
 
-* V-partition: q degree-balanced vertex classes;
+* V-partition: q degree-balanced vertex classes of floor(n/q) or
+  ceil(n/q) vertices;
 * N-sets: each (V_i, V_j) class pair is split into node groups whose
-  outgoing edge mass into V_j is bounded by beta = m/n^(2/3) + n; the
-  K <= 2n^(2/3) N-sets are named by their N-ids;
+  outgoing edge mass into V_j is bounded by beta = m/q^2 + n; the
+  K <= min(2q^2, n) N-sets are named by their N-ids;
 * teams: N-id k's team is the k-th of K consecutive runs of floor(n/K)
-  or ceil(n/K) >= q/2 nodes (``smm.grid_cells(n, 1, K)``), so every
-  node works on one N-set.
+  or ceil(n/K) nodes (``smm.grid_cells(n, 1, K)``), at least
+  floor(q/2) of them since n >= q^3, so every node works on one N-set.
 
 All three balanced splits (classes, N-sets, team path parts) are
 ``partition.balanced_assignment``.
@@ -52,14 +53,6 @@ from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
                   fragment_requests, fragment_responder, grid_cells, ranges)
 
 _VC, _NC, _DEG, _PKT, _EDGE, _PSUM = range(200, 206)
-
-
-def _cube_side(n: int) -> int:
-    """The least q with q^3 >= n: the class count of the padded graph."""
-    q = 1
-    while q ** 3 < n:
-        q += 1
-    return q
 
 
 def packet_allocation(loads: list[int]) -> tuple[int, list[int]]:
@@ -119,9 +112,9 @@ class TriplePartitionState:
 
     n: int
     m: int
-    q: int                               # n^(1/3)
-    alpha: Fraction                      # m/n^(1/3) + n
-    beta: Fraction                       # m/n^(2/3) + n
+    q: int                               # largest q with q^3 <= n
+    alpha: Fraction                      # m/q + n
+    beta: Fraction                       # m/q^2 + n
     v_sets: list[list[int]]              # q degree-balanced classes
     v_of: list[int]                      # vertex -> class index
     n_sets: dict[tuple[int, int], list[list[int]]]   # (i, j) -> node groups
@@ -142,17 +135,13 @@ class TriangleResult:
 
 def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResult:
     """All directed triangles of G, each listed once, as the rotation led
-    by its smallest vertex.
-
-    A graph whose vertex count is not a cube runs padded with isolated
-    vertices, which lie on no triangle, up to the next cube; ``engine``
-    must have that many nodes.
+    by its smallest vertex, on an engine of G.n nodes.
     """
-    q = _cube_side(G.n)
-    if q ** 3 != G.n:
-        G = G.padded(q ** 3)
     n = G.n
-    Q = q * q                     # n^(2/3): class size, half the N-id bound
+    q = 1
+    while (q + 1) ** 3 <= n:
+        q += 1
+    Q = q * q                     # the N-set scale, half the N-id bound
     m = G.m
     engine = engine_for(n, engine)
     mark = engine.ledger.mark()
@@ -238,16 +227,18 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     sides, emit_fragments = deal_fragments(n, s_nz, t_nz, own_lines)
 
     def emit_ncounts_and_fragments(v, state):
-        targets = [v_sets[tgt_class][pos[v]] for tgt_class in range(q)]
+        # Position p of class V_i reports to every u with pos[u] % |V_i| == p.
+        targets = np.flatnonzero(pos % len(v_sets[v_of[v]]) == pos[v])
         counts = np.array([len(n_sets[(v_of[v], j)]) for j in range(q)])
-        j = np.arange(q * q) % q
+        words = len(targets) * q
+        j = np.arange(words) % q
         dst, tag, i1, i2, val = emit_fragments(v, state)
         # A count word carries no value: False keeps the fragments' bool
         # value column.
         return (np.concatenate((np.repeat(targets, q), dst)),
-                np.concatenate((np.full(q * q, _NC), tag)),
+                np.concatenate((np.full(words, _NC), tag)),
                 np.concatenate((j, i1)), np.concatenate((counts[j], i2)),
-                np.concatenate((np.zeros(q * q, dtype=np.bool_), val)))
+                np.concatenate((np.zeros(words, dtype=np.bool_), val)))
 
     # The phase is LearnPaths' dealing, named as such; the count words
     # ride along.
@@ -261,14 +252,14 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         order = np.lexsort(ids[::-1])
         return list(zip(*(x[order].tolist() for x in ids)))
 
-    # Every N-id, from the count words: position pos of every class reports
-    # to position pos of every class, so all n nodes receive the same q^2.
+    # Every N-id, from the count words: each node hears one member of every
+    # class, so all n nodes receive the same q^2.
     n_ids = engine.derive_per_group({0: range(n)}, n_id_list)[0]
     K = len(n_ids)
-    assert K <= 2 * Q
+    assert K <= min(2 * Q, n)
     # N-id k's team is the k-th run of ``grid_cells(n, 1, K)``: floor(n/K)
-    # or ceil(n/K) >= q/2 consecutive nodes.  An edgeless graph has no
-    # N-ids, so no teams: ``team_of`` is empty and no node asks for paths.
+    # or ceil(n/K) >= floor(q/2) consecutive nodes.  An edgeless graph has
+    # no N-ids, so no teams: ``team_of`` is empty and no node asks for paths.
     team_of = grid_cells(n, 1, K)[:, 1] if K else np.zeros(0, dtype=np.int64)
     team_size = np.bincount(team_of, minlength=K)
     team_start = np.cumsum(team_size) - team_size
@@ -348,12 +339,13 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # --- each member closes its cycles locally, node by node --------------
     # Learned edges are freed node by node as they are joined.
     mail = engine.drain_inboxes()
+    width = max(map(len, v_sets))
     none = np.zeros(0, dtype=np.int64)
     found = [(none, none, none)]
     for v, (xs, ys) in enumerate(learned):
         inbox = mail[v]
         if len(xs) and len(inbox):
-            found.append(close_cycles(inbox, xs, ys, pos, Q))
+            found.append(close_cycles(inbox, xs, ys, pos, width))
         learned[v] = None
     del mail
 

@@ -66,7 +66,7 @@ def test_bench_config_validation(tmp_path):
         BenchConfig("nope", [4], densities=[0.5]).validate()
     with pytest.raises(ValueError):
         BenchConfig("triangles", [0], edges=[5]).validate()
-    # A non-cube size is valid: the run pads it to the next cube.
+    # A non-cube size is valid: the run is on its own n nodes.
     BenchConfig("triangles", [10], edges=[5]).validate()
 
 
@@ -107,11 +107,12 @@ def test_run_bench_triangles(tmp_path):
     assert parts == rows[0]["rounds_total"]
 
 
-def test_run_bench_triangles_non_cube_runs_on_the_next_cube(tmp_path):
+def test_run_bench_triangles_non_cube_runs_on_its_own_nodes(tmp_path):
     rows = run_bench(BenchConfig("triangles", [10], edges=[12], seed=1,
                                  out=tmp_path / "t.csv"))
-    # n is the graph's size, nodes the clique it was charged on
-    assert [(r["n"], r["nodes"], r["m"]) for r in rows] == [(10, 27, 24)]
+    # n is the graph's size and the clique the run was charged on
+    assert [(r["n"], r["m"]) for r in rows] == [(10, 24)]
+    assert "nodes" not in rows[0]
 
 
 def test_run_bench_empty_sizes_writes_header(tmp_path):
@@ -220,7 +221,7 @@ def test_triangles_command(tmp_path, capsys):
 
 
 def test_triangles_non_cube(tmp_path, capsys):
-    # A non-cube graph runs on the next cube of nodes; there is no flag.
+    # A non-cube graph runs on its own n nodes; there is no flag.
     g = tmp_path / "g.txt"
     save_edge_list(generate_graph(10, 12, 0), g, directed=False)
     rc = cli.main(["triangles", "--graph", str(g), "--verify"])

@@ -397,7 +397,7 @@ A5 = K5.to_adjacency(counting_semiring())
 
 @pytest.mark.parametrize("run", [
     lambda eng: smm(A5, A5, eng),
-    lambda eng: list_triangles(K5, eng),        # runs padded to 8 nodes
+    lambda eng: list_triangles(K5, eng),
     lambda eng: count_4_cycles(K5, eng),
     lambda eng: apsp(K5, eng),
 ], ids=["smm", "list_triangles", "count_4_cycles", "apsp"])

@@ -51,13 +51,6 @@ def test_degrees():
     assert G.in_adj[0] == [3]
 
 
-def test_padded_keeps_arcs():
-    G = Graph(3, [(0, 2)]).padded(8)
-    assert G.n == 8 and G.m == 1 and G.has_edge(0, 2)
-    with pytest.raises(GraphError):
-        G.padded(4)
-
-
 def test_adjacency_boolean():
     A = Graph(3, [(0, 1), (2, 0)]).to_adjacency(boolean_semiring())
     assert A.entry(0, 1) is True

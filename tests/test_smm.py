@@ -22,7 +22,6 @@ from cliquemul.smm import (
     grid_cells,
     ranges,
     smm,
-    split_cost,
 )
 from cliquemul.sparse import SparseMatrix, value_column
 
@@ -59,11 +58,6 @@ def dense(n, sr):
 
 # -- split selection --------------------------------------------------------
 
-def test_split_cost_is_exact():
-    assert split_cost(16, 16, 4, 1, 2) == 5
-    assert split_cost(1, 1, 3, 1, 1) == Fraction(29, 9)
-
-
 def test_choose_split_frozen_values():
     # a + b + 4/(ab) ties at 5 for (1,2), (2,1), (2,2); lexicographic winner
     assert choose_split(16, 16, 4) == SplitPair(1, 2)
@@ -75,6 +69,13 @@ def test_choose_split_frozen_values():
     assert choose_split(18, 18, 6) == SplitPair(2, 3)
 
 
+def surrogate(nzS, nzT, n, a, b):
+    """The split's round-cost surrogate (nzS*b + nzT*a + n^2*g)/(ab*n*g),
+    g = n // (ab) the smallest group's size."""
+    g = n // (a * b)
+    return Fraction(nzS * b + nzT * a + n * n * g, a * b * n * g)
+
+
 def test_choose_split_is_argmin():
     rng = random.Random(1)
     for _ in range(50):
@@ -83,7 +84,7 @@ def test_choose_split_is_argmin():
         got = choose_split(nzS, nzT, n)
         # every pair, in lexicographic order, so ties go to the smallest
         pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a * b <= n]
-        assert (got.a, got.b) == min(pairs, key=lambda ab: split_cost(nzS, nzT, n, *ab))
+        assert (got.a, got.b) == min(pairs, key=lambda ab: surrogate(nzS, nzT, n, *ab))
 
 
 def test_ranges_concatenates_aranges():

@@ -8,6 +8,7 @@ from cliquemul.cli import generate_graph
 from cliquemul.engine import CliqueEngine
 from cliquemul.graphs import Graph
 from cliquemul.smm import _ENT_S, _ENT_T, _SUB_S, _SUB_T
+from cliquemul.sparse import DimensionError
 from cliquemul.triangles import TriangleResult, list_triangles, packet_allocation
 
 
@@ -53,29 +54,25 @@ def test_packet_allocation_empty():
     assert cap == 1 and starts == [0, 0, 0]
 
 
-def test_padding_preserves_triangles():
-    # A non-cube graph runs as the same graph padded with isolated
-    # vertices to the next cube: same triangles, same ledger.
-    G = random_digraph(10, 40, random.Random(4))
-    res = list_triangles(G)
-    padded = list_triangles(G.padded(27))
-    assert res.state.n == 27
-    assert res.triangles == padded.triangles == oracle.enumerate_triangles(G)
-    assert res.records == padded.records
-    # Cubes run as they are; every other size on the next cube.
-    sizes = {n: list_triangles(Graph(n, [])).state.n for n in (1, 2, 8, 9, 27, 28)}
-    assert sizes == {1: 1, 2: 8, 8: 8, 9: 27, 27: 27, 28: 64}
+def test_non_cube_runs_on_its_own_nodes():
+    # Every graph runs on its own n nodes, cube or not, and lists the
+    # oracle's triangles.
+    rng = random.Random(4)
+    for n in (1, 2, 8, 9, 27, 28):
+        G = random_digraph(n, min(4 * n, n * (n - 1)), rng)
+        res = list_triangles(G)
+        assert res.state.n == n
+        assert res.triangles == oracle.enumerate_triangles(G)
 
 
 def test_engine_size_must_match():
     G = random_digraph(8, 10, random.Random(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         list_triangles(G, engine=CliqueEngine(27))
-    # A non-cube graph needs an engine of the padded size.
     G = random_digraph(10, 10, random.Random(1))
-    with pytest.raises(ValueError):
-        list_triangles(G, engine=CliqueEngine(10))
-    assert list_triangles(G, engine=CliqueEngine(27)).state.n == 27
+    with pytest.raises(DimensionError):
+        list_triangles(G, engine=CliqueEngine(27))
+    assert list_triangles(G, engine=CliqueEngine(10)).state.n == 10
 
 
 def test_empty_and_tiny():
@@ -156,7 +153,8 @@ def assert_one_team_per_n_id(S):
     assert len(S.team_of) == n and S.team_of == sorted(S.team_of)
     sizes = [S.team_of.count(k) for k in range(K)]
     assert set(sizes) <= {n // K, -(-n // K)} and sum(sizes) == n
-    assert min(sizes) >= S.q / 2
+    # K <= 2q^2 and n >= q^3 give floor(n/K) >= floor(q/2), no more.
+    assert min(sizes) >= S.q // 2
     assert sorted(S.p_parts) == list(range(K))
     for k, parts in S.p_parts.items():
         assert len(parts) == sizes[k]
@@ -169,7 +167,8 @@ def assert_one_team_per_n_id(S):
     (generate_graph(64, 2048, 2048, directed=True), 23),   # K > Q = 16, K does not divide n
     (Graph(27, []), 0),                                    # no arcs, no N-ids, no teams
     (Graph(27, [(3, 5)]), 9),                              # one arc: 8 of its 9 N-sets hold none
-], ids=["n27_K13", "n64_K23", "edgeless", "one_arc"])
+    (generate_graph(27, 94, 1, directed=True), 14),        # a one-node team, below q/2 = 1.5
+], ids=["n27_K13", "n64_K23", "edgeless", "one_arc", "n27_K14"])
 def test_one_team_per_n_id(G, K):
     res = list_triangles(G)
     assert len(res.state.n_ids) == K
@@ -191,6 +190,18 @@ def test_forwarding_receive_bound():
                           if rec.label in ("tri.le.alloc", "tri.le.forward"))
         assert alloc.max_recv <= G.m // G.n + 1, (G.n, G.m, alloc)
         assert forward.max_recv <= res.state.beta, (G.n, G.m, forward)
+
+
+@pytest.mark.parametrize("n, m", [(10, 60), (20, 150), (65, 4000), (100, 900)])
+def test_per_phase_load_bound_at_non_cube_n(n, m):
+    # At any n, with q the largest integer with q^3 <= n, every LearnEdges
+    # and LearnPaths phase sends and receives at most 4 beta words per node.
+    G = generate_graph(n, m, 7, directed=True)
+    res = list_triangles(G)
+    assert res.triangles == oracle.enumerate_triangles(G)
+    for rec in res.records:
+        if ".le." in rec.label or ".lp." in rec.label:
+            assert max(rec.max_send, rec.max_recv) <= 4 * res.state.beta, rec
 
 
 def test_phase_list():

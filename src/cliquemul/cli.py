@@ -7,8 +7,9 @@ difference, and --ledger, which writes the ledger the entry point
 returns; they run no randomized step, so only bench and
 verify-partitions take --seed for the instances they generate.  The
 entry points size their own engines, one node per vertex or matrix
-row.  A bad input (missing or malformed file, mismatched operands,
-disconnected graph for apsp) exits 2 with a one-line message.  Files
+row.  A bad input (missing or malformed file, a size above
+``sparse.MAX_SIZE``, mismatched operands, disconnected graph for apsp)
+exits 2 with a one-line message, as does running out of memory.  Files
 land in --out when given, else under $CLIQUEMUL_OUT_DIR (default ".").
 """
 
@@ -412,6 +413,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

@@ -57,13 +57,13 @@ emission order.  Each other field is then joined, dropped from the
 batches and put in that order in turn, so at most one unsorted column is
 alive at a time.
 
-A broadcast phase (``run_broadcast``) skips that path: each node's
-handler returns its one word, and the engine lays the delivery out in
-destination order straight from the k words, node d's inbox being every
-sender but d in ascending order.  The loads are known without counting
-(n - 1 sent per sender, k less one per sender received), and the
-mailboxes, dtypes included, are those of the n - 1 copies sent as
-ordinary batches.
+A broadcast phase (``run_broadcast``) takes no batches: each node
+returns its one word for every other node, and the vector of words is
+the delivery, common knowledge once the phase ends, so the engine lays
+out no mailbox and leaves every inbox empty.  It checks each word's
+header fields as it would a batch's and charges the loads of the n - 1
+copies sent as ordinary batches: n - 1 sent per sender, and k received
+(k - 1 at a sender) when k nodes speak.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ _INT16 = np.iinfo(np.int16)
 
 class SimulationError(RuntimeError):
     """A protocol step violated the communication model."""
-
-
-class _Word(tuple):
-    """A handler's broadcast word ``(tag, i1, i2, val)``, for every other
-    node; only ``run_broadcast`` makes them."""
 
 
 def node_dtype(n: int) -> np.dtype:
@@ -207,16 +202,6 @@ def _tag_column(tag: np.ndarray) -> np.ndarray:
     return tag.astype(np.int16, copy=False)
 
 
-def _word_headers(words: list, senders: list[int], label: str) -> np.ndarray:
-    """The words' ``(tag, i1, i2)`` fields as a k-by-3 int64 array; a field
-    outside int64 raises as it would in a batch, naming its sender."""
-    head = np.array([word[:3] for word in words])
-    if head.dtype.kind not in "bi":
-        fields = [None] + [list(field) for field in zip(*(word[:3] for word in words))]
-        raise _batch_fault(label, senders, fields, [1] * len(words))
-    return head.astype(np.int64, copy=False)
-
-
 @dataclass
 class PhaseRecord:
     label: str
@@ -291,20 +276,14 @@ class CliqueEngine:
         """
         n = self.n
         mail = self.inboxes
-        senders, batches, words = [], [], []
+        senders, batches = [], []
         for v in range(n):
             out = handler(v, self.states[v], mail[v])
-            if type(out) is _Word:
-                senders.append(v)
-                words.append(out)
-            elif out is not None and len(out[0]):
+            if out is not None and len(out[0]):
                 senders.append(v)
                 batches.append(out)
         del mail
         self.inboxes = self._no_mail
-        if words:
-            assert not batches, "a broadcast phase carries words only"
-            return self._deliver_words(label, senders, words)
         if not batches:
             return self.ledger.charge_for_loads(label, n, 0, 0, 0)
         lengths = [len(batch[0]) for batch in batches]
@@ -356,26 +335,6 @@ class CliqueEngine:
             label, n, int(sends.max()), int(recvs.max()), int(sends.sum()),
             int(sends.argmax()), int(recvs.argmax()))
 
-    def _deliver_words(self, label: str, senders: list[int], words: list) -> int:
-        """Delivery of broadcast words, laid out in destination order."""
-        n, k = self.n, len(words)
-        head = _word_headers(words, senders, label)
-        val = value_column([word[3] for word in words])
-        # Node d hears every sender but itself, in sender order: the k words
-        # repeated n times, less each sender's own copy.
-        heard = np.ones(n * k, dtype=np.bool_)
-        heard[np.array(senders) * k + np.arange(k)] = False
-        which = np.tile(np.arange(k, dtype=self._node_dtype), n)[heard]
-        received = np.full(n, k, dtype=np.int64)
-        received[senders] -= 1
-        bounds = [0] + np.cumsum(received).tolist()
-        src = np.array(senders, dtype=self._node_dtype)
-        self.inboxes = Delivery(src[which], _tag_column(head[:, 0])[which],
-                                head[which, 1], head[which, 2], val[which], bounds)
-        return self.ledger.charge_for_loads(
-            label, n, n - 1, int(received.max()), k * (n - 1),
-            senders[0], int(received.argmax()))
-
     def run_ingest_emit(self, label: str, ingest, emit) -> int:
         """One phase in two steps: ``ingest(v, state, inbox)`` keeps what
         the node needs of its mailbox, then ``emit(v, state)`` returns its
@@ -390,19 +349,32 @@ class CliqueEngine:
     def run_broadcast(self, label: str, word_fn, ingest=None) -> list:
         """Each node sends ``word_fn(v, state)`` (or None) to every other node.
 
-        A word is ``(tag, i1, i2, val)``; the phase delivers it as n - 1
-        messages, charged as such (see the module docstring).  ``ingest``
-        runs first, as in ``run_ingest_emit``.  Returns the vector of
-        words, None for a silent node: it is common knowledge once the
-        phase is delivered.
+        A word is ``(tag, i1, i2, val)``, charged as n - 1 messages (see
+        the module docstring).  ``ingest`` runs first, as in
+        ``run_ingest_emit``.  Returns the vector of words, None for a
+        silent node: it is the phase's delivery, and the inboxes are left
+        empty.
         """
-        words: list = [None] * self.n
-
-        def emit(v, state):
-            word = words[v] = word_fn(v, state)
-            return None if word is None else _Word(word)
-
-        self.run_ingest_emit(label, ingest, emit)
+        n, mail = self.n, self.inboxes
+        words = []
+        for v in range(n):
+            if ingest is not None:
+                ingest(v, self.states[v], mail[v])
+            words.append(word_fn(v, self.states[v]))
+        del mail
+        self.inboxes = self._no_mail
+        senders = [v for v, word in enumerate(words) if word is not None]
+        if not senders:
+            self.ledger.charge_for_loads(label, n, 0, 0, 0)
+            return words
+        k = len(senders)
+        ones = [1] * k
+        head = [[words[v][f] for v in senders] for f in range(3)]
+        if any(_join_header(field, ones) is None for field in head):
+            raise _batch_fault(label, senders, [None, *head], ones)
+        silent = next((v for v, word in enumerate(words) if word is None), None)
+        self.ledger.charge_for_loads(label, n, n - 1, k - (silent is None), k * (n - 1),
+                                     senders[0], silent or 0)
         return words
 
     def derive_per_group(self, groups: dict, derive) -> dict:

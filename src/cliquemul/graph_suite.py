@@ -56,7 +56,6 @@ def count_4_cycles(G: Graph, engine: CliqueEngine | None = None) -> FourCycleRes
         return (_TERMS, 2 * d * d - d, int((sq.row(v)[1] ** 2).sum()), 0)
 
     words = engine.run_broadcast("c4.terms", terms)
-    engine.drain_inboxes()
     degree_term = sum(w[1] for w in words)
     trace4 = sum(w[2] for w in words)
     numerator = trace4 - degree_term
@@ -105,5 +104,4 @@ def apsp(G: Graph, engine: CliqueEngine | None = None) -> ApspResult:
                 f"{words[stalled[0]][1]} of {n} vertices")
         power = smm(power, M, engine=engine).product
         mults += 1
-    engine.drain_inboxes()
     return ApspResult(power, max(w[2] for w in words), mults, engine.ledger.since(mark))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .semiring import Semiring
-from .sparse import FormatError, SparseMatrix
+from .sparse import MAX_SIZE, FormatError, SparseMatrix
 
 
 class GraphError(ValueError):
@@ -73,14 +75,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         adj = self.out_adj[u]
-        lo, hi = 0, len(adj)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if adj[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(adj) and adj[lo] == v
+        i = bisect_left(adj, v)
+        return i < len(adj) and adj[i] == v
 
     def is_symmetric(self) -> bool:
         # Every arc u->v has its reverse exactly when each vertex's sorted
@@ -135,6 +131,8 @@ def load_edge_list(path, n: int | None = None, directed: bool = False) -> Graph:
     size = n if n is not None else max_id + 1
     if size < 1:
         size = 1
+    if size > MAX_SIZE:
+        raise FormatError(f"graph size {size} exceeds {MAX_SIZE}")
     if directed:
         return Graph(size, pairs)
     return Graph.undirected(size, pairs)

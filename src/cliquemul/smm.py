@@ -47,10 +47,12 @@ fragments travel in the phase that carries the N-set counts.
 
 All coordination data flows through broadcasts, so every node derives
 identical partitions, subsequence tables, and page assignments from the
-same words; the protocol code computes each such structure once and
-shares it (``run_broadcast``'s word vector,
-``CliqueEngine.derive_per_group``), which is memoization of replicated
-local computation, not extra communication.
+same words.  A broadcast's delivery is its word vector
+(``run_broadcast``'s return value), which every node holds; the
+protocol code computes each structure derived from it once and shares
+it (``CliqueEngine.derive_per_group`` for mailboxes a group holds
+alike), which is memoization of replicated local computation, not extra
+communication.
 """
 
 from __future__ import annotations

@@ -17,6 +17,12 @@ import numpy as np
 from .semiring import Semiring
 
 
+# The largest size either loader accepts, the widest node id
+# ``engine.node_dtype`` holds; a larger one is refused before anything is
+# allocated for it.
+MAX_SIZE = 2**31 - 1
+
+
 class FormatError(ValueError):
     """Malformed input file: bad header, out-of-range index, duplicate entry."""
 
@@ -203,6 +209,8 @@ def load_matrix_market(path, semiring: Semiring) -> SparseMatrix:
         raise FormatError(f"line {lineno}: only square matrices are supported")
     if n_rows < 1:
         raise FormatError(f"line {lineno}: matrix size must be at least 1")
+    if n_rows > MAX_SIZE:
+        raise FormatError(f"line {lineno}: matrix size {n_rows} exceeds {MAX_SIZE}")
     if len(data_lines) != nnz:
         raise FormatError(f"size line promises {nnz} entries, found {len(data_lines)}")
 

@@ -43,6 +43,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,12 +68,7 @@ def packet_allocation(loads: list[int]) -> tuple[int, list[int]]:
     n = len(loads)
     total = sum(loads)
     cap = -(-total // n) if total else 1
-    starts = []
-    acc = 0
-    for t in loads:
-        starts.append(acc)
-        acc += t
-    return cap, starts
+    return cap, list(accumulate(loads, initial=0))[:-1]
 
 
 def close_cycles(inbox: Inbox, xs: np.ndarray, ys: np.ndarray, pos: np.ndarray,

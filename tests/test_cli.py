@@ -275,10 +275,13 @@ def test_apsp_disconnected(tmp_path, capsys):
     ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
                  "0 0 0\n", "--lhs"),             # empty matrix
     ("apsp", "0 1\n1 \u00e9\n", "--graph"),       # not ASCII
+    ("triangles", f"0 1\n1 {2**31 - 1}\n", "--graph"),   # 2**31 vertices
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 f"{2**31} {2**31} 1\n1 1 5\n", "--lhs"),  # size 2**31
 ], ids=["self-loop-triangles", "self-loop-apsp", "three-tokens-four-cycles",
         "mtx-out-of-range", "missing-file", "edge-list-non-numeric",
         "mtx-value-non-numeric", "mtx-size-non-numeric", "mtx-size-zero",
-        "edge-list-non-ascii"])
+        "edge-list-non-ascii", "edge-list-oversize", "mtx-size-oversize"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
                                              flag):
     path = tmp_path / "input.txt"
@@ -292,6 +295,23 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 8 GiB")],
+                         ids=["bare", "with-message"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys, error):
+    g = tmp_path / "g.txt"
+    save_edge_list(Graph.undirected(3, [(0, 1), (1, 2)]), g, directed=False)
+
+    def list_triangles(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "list_triangles", list_triangles)
+    assert cli.main(["triangles", "--graph", str(g)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert str(error) in err
 
 
 @pytest.mark.parametrize("argv", [

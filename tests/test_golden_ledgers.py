@@ -8,7 +8,9 @@ and fails here, even when the output stays correct.
 Loads and rounds do not show what a message carries, so each case's
 deliveries are pinned too: ``tests/golden/deliveries.json`` holds one
 sha256 per case over every phase's label, header columns (dtype and
-bytes), value column (dtype and ``tolist()`` repr) and mailbox bounds.
+bytes), value column (dtype and ``tolist()`` repr) and mailbox bounds;
+a broadcast, which lays out no mailbox, is hashed as its words sent as
+n - 1 ordinary batches.
 A refactor that keeps every load but changes a mailbox fails there.
 
 Run as a script, ``python3 tests/test_golden_ledgers.py`` prints, per
@@ -93,15 +95,17 @@ CASES = {
 
 
 class DigestEngine(CliqueEngine):
-    """An engine that hashes each phase's delivery as it is made."""
+    """An engine that hashes each phase's delivery as it is made.
+
+    A broadcast lays out no mailbox, so it is hashed as the mailbox of
+    its words sent as n - 1 ordinary batches on a fresh engine."""
 
     def __init__(self, n: int):
         super().__init__(n)
         self.digest = hashlib.sha256()
 
-    def run_phase(self, label, handler):
-        rounds = super().run_phase(label, handler)
-        mail, h = self.inboxes, self.digest
+    def _hash(self, label, mail):
+        h = self.digest
         h.update(label.encode())
         for column in (mail.src, mail.tag, mail.i1, mail.i2):
             h.update(column.dtype.str.encode())
@@ -109,7 +113,19 @@ class DigestEngine(CliqueEngine):
         h.update(mail.val.dtype.str.encode())
         h.update(repr(mail.val.tolist()).encode())
         h.update(repr(list(mail.bounds)).encode())
+
+    def run_phase(self, label, handler):
+        rounds = super().run_phase(label, handler)
+        self._hash(label, self.inboxes)
         return rounds
+
+    def run_broadcast(self, label, word_fn, ingest=None):
+        words = super().run_broadcast(label, word_fn, ingest)
+        n, replay = self.n, CliqueEngine(self.n)
+        replay.run_phase(label, lambda v, state, inbox: None if words[v] is None else (
+            [u for u in range(n) if u != v], *words[v]))
+        self._hash(label, replay.inboxes)
+        return words
 
 
 def run_case(case: str) -> DigestEngine:

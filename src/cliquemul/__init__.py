@@ -2,7 +2,7 @@
 triangle listing, 4-cycle counting, and unweighted APSP."""
 
 from .engine import CliqueEngine, PhaseRecord, RoundLedger, SimulationError
-from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list, save_edge_list
+from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list
 from .graph_suite import apsp, count_4_cycles
 from .semiring import (Semiring, boolean_semiring, counting_semiring,
                        min_plus_semiring, semiring_by_name)
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CliqueEngine", "PhaseRecord", "RoundLedger", "SimulationError",
     "Graph", "GraphError", "DisconnectedGraphError",
-    "load_edge_list", "save_edge_list",
+    "load_edge_list",
     "apsp", "count_4_cycles",
     "Semiring", "boolean_semiring", "counting_semiring", "min_plus_semiring",
     "semiring_by_name",

@@ -111,16 +111,12 @@ class BenchConfig:
         return [max(0, min(universe, round(d * universe))) for d in self.densities]
 
 
-def _tri_group(label: str) -> str:
-    return label.removeprefix("tri.")
-
-
-def _phase_rounds(records, group=lambda label: label) -> dict[str, int]:
-    """``rounds_<group>`` columns summed over the records, in order of
-    first appearance."""
+def _phase_rounds(records) -> dict[str, int]:
+    """``rounds_<label>`` columns summed over the records, in order of
+    first appearance; a triangle label drops its ``tri.`` prefix."""
     cols: dict[str, int] = {}
     for rec in records:
-        col = "rounds_" + group(rec.label).replace(".", "_")
+        col = "rounds_" + rec.label.removeprefix("tri.").replace(".", "_")
         cols[col] = cols.get(col, 0) + rec.rounds
     return cols
 
@@ -188,7 +184,7 @@ def _bench_triangles(n: int, m_target: int, seed: int) -> tuple[dict, dict]:
     bound = m_arcs / n ** (5 / 3) + 1
     row["bound_value"] = _fmt(bound)
     row["ratio"] = _fmt(total / bound)
-    return row, _phase_rounds(res.records, _tri_group)
+    return row, _phase_rounds(res.records)
 
 
 # -- partition property suite ----------------------------------------------
@@ -236,7 +232,7 @@ def _write_ledger(records, path: Path | None) -> None:
         ledger = RoundLedger()
         ledger.records = list(records)
         path.parent.mkdir(parents=True, exist_ok=True)
-        ledger.write_csv(path)
+        path.write_text(ledger.to_csv(), encoding="ascii", newline="\n")
 
 
 def _cmd_multiply(args) -> int:

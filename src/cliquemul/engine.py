@@ -15,10 +15,14 @@ This models the standard routing result where any pattern in which every
 node sends and receives at most n-1 words is deliverable in O(1) rounds;
 the charge is the number of such batches, each counted as one round.
 
-Handlers must derive everything, including message destinations, from
-the node id, the node's private state, the delivered mailbox, and data
-previously broadcast to all nodes.  The engine hands a handler only
-those objects, so violations take deliberate effort.
+Every phase step, of ``run_phase`` and of ``run_broadcast`` alike, is
+one handler ``handler(v, state, inbox)``: it reads node v's mailbox,
+computes locally, and returns what v sends.  A step that sends without
+reading takes the inbox and ignores it.  Handlers must derive
+everything, including message destinations, from the node id, the
+node's private state, the delivered mailbox, and data previously
+broadcast to all nodes.  The engine hands a handler only those objects,
+so violations take deliberate effort.
 
 Messages travel as columns.  A handler returns one batch ``(dst, tag,
 i1, i2, val)``: parallel columns, message k being ``(dst[k], tag[k],
@@ -57,13 +61,13 @@ emission order.  Each other field is then joined, dropped from the
 batches and put in that order in turn, so at most one unsorted column is
 alive at a time.
 
-A broadcast phase (``run_broadcast``) takes no batches: each node
-returns its one word for every other node, and the vector of words is
-the delivery, common knowledge once the phase ends, so the engine lays
-out no mailbox and leaves every inbox empty.  It checks each word's
-header fields as it would a batch's and charges the loads of the n - 1
-copies sent as ordinary batches: n - 1 sent per sender, and k received
-(k - 1 at a sender) when k nodes speak.
+A broadcast phase (``run_broadcast``) takes no batches: each node's
+handler returns its one word for every other node, and the vector of
+words is the delivery, common knowledge once the phase ends, so the
+engine lays out no mailbox and leaves every inbox empty.  It checks
+each word's header fields as it would a batch's and charges the loads
+of the n - 1 copies sent as ordinary batches: n - 1 sent per sender,
+and k received (k - 1 at a sender) when k nodes speak.
 """
 
 from __future__ import annotations
@@ -246,10 +250,6 @@ class RoundLedger:
             lines.append(f"{r.label},{r.rounds},{r.max_send},{r.max_recv},{r.total_msgs}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_csv())
-
 
 class CliqueEngine:
     """Holds per-node state dicts and the last delivery; executes phases."""
@@ -335,32 +335,18 @@ class CliqueEngine:
             label, n, int(sends.max()), int(recvs.max()), int(sends.sum()),
             int(sends.argmax()), int(recvs.argmax()))
 
-    def run_ingest_emit(self, label: str, ingest, emit) -> int:
-        """One phase in two steps: ``ingest(v, state, inbox)`` keeps what
-        the node needs of its mailbox, then ``emit(v, state)`` returns its
-        batch.  ``ingest`` may be None, which drops the mailbox."""
-        def handler(v, state, inbox):
-            if ingest is not None:
-                ingest(v, state, inbox)
-            return emit(v, state)
+    def run_broadcast(self, label: str, handler) -> list:
+        """Each node sends ``handler(v, state, inbox)`` (or None) to every
+        other node.
 
-        return self.run_phase(label, handler)
-
-    def run_broadcast(self, label: str, word_fn, ingest=None) -> list:
-        """Each node sends ``word_fn(v, state)`` (or None) to every other node.
-
-        A word is ``(tag, i1, i2, val)``, charged as n - 1 messages (see
-        the module docstring).  ``ingest`` runs first, as in
-        ``run_ingest_emit``.  Returns the vector of words, None for a
-        silent node: it is the phase's delivery, and the inboxes are left
-        empty.
+        The handler reads the last phase's mailbox as in ``run_phase``
+        and returns a word ``(tag, i1, i2, val)``, charged as n - 1
+        messages (see the module docstring).  Returns the vector of
+        words, None for a silent node: it is the phase's delivery, and the
+        inboxes are left empty.
         """
         n, mail = self.n, self.inboxes
-        words = []
-        for v in range(n):
-            if ingest is not None:
-                ingest(v, self.states[v], mail[v])
-            words.append(word_fn(v, self.states[v]))
+        words = [handler(v, self.states[v], mail[v]) for v in range(n)]
         del mail
         self.inboxes = self._no_mail
         senders = [v for v, word in enumerate(words) if word is not None]

@@ -51,7 +51,7 @@ def count_4_cycles(G: Graph, engine: CliqueEngine | None = None) -> FourCycleRes
 
     # Node v holds row v of A^2, so both of its terms are local.  An entry
     # of A^2 is at most n, so its int64 sum of squares is exact.
-    def terms(v, state):
+    def terms(v, state, inbox):
         d = G.d_out(v)
         return (_TERMS, 2 * d * d - d, int((sq.row(v)[1] ** 2).sum()), 0)
 
@@ -88,7 +88,7 @@ def apsp(G: Graph, engine: CliqueEngine | None = None) -> ApspResult:
     # the previous size (1 for M^0 = I).
     sizes = [1] * n
 
-    def status(v, state):
+    def status(v, state, inbox):
         cols, vals = power.row(v)
         return (_STATUS, len(cols), int(vals.max()), int(len(cols) > sizes[v]))
 

@@ -104,11 +104,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def load_edge_list(path, n: int | None = None, directed: bool = False) -> Graph:
+def load_edge_list(path, directed: bool = False) -> Graph:
     """Read ``u v`` per line, 0-indexed, ``#`` starts a comment.
 
-    When n is not given it is inferred as max endpoint + 1; isolated
-    trailing vertices therefore need an explicit n.
+    n is max endpoint + 1 (1 for a file without edges), so a vertex above
+    every endpoint is not in the graph.
     """
     pairs = []
     max_id = -1
@@ -128,22 +128,9 @@ def load_edge_list(path, n: int | None = None, directed: bool = False) -> Graph:
                 raise FormatError(f"line {lineno}: negative vertex id")
             pairs.append((u, v))
             max_id = max(max_id, u, v)
-    size = n if n is not None else max_id + 1
-    if size < 1:
-        size = 1
+    size = max(max_id + 1, 1)
     if size > MAX_SIZE:
         raise FormatError(f"graph size {size} exceeds {MAX_SIZE}")
     if directed:
         return Graph(size, pairs)
     return Graph.undirected(size, pairs)
-
-
-def save_edge_list(graph: Graph, path, directed: bool = True) -> None:
-    """Write arcs sorted; with directed=False each edge appears once as min-max."""
-    if directed:
-        rows = graph.edges
-    else:
-        rows = sorted({(min(u, v), max(u, v)) for u, v in graph.edges})
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for u, v in rows:
-            fh.write(f"{u} {v}\n")

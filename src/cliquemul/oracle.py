@@ -15,11 +15,13 @@ import numpy as np
 from .graphs import Graph
 from .sparse import DimensionError, SparseMatrix
 
-# The numpy kernels are trusted only when |values| stay small enough that
-# no int64 product or accumulated sum can overflow: with n <= 1024 and
-# |v| <= 2**20, |sum of n products| <= 1024 * 2**40 < 2**63.
+# The counting kernel is one int64 matrix product: every product and
+# partial sum of a cell is at most n * max|S| * max|T| in absolute value,
+# so while that is at most INT64_MAX int64 never wraps and the saturating
+# definition never clamps.  Boolean products count true terms, at most n.
+# Min-plus adds two values in float64, exact while |v| <= 2**20.
+_INT64_MAX = 2**63 - 1
 _FAST_VALUE_BOUND = 2**20
-_FAST_SIZE_BOUND = 1024
 # Elements of the (rows, n, n) broadcast tensor the min-plus kernel builds
 # per chunk: 2**22 float64 values is 32 MiB whatever n is.
 _MINPLUS_CHUNK_ELEMENTS = 2**22
@@ -49,14 +51,19 @@ def dense_multiply_reference(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
         n, sr, [(i, j, v) for i, row in enumerate(out) for j, v in enumerate(row)])
 
 
+def _peak(M: SparseMatrix) -> int:
+    """max |v| over M's stored values, and at least 1."""
+    return max(1, int(M.vals.max(initial=0)), -int(M.vals.min(initial=0)))
+
+
 def _fast_eligible(S: SparseMatrix, T: SparseMatrix) -> bool:
-    if S.n > _FAST_SIZE_BOUND:
-        return False
     name = S.semiring.name
     if name == "boolean":
         return True
-    if name in ("counting", "min-plus"):
-        # Stored values are never the omitted one (min-plus's inf).
+    if name == "counting":
+        return S.n * _peak(S) * _peak(T) <= _INT64_MAX
+    if name == "min-plus":
+        # Stored values are never the omitted one (inf).
         return all(((M.vals >= -_FAST_VALUE_BOUND) & (M.vals <= _FAST_VALUE_BOUND)).all()
                    for M in (S, T))
     return False
@@ -96,11 +103,11 @@ def _fast_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
 def dense_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
     """Reference product; dispatches to a vectorized kernel when safe.
 
-    The kernels cover the three shipped semirings within a value/size
-    envelope where int64/float arithmetic provably matches the saturating
-    definition; everything else falls back to the triple loop.  The
-    kernels themselves are cross-checked against the triple loop in the
-    test suite.
+    The kernels cover the three shipped semirings, at any n, within a
+    value envelope where int64/float arithmetic provably matches the
+    saturating definition; everything else falls back to the triple
+    loop.  The kernels themselves are cross-checked against the triple
+    loop in the test suite.
     """
     if S.n != T.n:
         raise DimensionError("operand sizes differ")
@@ -158,20 +165,16 @@ def enumerate_4_cycles(G: Graph) -> int:
 
 def apsp_bfs(G: Graph) -> list[list[float]]:
     """All-pairs hop distances by BFS from every source; inf if unreachable."""
-    return [apsp_bfs_row(G, s) for s in range(G.n)]
-
-
-def apsp_bfs_row(G: Graph, s: int) -> list[float]:
-    """Hop distances from s by BFS; inf if unreachable."""
-    n = G.n
-    row = [math.inf] * n
-    row[s] = 0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        du = row[u]
-        for v in G.out_adj[u]:
-            if row[v] == math.inf:
-                row[v] = du + 1
-                queue.append(v)
-    return row
+    dist = []
+    for s in range(G.n):
+        row = [math.inf] * G.n
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in G.out_adj[u]:
+                if row[v] == math.inf:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        dist.append(row)
+    return dist

@@ -224,20 +224,21 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
 # -- fragment dealing, counts, requests and responses -----------------------
 
 def deal_fragments(n: int, s_nz: list[int], t_nz: list[int], lines):
-    """Fragment tables from common-knowledge counts, and the emit step
+    """Fragment tables from common-knowledge counts, and the handler
     that ships the fragments.
 
     ``lines(v, state)`` returns node v's lhs column and rhs row, each a
     ``(pos, val)`` pair of columns sorted by position, of ``s_nz[v]`` and
     ``t_nz[v]`` entries.  Returns the ``(lhs, rhs)`` tables, common
-    knowledge, and ``emit(v, state)``, node v's batch sending each
-    fragment to its owner.  The caller runs the emit in a phase of its
-    own (smm's ``sbmm.subseq``) or joins its batch to another phase's
-    (triangle listing's ``tri.lp.subseq``); it reads no mailbox.
+    knowledge, and the handler ``emit(v, state, inbox)``, node v's batch
+    sending each fragment to its owner.  The caller runs the handler as
+    a phase of its own (smm's ``sbmm.subseq``) or joins its batch to
+    another phase's (triangle listing's ``tri.lp.subseq``); it ignores
+    the mailbox.
     """
     sides = (build_subsequences(s_nz, n), build_subsequences(t_nz, n))
 
-    def emit(v, state):
+    def emit(v, state, inbox):
         positions, values = zip(*lines(v, state))
         # Entry k of the line lies in its (k // block)-th fragment.
         frags = [side.first[v] + np.arange(len(pos)) // max(side.block, 1)
@@ -278,7 +279,8 @@ class Buckets(NamedTuple):
 
 def bucket_fragments(sides: tuple[SubseqSide, SubseqSide], band_s: list[int],
                      band_t: list[int]):
-    """Ingest step, in the phase after dealing, filing entries by band.
+    """Ingest step, which the handler of the phase after dealing calls
+    first, filing entries by band.
 
     ``band_s[pos]`` is the band of an lhs entry at row pos and
     ``band_t[pos]`` that of an rhs entry at column pos.  Only the
@@ -309,7 +311,7 @@ def bucket_fragments(sides: tuple[SubseqSide, SubseqSide], band_s: list[int],
 
 
 def fragment_requests(sides: tuple[SubseqSide, SubseqSide], lines, wanted):
-    """Emit step of a request phase, with every node's words built at once.
+    """Handler of a request phase, with every node's words built at once.
 
     Node v sends one word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per
     owner it asks, owners ascending, for the fragments of ``lines[v]``:
@@ -336,7 +338,7 @@ def fragment_requests(sides: tuple[SubseqSide, SubseqSide], lines, wanted):
         q, who = q[keep], who[keep]
         np.bitwise_or.at(masks[k], (who, side.owner[q]), (1 << side.slot[q]).astype(np.int8))
 
-    def emit(v, state):
+    def emit(v, state, inbox):
         dst = np.flatnonzero(masks[0, v] | masks[1, v])
         return dst, _REQ, masks[0, v, dst], masks[1, v, dst], 0
 
@@ -434,13 +436,14 @@ def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide]
     n = engine.n
     ingest = bucket_fragments(sides, band_s, band_t)
 
-    def emit_counts(v, state):
+    def emit_counts(v, state, inbox):
+        ingest(v, state, inbox)
         s_field, t_field = ((c[0] * (n + 1) + c[1])[cells[:, k]]
                             for k, c in enumerate(state["buckets"].counts()))
         dst = np.flatnonzero(s_field | t_field)
         return dst, _CNT, s_field[dst], t_field[dst], 0
 
-    engine.run_ingest_emit("sbmm.counts", ingest, emit_counts)
+    engine.run_phase("sbmm.counts", emit_counts)
 
     # A word's lhs field depends on the receiver's row band alone and its
     # rhs field on its column band (``emit_counts``), and a missing word
@@ -578,27 +581,6 @@ def _cell_sums(kernel: ArrayKernel, omitted, cell: np.ndarray,
     return cell[starts][kept], sums[kept]
 
 
-def _balanced_core(engine: CliqueEngine, semiring: Semiring,
-                   sides: tuple[SubseqSide, SubseqSide],
-                   bands: tuple[np.ndarray, np.ndarray], cells: np.ndarray,
-                   row_dst: np.ndarray, col_out: np.ndarray):
-    """Counts through reduce on dealt fragments; returns the gathered product.
-
-    ``bands`` holds the band of each permuted row and column, and
-    ``cells`` is ``grid_cells``'s node table."""
-    pages, wanted = compute_receiving(engine, sides, *bands, cells)
-    # A node asks for a line's fragments only from owners whose count word
-    # reported entries in its band.  The request masks are gone before the
-    # responses are built.
-    engine.run_ingest_emit("sbmm.request", None,
-                           fragment_requests(sides, pages, wanted))
-    del wanted
-    engine.run_phase("sbmm.respond",
-                     fragment_responder(sides, cells[:, 0], cells[:, 1]))
-    _reduce_phase(engine, semiring, pages, row_dst, col_out)
-    return SparseMatrix(engine.n, semiring, *_gather_rows(engine, semiring))
-
-
 def _gather_rows(engine: CliqueEngine, semiring: Semiring) -> tuple:
     """The product's ``(ptr, cols, vals)`` from the reduce delivery: node
     r sums its partials per column.
@@ -650,27 +632,24 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
 
     # Node v starts with row v of S and of T.  Both operands are scattered
     # into columns: node v then holds row v and column v of each.
-    def emit_cols(v, state):
+    def emit_cols(v, state, inbox):
         (s_cols, s_vals), (t_cols, t_vals) = S.row(v), T.row(v)
         tags = np.repeat((_S_COL, _T_COL), (len(s_cols), len(t_cols)))
         return np.concatenate((s_cols, t_cols)), tags, v, 0, concat_values([s_vals, t_vals])
 
-    engine.run_ingest_emit("distribute", None, emit_cols)
-
-    def ingest_cols(v, state, inbox):
-        is_s = inbox.tag == _S_COL
-        state["S_col"] = (inbox.src[is_s], inbox.val[is_s])
-        state["nz_t_col"] = int(np.count_nonzero(inbox.tag == _T_COL))
+    engine.run_phase("distribute", emit_cols)
 
     # One word carries all four counts; the last field packs two of them
     # (see the word format in engine.py).
     base = n + 1
-    words = engine.run_broadcast(
-        "stats",
-        lambda v, state: (_NZ, len(S.row(v)[0]), state.pop("nz_t_col"),
-                          len(state["S_col"][0]) * base + len(T.row(v)[0])),
-        ingest_cols,
-    )
+
+    def stats(v, state, inbox):
+        is_s = inbox.tag == _S_COL
+        state["S_col"] = (inbox.src[is_s], inbox.val[is_s])
+        return (_NZ, len(S.row(v)[0]), int(np.count_nonzero(inbox.tag == _T_COL)),
+                len(state["S_col"][0]) * base + len(T.row(v)[0]))
+
+    words = engine.run_broadcast("stats", stats)
     row_nz = [w[1] for w in words]
     col_nz = [w[2] for w in words]
     s_col_nz, t_row_nz = zip(*(divmod(w[3], base) for w in words))
@@ -687,14 +666,22 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
         return (s_pos[s_order], s_vals[s_order]), (t_pos[t_order], t_vals[t_order])
 
     sides, emit_fragments = deal_fragments(n, list(s_col_nz), list(t_row_nz), relabel)
-    engine.run_ingest_emit("sbmm.subseq", None, emit_fragments)
+    engine.run_phase("sbmm.subseq", emit_fragments)
     # Partials go straight to the owner of the unpermuted result row, as
     # the unpermuted result column.
     row_dst, col_out = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     row_dst[sigma_of] = np.arange(n)
     col_out[tau_of] = np.arange(n)
-    product = _balanced_core(engine, sr, sides, (band_s, band_t),
-                             grid_cells(n, split.a, split.b), row_dst, col_out)
+    cells = grid_cells(n, split.a, split.b)
+    pages, wanted = compute_receiving(engine, sides, band_s, band_t, cells)
+    # A node asks for a line's fragments only from owners whose count word
+    # reported entries in its band.  The request masks are gone before the
+    # responses are built.
+    engine.run_phase("sbmm.request", fragment_requests(sides, pages, wanted))
+    del wanted
+    engine.run_phase("sbmm.respond", fragment_responder(sides, cells[:, 0], cells[:, 1]))
+    _reduce_phase(engine, sr, pages, row_dst, col_out)
+    product = SparseMatrix(n, sr, *_gather_rows(engine, sr))
     return SmmResult(product, split, sigma_of.tolist(), tau_of.tolist(),
                      engine.ledger.since(mark))
 

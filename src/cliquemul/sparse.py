@@ -118,13 +118,6 @@ class SparseMatrix:
     def nz(self) -> int:
         return len(self.cols)
 
-    def entry(self, i: int, j: int):
-        cols, vals = self.row(i)
-        k = int(np.searchsorted(cols, j))
-        if k < len(cols) and cols[k] == j:
-            return vals[k:k + 1].tolist()[0]
-        return self.semiring.omitted
-
     def entries(self):
         """(row, col, value) triples of Python values in (row, col) order."""
         rows = np.repeat(np.arange(self.n), np.diff(self.ptr))

@@ -154,7 +154,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # in engine.py).
     base = n + 1
 
-    def degree_word(v, state):
+    def degree_word(v, state, inbox):
         col, row = map(len, higher_lines(v))
         return _DEG, G.d_in(v), G.d_out(v), col * base + row
 
@@ -182,14 +182,14 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     np.add.at(row_cls, (tails[~up], cls_of[heads[~up]]), 1)
 
     # --- per-class out-edge counts feed the N-set partitions --------------
-    def emit_vcounts(v, state):
+    def emit_vcounts(v, state, inbox):
         members = v_sets[v_of[v]]
         # Own class only; the free self-message keeps every member's table
         # complete.
         j = np.arange(len(members) * q) % q
         return np.repeat(members, q), _VC, j, out_cls[v, j], 0
 
-    engine.run_ingest_emit("tri.vcounts", None, emit_vcounts)
+    engine.run_phase("tri.vcounts", emit_vcounts)
 
     def class_n_sets(i, inbox):
         """N-partitions of class i towards every class j."""
@@ -222,13 +222,13 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     sides, emit_fragments = deal_fragments(n, s_nz, t_nz, own_lines)
 
-    def emit_ncounts_and_fragments(v, state):
+    def emit_ncounts_and_fragments(v, state, inbox):
         # Position p of class V_i reports to every u with pos[u] % |V_i| == p.
         targets = np.flatnonzero(pos % len(v_sets[v_of[v]]) == pos[v])
         counts = np.array([len(n_sets[(v_of[v], j)]) for j in range(q)])
         words = len(targets) * q
         j = np.arange(words) % q
-        dst, tag, i1, i2, val = emit_fragments(v, state)
+        dst, tag, i1, i2, val = emit_fragments(v, state, inbox)
         # A count word carries no value: False keeps the fragments' bool
         # value column.
         return (np.concatenate((np.repeat(targets, q), dst)),
@@ -238,7 +238,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     # The phase is LearnPaths' dealing, named as such; the count words
     # ride along.
-    engine.run_ingest_emit("tri.lp.subseq", None, emit_ncounts_and_fragments)
+    engine.run_phase("tri.lp.subseq", emit_ncounts_and_fragments)
 
     def n_id_list(_key, inbox):
         nc = inbox.tag == _NC
@@ -271,14 +271,17 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # degree words.
     cap, starts = packet_allocation([w[2] for w in words])
 
-    def allocate(v, state):
+    # Fragment endpoints are filed by class, the filter of every response.
+    ingest = bucket_fragments(sides, v_of, v_of)
+
+    def allocate(v, state, inbox):
+        ingest(v, state, inbox)
         out = G.out_adj[v]
         if not out:
             return None
         return ((starts[v] + np.arange(len(out))) // cap, _PKT, out, dest[v, cls_of[out]], 0)
 
-    # Fragment endpoints are filed by class, the filter of every response.
-    engine.run_ingest_emit("tri.le.alloc", bucket_fragments(sides, v_of, v_of), allocate)
+    engine.run_phase("tri.le.alloc", allocate)
 
     def forward(v, state, inbox):
         pkt = inbox.tag == _PKT
@@ -320,7 +323,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     lines: list = [[] for _ in range(n)]
     for k, parts in p_parts.items():
         lines[team_start[k]:team_start[k] + team_size[k]] = parts
-    engine.run_ingest_emit("tri.lp.request", None, fragment_requests(sides, lines, None))
+    engine.run_phase("tri.lp.request", fragment_requests(sides, lines, None))
 
     # In-edges of the path part come from V_j, out-edges go to V_i.
     answer = fragment_responder(sides, j_of[team_of], i_of[team_of])

@@ -10,7 +10,7 @@ from cliquemul.cli import (
     run_bench,
     run_partition_suite,
 )
-from cliquemul.graphs import Graph, save_edge_list
+from cliquemul.graphs import Graph
 from cliquemul.semiring import semiring_by_name
 from cliquemul.sparse import save_matrix_market
 
@@ -208,9 +208,8 @@ def test_multiply_size_mismatch(tmp_path):
     assert rc == 2
 
 
-def test_triangles_command(tmp_path, capsys):
-    g = tmp_path / "g.txt"
-    save_edge_list(generate_graph(8, 14, 2), g, directed=False)
+def test_triangles_command(edge_list, tmp_path, capsys):
+    g = edge_list(generate_graph(8, 14, 2))
     out = tmp_path / "tris.txt"
     rc = cli.main(["triangles", "--graph", str(g), "--out", str(out), "--verify"])
     assert rc == 0
@@ -220,10 +219,9 @@ def test_triangles_command(tmp_path, capsys):
         assert u < v < w                  # undirected canonical ordering
 
 
-def test_triangles_non_cube(tmp_path, capsys):
+def test_triangles_non_cube(edge_list, capsys):
     # A non-cube graph runs on its own n nodes; there is no flag.
-    g = tmp_path / "g.txt"
-    save_edge_list(generate_graph(10, 12, 0), g, directed=False)
+    g = edge_list(generate_graph(10, 12, 0))
     rc = cli.main(["triangles", "--graph", str(g), "--verify"])
     assert rc == 0
     assert "verify: ok" in capsys.readouterr().out
@@ -232,19 +230,15 @@ def test_triangles_non_cube(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_four_cycles_command(tmp_path, capsys):
-    g = tmp_path / "g.txt"
-    save_edge_list(Graph.undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), g,
-                   directed=False)
+def test_four_cycles_command(edge_list, capsys):
+    g = edge_list(Graph.undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     rc = cli.main(["four-cycles", "--graph", str(g), "--verify"])
     assert rc == 0
     assert "count=1" in capsys.readouterr().out
 
 
-def test_apsp_command(tmp_path, capsys):
-    g = tmp_path / "g.txt"
-    save_edge_list(Graph.undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), g,
-                   directed=False)
+def test_apsp_command(edge_list, tmp_path, capsys):
+    g = edge_list(Graph.undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     out = tmp_path / "d.mtx"
     rc = cli.main(["apsp", "--graph", str(g), "--out", str(out), "--verify"])
     assert rc == 0
@@ -252,9 +246,8 @@ def test_apsp_command(tmp_path, capsys):
     assert "diameter=4" in capsys.readouterr().out
 
 
-def test_apsp_disconnected(tmp_path, capsys):
-    g = tmp_path / "g.txt"
-    save_edge_list(Graph.undirected(4, [(0, 1), (2, 3)]), g, directed=False)
+def test_apsp_disconnected(edge_list, capsys):
+    g = edge_list(Graph.undirected(4, [(0, 1), (2, 3)]))
     rc = cli.main(["apsp", "--graph", str(g)])
     assert rc == 2
     assert "disconnected" in capsys.readouterr().err
@@ -300,9 +293,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("no room for 8 GiB")],
                          ids=["bare", "with-message"])
-def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys, error):
-    g = tmp_path / "g.txt"
-    save_edge_list(Graph.undirected(3, [(0, 1), (1, 2)]), g, directed=False)
+def test_out_of_memory_exits_2_with_one_line(edge_list, monkeypatch, capsys, error):
+    g = edge_list(Graph.undirected(3, [(0, 1), (1, 2)]))
 
     def list_triangles(*args, **kwargs):
         raise error
@@ -350,11 +342,9 @@ def test_out_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "a.product.mtx").exists()
 
 
-def test_ledger_option(tmp_path):
-    g = tmp_path / "g.txt"
-    # touch vertex 7 so the loader infers n=8 (a cube) without an explicit n
-    save_edge_list(Graph.undirected(8, [(i, (i + 1) % 8) for i in range(8)]),
-                   g, directed=False)
+def test_ledger_option(edge_list, tmp_path):
+    # the loader infers n = 8 (a cube) from the highest endpoint, 7
+    g = edge_list(Graph.undirected(8, [(i, (i + 1) % 8) for i in range(8)]))
     ledger = tmp_path / "rounds.csv"
     rc = cli.main(["triangles", "--graph", str(g), "--ledger", str(ledger),
                    "--out", str(tmp_path / "t.txt")])

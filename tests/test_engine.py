@@ -62,12 +62,22 @@ def test_self_messages_are_free_and_delivered():
 
 def test_broadcast_waves():
     eng = CliqueEngine(5)
-    eng.run_broadcast("w1", lambda v, st: (0, v, 0, 0))
+    eng.run_broadcast("w1", lambda v, st, box: (0, v, 0, 0))
     assert eng.ledger.records[-1].rounds == 1
     assert all(len(eng.inboxes[v]) == 0 for v in range(5))
-    eng.run_broadcast("w2", lambda v, st: (0, v, 0, 0))
+    eng.run_broadcast("w2", lambda v, st, box: (0, v, 0, 0))
     assert eng.ledger.records[-1].rounds == 1
     assert sum(r.rounds for r in eng.ledger.records) == 2
+
+
+def test_broadcast_handler_reads_the_last_phase_mailbox():
+    eng = CliqueEngine(4)
+    # Node v sends v + 1 words to node v + 1 (mod 4).
+    eng.run_phase("load", lambda v, st, box: batch([((v + 1) % 4, 0, v, k, 0)
+                                                    for k in range(v + 1)]))
+    words = eng.run_broadcast("count", lambda v, st, box: (1, len(box), int(box.src[0]), 0))
+    assert words == [(1, 4, 3, 0), (1, 1, 0, 0), (1, 2, 1, 0), (1, 3, 2, 0)]
+    assert all(len(eng.inboxes[v]) == 0 for v in range(4))
 
 
 @st.composite
@@ -91,7 +101,7 @@ def broadcasts(draw):
 def test_broadcast_delivery_matches_reference_model(case):
     n, words = case
     eng = CliqueEngine(n)
-    assert eng.run_broadcast("b", lambda v, st: words[v]) == words
+    assert eng.run_broadcast("b", lambda v, st, box: words[v]) == words
     # The word vector is the delivery: no mailbox is laid out.
     assert all(len(eng.inboxes[d]) == 0 for d in range(n))
     # Node d hears every other sender's word.
@@ -114,7 +124,7 @@ def test_broadcast_header_outside_int64_raises():
     eng = CliqueEngine(3)
     with pytest.raises(SimulationError,
                        match="phase 'b': node 1 sent a i1 field outside int64"):
-        eng.run_broadcast("b", lambda v, st: (0, 2**63 if v == 1 else v, 0, 0))
+        eng.run_broadcast("b", lambda v, st, box: (0, 2**63 if v == 1 else v, 0, 0))
     assert eng.ledger.records == []
 
 

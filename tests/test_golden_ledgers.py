@@ -78,7 +78,7 @@ def triangles_65(engine):
 def four_cycles_then_apsp(engine):
     # The first seeded graph that is connected, so apsp runs.
     G = next(G for G in (generate_graph(16, 30, seed) for seed in range(100))
-             if max(oracle.apsp_bfs_row(G, 0)) < float("inf"))
+             if max(oracle.apsp_bfs(G)[0]) < float("inf"))
     count_4_cycles(G, engine)
     apsp(G, engine)
 
@@ -119,8 +119,8 @@ class DigestEngine(CliqueEngine):
         self._hash(label, self.inboxes)
         return rounds
 
-    def run_broadcast(self, label, word_fn, ingest=None):
-        words = super().run_broadcast(label, word_fn, ingest)
+    def run_broadcast(self, label, handler):
+        words = super().run_broadcast(label, handler)
         n, replay = self.n, CliqueEngine(self.n)
         replay.run_phase(label, lambda v, state, inbox: None if words[v] is None else (
             [u for u in range(n) if u != v], *words[v]))

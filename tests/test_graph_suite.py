@@ -45,10 +45,10 @@ def test_apsp_path():
     res = apsp(path(4))
     assert res.diameter == 3
     assert res.multiplications == 2
-    d = res.dist
-    assert d.entry(0, 3) == 3 and d.entry(3, 0) == 3
-    assert d.entry(0, 0) == 0
-    assert d.entry(1, 2) == 1
+    d = res.dist.to_dense()
+    assert d[0][3] == 3 and d[3][0] == 3
+    assert d[0][0] == 0
+    assert d[1][2] == 1
 
 
 @pytest.mark.parametrize("G, products, diameter", [
@@ -72,9 +72,7 @@ def test_apsp_matches_bfs_oracle():
               Graph.undirected(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])):
         res = apsp(G)
         want = oracle.apsp_bfs(G)
-        for i in range(G.n):
-            for j in range(G.n):
-                assert res.dist.entry(i, j) == want[i][j]
+        assert res.dist.to_dense() == want
         assert not any(math.isinf(want[i][j]) for i in range(G.n) for j in range(G.n))
 
 

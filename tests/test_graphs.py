@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cliquemul.graphs import Graph, GraphError, load_edge_list, save_edge_list
+from cliquemul.graphs import Graph, GraphError, load_edge_list
 from cliquemul.semiring import boolean_semiring, min_plus_semiring
 from cliquemul.sparse import FormatError
 
@@ -53,8 +53,8 @@ def test_degrees():
 
 def test_adjacency_boolean():
     A = Graph(3, [(0, 1), (2, 0)]).to_adjacency(boolean_semiring())
-    assert A.entry(0, 1) is True
-    assert A.entry(1, 0) is False
+    assert A.to_dense()[0][1] is True
+    assert A.to_dense()[1][0] is False
     assert A.nz() == 2
 
 
@@ -62,23 +62,20 @@ def test_adjacency_min_plus_diagonal():
     # Arcs weigh 1 hop; the stored diagonal encodes distance 0 to self.
     sr = min_plus_semiring()
     G = Graph(3, [(0, 1)])
-    assert G.to_adjacency(sr).entry(0, 1) == 1
+    assert G.to_adjacency(sr).to_dense()[0][1] == 1
     A = G.to_adjacency(sr, explicit_diagonal=True)
-    assert A.entry(1, 1) == 0
+    assert A.to_dense()[1][1] == 0
     assert A.nz() == 4
 
 
-def test_edge_list_round_trip(tmp_path):
+def test_edge_list_round_trip(edge_list):
     G = Graph(5, [(0, 1), (3, 2), (4, 0)])
-    p = tmp_path / "g.txt"
-    save_edge_list(G, p)
-    assert load_edge_list(p, n=5, directed=True) == G
+    assert load_edge_list(edge_list(G, directed=True), directed=True) == G
 
 
-def test_edge_list_undirected_round_trip(tmp_path):
+def test_edge_list_undirected_round_trip(edge_list):
     G = Graph.undirected(4, [(0, 1), (2, 3)])
-    p = tmp_path / "g.txt"
-    save_edge_list(G, p, directed=False)
+    p = edge_list(G)
     assert p.read_text() == "0 1\n2 3\n"
     assert load_edge_list(p) == G
 

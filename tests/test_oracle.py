@@ -4,8 +4,10 @@ import random
 import pytest
 
 from cliquemul import oracle
+from cliquemul.cli import generate_matrix
 from cliquemul.graphs import Graph
-from cliquemul.semiring import boolean_semiring, counting_semiring, min_plus_semiring
+from cliquemul.semiring import (INT64_MAX, boolean_semiring, counting_semiring,
+                                min_plus_semiring)
 from cliquemul.sparse import SparseMatrix
 
 COUNT = counting_semiring()
@@ -26,21 +28,21 @@ def test_identity_times_matrix():
 
 def test_min_plus_two_hop_distances_on_path():
     A = path4().to_adjacency(MINPLUS, explicit_diagonal=True)
-    A2 = oracle.dense_multiply(A, A)
-    assert A2.entry(0, 0) == 0
-    assert A2.entry(0, 1) == 1
-    assert A2.entry(0, 2) == 2
-    assert A2.entry(0, 3) == math.inf   # still out of 2-hop range
-    assert A2.entry(1, 3) == 2
+    A2 = oracle.dense_multiply(A, A).to_dense()
+    assert A2[0][0] == 0
+    assert A2[0][1] == 1
+    assert A2[0][2] == 2
+    assert A2[0][3] == math.inf   # still out of 2-hop range
+    assert A2[1][3] == 2
 
 
 def test_boolean_two_step_reachability_on_dag():
     # arcs 0->1->2->3 plus 0->2; bool (A+I)^2 = reach within two steps
     G = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     B = G.to_adjacency(BOOL, explicit_diagonal=True)
-    closure = oracle.dense_multiply(B, B)
+    closure = oracle.dense_multiply(B, B).to_dense()
     reach2 = {(i, j) for i in range(4) for j in range(4)
-              if closure.entry(i, j) is True}
+              if closure[i][j] is True}
     assert reach2 == {(0, 0), (1, 1), (2, 2), (3, 3),
                       (0, 1), (1, 2), (2, 3), (0, 2),
                       (0, 3), (1, 3)}
@@ -82,6 +84,47 @@ def test_min_plus_fast_path_in_row_chunks(monkeypatch):
     for rows in (2, 3):
         monkeypatch.setattr(oracle, "_MINPLUS_CHUNK_ELEMENTS", rows * n * n)
         assert oracle.dense_multiply(S, T) == whole
+
+
+@pytest.mark.parametrize("sr", [BOOL, COUNT, MINPLUS], ids=lambda sr: sr.name)
+def test_fast_path_has_no_size_bound(monkeypatch, sr):
+    # The kernels have no size bound; the triple loop would take minutes
+    # at this n.
+    n = 1100
+    S, T = generate_matrix(n, 4 * n, 1, sr), generate_matrix(n, 4 * n, 2, sr)
+
+    def triple_loop(S, T):
+        raise AssertionError("dense_multiply ran the triple loop")
+
+    monkeypatch.setattr(oracle, "dense_multiply_reference", triple_loop)
+    got = oracle.dense_multiply(S, T)
+    # Sparse row-by-row product from the scalar definition.
+    rows, want = T.rows, {}
+    for i, k, a in S.entries():
+        for j, b in rows[k]:
+            want[i, j] = sr.add(want.get((i, j), sr.omitted), sr.mul(a, b))
+    assert got == SparseMatrix.from_entries(n, sr, [(i, j, v) for (i, j), v in want.items()])
+
+
+def test_counting_fast_path_up_to_the_int64_envelope(monkeypatch):
+    # n * max|S| * max|T| = 7 * 7 * (INT64_MAX // 49) is INT64_MAX exactly,
+    # and so is every cell: the int64 product is exact.  With one T entry
+    # one larger the bound is past INT64_MAX and column 0 sums to
+    # INT64_MAX + 7, which int64 wraps and the definition saturates, so
+    # only the triple loop may run.
+    n, b = 7, INT64_MAX // 49
+    S = SparseMatrix.from_entries(n, COUNT, [(i, j, 7) for i in range(n) for j in range(n)])
+    reference, calls = oracle.dense_multiply_reference, []
+    monkeypatch.setattr(oracle, "dense_multiply_reference",
+                        lambda S, T: calls.append(1) or reference(S, T))
+    for top, triple_loop in ((b, False), (b + 1, True)):
+        T = SparseMatrix.from_entries(n, COUNT, [(i, j, top if i == j == 0 else b)
+                                                 for i in range(n) for j in range(n)])
+        calls.clear()
+        got = oracle.dense_multiply(S, T)
+        assert bool(calls) is triple_loop
+        assert got == reference(S, T)
+        assert got.to_dense()[0][0] == INT64_MAX
 
 
 def test_triangle_enumeration_k3_both_ways():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
-from cliquemul.engine import CliqueEngine, Inbox, SimulationError
+from cliquemul.engine import CliqueEngine, Delivery, Inbox, SimulationError
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
@@ -201,7 +201,7 @@ def node_requests(sides, lines):
     """Node 0's request batch when it asks for ``lines`` and every other
     node asks for nothing."""
     n = len(sides[0].held)
-    return fragment_requests(sides, [lines] + [[]] * (n - 1), None)(0, {})
+    return fragment_requests(sides, [lines] + [[]] * (n - 1), None)(0, {}, Delivery.empty(n)[0])
 
 
 def test_fragment_requests_skip_empty_fragments():
@@ -269,7 +269,7 @@ def test_smm_empty_and_single():
     Z = SparseMatrix.from_entries(4, COUNT, [])
     assert smm(Z, Z).product == Z
     one = SparseMatrix.from_entries(1, COUNT, [(0, 0, 3)])
-    assert smm(one, one).product.entry(0, 0) == 9
+    assert smm(one, one).product.to_dense() == [[9]]
 
 
 def test_smm_matches_oracle_across_semirings():

@@ -82,7 +82,6 @@ def test_storage_matches_reference_model(case):
     for i in range(n):
         for j in range(n):
             v = model[i].get(j, sr.omitted)
-            assert type(M.entry(i, j)) is type(v) and M.entry(i, j) == v
             assert type(dense[i][j]) is type(v) and dense[i][j] == v
     if typed:
         assert M.vals.dtype == value_column([t[3] for t in typed]).dtype
@@ -92,8 +91,8 @@ def test_storage_matches_reference_model(case):
 def test_row_and_column_views():
     M = SparseMatrix.from_entries(4, COUNT, [(0, 3, 2), (2, 0, 1), (2, 3, 4)])
     assert M.rows == [[(3, 2)], [], [(0, 1), (3, 4)], []]
-    assert M.entry(2, 3) == 4
-    assert M.entry(1, 1) == COUNT.omitted
+    assert M.to_dense()[2][3] == 4
+    assert M.to_dense()[1][1] == COUNT.omitted
 
 
 def test_matrix_market_round_trip(tmp_path):
@@ -114,7 +113,7 @@ def test_matrix_market_one_indexing(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate integer general\n"
                     "2 2 1\n1 1 5\n")
     M = load_matrix_market(path, COUNT)
-    assert M.n == 2 and M.entry(0, 0) == 5 and M.nz() == 1
+    assert M.n == 2 and M.to_dense()[0][0] == 5 and M.nz() == 1
 
 
 def test_matrix_market_drops_explicit_zero(tmp_path):
@@ -122,7 +121,7 @@ def test_matrix_market_drops_explicit_zero(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate integer general\n"
                     "3 3 2\n1 2 0\n3 3 4\n")
     M = load_matrix_market(path, COUNT)
-    assert M.nz() == 1 and M.entry(2, 2) == 4
+    assert M.nz() == 1 and M.to_dense()[2][2] == 4
 
 
 def test_matrix_market_rejects_duplicates(tmp_path):
@@ -147,7 +146,8 @@ def test_matrix_market_symmetric_mirrors(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate integer symmetric\n"
                     "3 3 2\n2 1 5\n3 3 1\n")
     M = load_matrix_market(path, COUNT)
-    assert M.entry(1, 0) == 5 and M.entry(0, 1) == 5 and M.entry(2, 2) == 1
+    dense = M.to_dense()
+    assert dense[1][0] == 5 and dense[0][1] == 5 and dense[2][2] == 1
     assert M.nz() == 3
 
 

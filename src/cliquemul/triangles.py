@@ -33,8 +33,11 @@ matrix, with the vertex classes as bands.  Node v holds its column and
 row (its in-arcs from and out-arcs to higher ids) and the degree words
 give their lengths, so the fragments are dealt before the N-ids are
 known, in the phase that carries the N-set counts (``tri.lp.subseq``).
-Class count tables, the N-id table (from the N-set count words) and team
-path partitions come from ``CliqueEngine.derive_per_group``.
+LearnEdges' packets, one per arc, ride it too: each names its N-set by
+its index within its class pair, and the allocation node, which learns
+the N-id table in that phase, forwards it to the N-set's team.  Class
+count tables, the N-id table (from the N-set count words) and team path
+partitions come from ``CliqueEngine.derive_per_group``.
 """
 
 from __future__ import annotations
@@ -213,7 +216,13 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     n_sets: dict[tuple[int, int], list[list[int]]] = {
         (i, j): groups for i, by_j in per_class.items() for j, groups in enumerate(by_j)}
 
-    # --- N-set counts cross the classes, with LearnPaths' fragments -------
+    # ell[v, j]: the index of v's N-set towards class j, known to its class.
+    ell = np.zeros((n, q), dtype=np.int64)
+    for (i, j), groups in n_sets.items():
+        for index, members in enumerate(groups):
+            ell[members, j] = index
+
+    # --- N-set counts cross the classes, with fragments and packets -------
     # The degree words carry the line lengths, so the fragments are dealt
     # with the counts.
     def own_lines(v, state):
@@ -221,24 +230,28 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
                 for ids in higher_lines(v)]
 
     sides, emit_fragments = deal_fragments(n, s_nz, t_nz, own_lines)
+    # Arc v -> u is a packet for the team of N-id (v_of[v], v_of[u], ell[v,
+    # v_of[u]]), so node v sends d_out(v) packets, a count every node has
+    # from the degree words (``packet_allocation``).
+    cap, starts = packet_allocation([w[2] for w in words])
 
-    def emit_ncounts_and_fragments(v, state, inbox):
+    def emit_subseq(v, state, inbox):
         # Position p of class V_i reports to every u with pos[u] % |V_i| == p.
         targets = np.flatnonzero(pos % len(v_sets[v_of[v]]) == pos[v])
         counts = np.array([len(n_sets[(v_of[v], j)]) for j in range(q)])
-        words = len(targets) * q
-        j = np.arange(words) % q
-        dst, tag, i1, i2, val = emit_fragments(v, state, inbox)
-        # A count word carries no value: False keeps the fragments' bool
-        # value column.
-        return (np.concatenate((np.repeat(targets, q), dst)),
-                np.concatenate((np.full(words, _NC), tag)),
-                np.concatenate((j, i1)), np.concatenate((counts[j], i2)),
-                np.concatenate((np.zeros(words, dtype=np.bool_), val)))
+        j = np.arange(len(targets) * q) % q
+        out = np.array(G.out_adj[v], dtype=np.int64)
+        # Count words and packets carry no value: False keeps the fragments'
+        # bool value column.
+        count_words = (np.repeat(targets, q), np.full(len(j), _NC), j, counts[j],
+                       np.zeros(len(j), dtype=np.bool_))
+        packets = ((starts[v] + np.arange(len(out))) // cap, np.full(len(out), _PKT), out,
+                   ell[v, cls_of[out]], np.zeros(len(out), dtype=np.bool_))
+        return tuple(map(np.concatenate, zip(count_words, packets,
+                                             emit_fragments(v, state, inbox))))
 
-    # The phase is LearnPaths' dealing, named as such; the count words
-    # ride along.
-    engine.run_phase("tri.lp.subseq", emit_ncounts_and_fragments)
+    # LearnPaths' dealing names the phase; counts and packets ride along.
+    engine.run_phase("tri.lp.subseq", emit_subseq)
 
     def n_id_list(_key, inbox):
         nc = inbox.tag == _NC
@@ -260,35 +273,22 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     team_size = np.bincount(team_of, minlength=K)
     team_start = np.cumsum(team_size) - team_size
     i_of, j_of, _ = np.array(n_ids, dtype=np.int64).reshape(-1, 3).T
-    # dest[v, j]: the N-id of v's N-set towards class j.
-    dest = np.zeros((n, q), dtype=np.int64)
-    for k, (i, j, ell) in enumerate(n_ids):
-        dest[n_sets[(i, j)][ell], j] = k
+    # first[i * q + j]: the first N-id of class pair (i, j), in lex order.
+    first = np.searchsorted(i_of * q + j_of, np.arange(Q))
 
-    # --- LearnEdges: allocation, team forwarding --------------------------
-    # Arc (v, u) is a packet for the team of N-id (v_of[v], v_of[u], ell),
-    # so node v's packet count is d_out(v), known to every node from the
-    # degree words.
-    cap, starts = packet_allocation([w[2] for w in words])
-
+    # --- LearnEdges: team forwarding --------------------------------------
     # Fragment endpoints are filed by class, the filter of every response.
     ingest = bucket_fragments(sides, v_of, v_of)
 
-    def allocate(v, state, inbox):
-        ingest(v, state, inbox)
-        out = G.out_adj[v]
-        if not out:
-            return None
-        return ((starts[v] + np.arange(len(out))) // cap, _PKT, out, dest[v, cls_of[out]], 0)
-
-    engine.run_phase("tri.le.alloc", allocate)
-
     def forward(v, state, inbox):
+        ingest(v, state, inbox)
         pkt = inbox.tag == _PKT
-        k = inbox.i2[pkt]          # the packet's N-id: one copy per member of its team
+        tail, head = inbox.src[pkt], inbox.i1[pkt]
+        # The packet's N-id: one copy per member of its team.
+        k = first[cls_of[tail] * q + cls_of[head]] + inbox.i2[pkt]
         copies = team_size[k]
-        return (ranges(team_start[k], copies), _EDGE, inbox.src[pkt].repeat(copies),
-                inbox.i1[pkt].repeat(copies), 0)
+        return (ranges(team_start[k], copies), _EDGE, tail.repeat(copies),
+                head.repeat(copies), 0)
 
     engine.run_phase("tri.le.forward", forward)
 

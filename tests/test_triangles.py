@@ -9,7 +9,7 @@ from cliquemul.engine import CliqueEngine
 from cliquemul.graphs import Graph
 from cliquemul.smm import _ENT_S, _ENT_T, _SUB_S, _SUB_T
 from cliquemul.sparse import DimensionError
-from cliquemul.triangles import TriangleResult, list_triangles, packet_allocation
+from cliquemul.triangles import _PKT, TriangleResult, list_triangles, packet_allocation
 
 
 def random_digraph(n, m, rng):
@@ -26,6 +26,19 @@ def two_cycle_digraph(n, rng):
             kind = rng.randrange(4)
             arcs += [(u, v)] * (kind in (1, 3)) + [(v, u)] * (kind in (2, 3))
     return Graph(n, arcs)
+
+
+class DeliveryEngine(CliqueEngine):
+    """An engine that keeps each phase's delivery."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.delivered = {}
+
+    def run_phase(self, label, handler):
+        rounds = super().run_phase(label, handler)
+        self.delivered[label] = self.inboxes
+        return rounds
 
 
 def test_packet_allocation_uniform():
@@ -177,19 +190,46 @@ def test_one_team_per_n_id(G, K):
 
 
 def test_forwarding_receive_bound():
-    # Allocation keeps every node's incoming packet load near average.  A
-    # member learns only its team's N-set, whose arcs into V_j number at
-    # most beta, so no node receives more than beta forwarded arcs.
+    # LearnEdges' packets ride tri.lp.subseq, one per arc: node v sends
+    # d_out(v) of them, and allocation keeps every node's incoming packet
+    # load near average.  A member learns only its team's N-set, whose arcs
+    # into V_j number at most beta, so no node receives more than beta
+    # forwarded arcs.
     for G in (random_digraph(27, 150, random.Random(3)),
               generate_graph(27, 200, 3, directed=True),
               generate_graph(64, 4000, 7, directed=True),
               generate_graph(512, 16000, 100)):
-        res = list_triangles(G, engine=CliqueEngine(G.n))
+        engine = DeliveryEngine(G.n)
+        res = list_triangles(G, engine)
         assert isinstance(res, TriangleResult)
-        alloc, forward = (rec for rec in res.records
-                          if rec.label in ("tri.le.alloc", "tri.le.forward"))
-        assert alloc.max_recv <= G.m // G.n + 1, (G.n, G.m, alloc)
+        mail = engine.delivered["tri.lp.subseq"]
+        pkt = mail.tag == _PKT
+        assert np.count_nonzero(pkt) == G.m
+        assert sorted(zip(mail.src[pkt].tolist(), mail.i1[pkt].tolist())) == sorted(G.edges)
+        sent = np.bincount(mail.src[pkt], minlength=G.n)
+        assert sent.tolist() == [G.d_out(v) for v in range(G.n)]
+        dst = np.repeat(np.arange(G.n), np.diff(mail.bounds))
+        assert np.bincount(dst[pkt], minlength=G.n).max() <= G.m // G.n + 1, (G.n, G.m)
+        forward, = [rec for rec in res.records if rec.label == "tri.le.forward"]
         assert forward.max_recv <= res.state.beta, (G.n, G.m, forward)
+
+
+@pytest.mark.parametrize("n", [20, 27, 64, 65, 100])
+def test_count_and_path_count_loads(n):
+    # tri.vcounts: each node sends its q class counts to every other member
+    # of its class.  tri.psums: each node sends one path-count word to every
+    # other node when there are teams, and none on an edgeless graph.
+    rng = random.Random(n)
+    for m in (0, 4 * n, n * (n - 1)):
+        G = random_digraph(n, m, rng)
+        res = list_triangles(G)
+        assert res.triangles == oracle.enumerate_triangles(G)
+        loads = {r.label: (r.max_send, r.max_recv) for r in res.records}
+        widest = max(map(len, res.state.v_sets))
+        assert max(loads["tri.vcounts"]) <= (widest - 1) * res.state.q, (n, m)
+        psums = n - 1 if res.state.n_ids else 0
+        assert loads["tri.psums"] == (psums, psums), (n, m)
+        assert bool(res.state.n_ids) == (m > 0)
 
 
 @pytest.mark.parametrize("n, m", [(10, 60), (20, 150), (65, 4000), (100, 900)])
@@ -208,27 +248,28 @@ def test_phase_list():
     # tri.lp.subseq deals the fragments from lines every node holds (no
     # lp.coldist or lp.stats) in the phase that carries the N-set counts.
     # Every node's packet count is its out-degree, so LearnEdges needs no
-    # le.load, and each node works on one N-set: one path-count word per
-    # member, one request word per owner and one response, on whose
-    # mailbox every member closes its cycles.
+    # le.load, and the packets, which name their N-set by its index in its
+    # class pair, ride the same phase.  Each node works on one N-set: one
+    # path-count word per member, one request word per owner and one
+    # response, on whose mailbox every member closes its cycles.
     G = random_digraph(27, 120, random.Random(9))
     assert [r.label for r in list_triangles(G).records] == [
-        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.le.alloc",
-        "tri.le.forward", "tri.psums", "tri.lp.request", "tri.lp.respond"]
+        "tri.degrees", "tri.vcounts", "tri.lp.subseq", "tri.le.forward",
+        "tri.psums", "tri.lp.request", "tri.lp.respond"]
 
 
-class ColumnEngine(CliqueEngine):
-    """An engine that keeps each phase's delivered tag, i1 and i2 columns."""
-
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.delivered = {}
-
-    def run_phase(self, label, handler):
-        rounds = super().run_phase(label, handler)
-        mail = self.inboxes
-        self.delivered[label] = (mail.tag.copy(), mail.i1.copy(), mail.i2.copy())
-        return rounds
+@pytest.mark.parametrize("G", [
+    generate_graph(27, 200, 3, directed=True),
+    generate_graph(64, 400, 6),
+], ids=["digraph_n27", "undirected_n64"])
+def test_subseq_values_are_bool(G):
+    # Count words and packets carry False, so they join the fragments'
+    # bool value column instead of turning it into objects.
+    engine = DeliveryEngine(G.n)
+    list_triangles(G, engine)
+    mail = engine.delivered["tri.lp.subseq"]
+    assert np.count_nonzero(mail.tag == _PKT) == G.m
+    assert mail.val.dtype == np.bool_
 
 
 @pytest.mark.parametrize("G", [
@@ -244,13 +285,14 @@ def test_each_arc_is_dealt_once_in_its_lower_line(G):
     # u > w, u's row otherwise.  The delivery, self-messages included,
     # holds m fragment entries, not 2m, and every response has its path
     # vertex as the smaller endpoint.
-    engine = ColumnEngine(G.n)
+    engine = DeliveryEngine(G.n)
     assert list_triangles(G, engine).triangles == oracle.enumerate_triangles(G)
-    tag, _, _ = engine.delivered["tri.lp.subseq"]
+    tag = engine.delivered["tri.lp.subseq"].tag
     down = sum(u > w for u, w in G.edges)
     assert np.count_nonzero(tag == _SUB_S) == down
     assert np.count_nonzero(tag == _SUB_T) == G.m - down
-    tag, i1, i2 = engine.delivered["tri.lp.respond"]
+    mail = engine.delivered["tri.lp.respond"]
+    tag, i1, i2 = mail.tag, mail.i1, mail.i2
     is_s, is_t = tag == _ENT_S, tag == _ENT_T
     assert (is_s | is_t).all() and is_s.any() and is_t.any()
     assert (i2[is_s] < i1[is_s]).all()         # y -> z with z < y

@@ -21,6 +21,7 @@ import itertools
 import os
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -65,17 +66,31 @@ def generate_matrix(n: int, nz_target: int, seed: int, semiring: Semiring) -> Sp
 
 
 def generate_graph(n: int, m_target: int, seed: int, directed: bool = False) -> Graph:
-    """Seeded uniform simple graph with exactly m_target (arc or edge) count."""
+    """Seeded uniform simple graph with exactly m_target (arc or edge) count.
+
+    The draw samples m_target indices into the list of every pair (u, v),
+    u != v (u < v when undirected), in (u, v) order, and unranks each index
+    to its pair, so the list is never built.
+    """
     rng = random.Random(seed)
     if directed:
         if not 0 <= m_target <= n * (n - 1):
             raise ValueError(f"cannot place {m_target} arcs on {n} vertices")
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        return Graph(n, rng.sample(pairs, m_target))
+        # Row u holds the n - 1 pairs (u, v), v != u.
+        arcs = []
+        for i in rng.sample(range(n * (n - 1)), m_target):
+            u, r = divmod(i, n - 1)
+            arcs.append((u, r + (r >= u)))
+        return Graph(n, arcs)
     if not 0 <= m_target <= n * (n - 1) // 2:
         raise ValueError(f"cannot place {m_target} edges on {n} vertices")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.undirected(n, rng.sample(pairs, m_target))
+    # Row u holds the n - 1 - u pairs (u, v), v > u, from index starts[u].
+    starts = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))
+    pairs = []
+    for i in rng.sample(range(n * (n - 1) // 2), m_target):
+        u = bisect_right(starts, i) - 1
+        pairs.append((u, u + 1 + i - starts[u]))
+    return Graph.undirected(n, pairs)
 
 
 # -- benchmark driver -------------------------------------------------------

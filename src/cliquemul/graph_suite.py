@@ -1,12 +1,17 @@
 """Graph algorithms layered on the simulator and the multiplication pipeline.
 
-Both rest on one fact of ``smm``: after a product, node v holds row v of
-the result, because ``sbmm.reduce`` sends each partial to its row owner.
+Both rest on two facts of ``smm``.  After a product, node v holds row v
+of the result, because ``sbmm.reduce`` sends each partial to its row
+owner.  And every operand here is a power of one symmetric matrix, so
+row v is also column v: each product takes ``smm``'s symmetric entry
+(``row_counts``), which skips ``distribute`` and ``stats``, once the row
+sizes are common knowledge from a broadcast these algorithms make anyway.
 
 4-cycle counting uses the closed form (trace(A^4) - sum_v (2 d_v^2 - d_v)) / 8.
-The graph is undirected, so A^2 is symmetric and trace(A^4) =
-sum_v sum_u A^2[v][u]^2: after ``smm(A, A)`` node v broadcasts its degree
-term and its row's sum of squares in one word (``c4.terms``).
+Node v broadcasts its degree (``c4.degrees``), the row sizes of A, so
+every node knows the degree term.  The graph is undirected, so A^2 is
+symmetric and trace(A^4) = sum_v sum_u A^2[v][u]^2: after ``smm(A, A)``
+node v broadcasts its row's sum of squares (``c4.terms``).
 
 Unweighted all-pairs shortest paths multiplies the min-plus adjacency
 matrix M, zero diagonal explicit, into successive powers, never squaring,
@@ -16,7 +21,9 @@ is full exactly when k >= ecc(v).  Before the first product and after
 each one, node v broadcasts a status word (``apsp.status``) from its row:
 its size, its largest distance and whether it grew.  All rows full ends
 the loop, after max(D - 1, 0) products for diameter D; a row neither full
-nor growing means the graph is disconnected.
+nor growing means the graph is disconnected.  The status sizes are the
+product's row counts: M's from the first word, M^k's from the latest.
+M^k commutes with M, so it is symmetric too.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .semiring import counting_semiring, min_plus_semiring
 from .smm import smm
 from .sparse import SparseMatrix
 
-_TERMS, _STATUS = 100, 101
+_DEGREE, _TERMS, _STATUS = 99, 100, 101
 
 
 @dataclass
@@ -47,17 +54,17 @@ def count_4_cycles(G: Graph, engine: CliqueEngine | None = None) -> FourCycleRes
     engine = engine_for(G.n, engine)
     mark = engine.ledger.mark()
     A = G.to_adjacency(counting_semiring())
-    sq = smm(A, A, engine=engine).product
+    degrees = [w[1] for w in engine.run_broadcast(
+        "c4.degrees", lambda v, state, inbox: (_DEGREE, G.d_out(v), 0, 0))]
+    sq = smm(A, A, engine=engine, row_counts=(degrees, degrees)).product
 
-    # Node v holds row v of A^2, so both of its terms are local.  An entry
-    # of A^2 is at most n, so its int64 sum of squares is exact.
+    # Node v holds row v of A^2, so its term is local.  An entry of A^2 is
+    # at most n, so its int64 sum of squares is exact.
     def terms(v, state, inbox):
-        d = G.d_out(v)
-        return (_TERMS, 2 * d * d - d, int((sq.row(v)[1] ** 2).sum()), 0)
+        return (_TERMS, int((sq.row(v)[1] ** 2).sum()), 0, 0)
 
-    words = engine.run_broadcast("c4.terms", terms)
-    degree_term = sum(w[1] for w in words)
-    trace4 = sum(w[2] for w in words)
+    trace4 = sum(w[1] for w in engine.run_broadcast("c4.terms", terms))
+    degree_term = sum(2 * d * d - d for d in degrees)
     numerator = trace4 - degree_term
     if numerator % 8 != 0:
         raise RuntimeError(
@@ -86,7 +93,7 @@ def apsp(G: Graph, engine: CliqueEngine | None = None) -> ApspResult:
 
     # Node v holds row v of the current power, and its own last word gives
     # the previous size (1 for M^0 = I).
-    sizes = [1] * n
+    sizes, m_sizes = [1] * n, None
 
     def status(v, state, inbox):
         cols, vals = power.row(v)
@@ -102,6 +109,7 @@ def apsp(G: Graph, engine: CliqueEngine | None = None) -> ApspResult:
             raise DisconnectedGraphError(
                 f"graph is disconnected: vertex {stalled[0]} reaches only "
                 f"{words[stalled[0]][1]} of {n} vertices")
-        power = smm(power, M, engine=engine).product
+        m_sizes = m_sizes or sizes
+        power = smm(power, M, engine=engine, row_counts=(sizes, m_sizes)).product
         mults += 1
     return ApspResult(power, max(w[2] for w in words), mults, engine.ledger.since(mark))

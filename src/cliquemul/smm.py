@@ -2,7 +2,8 @@
 
 Pipeline: split-pair selection from nonzero counts, sparsity-balancing
 row/column permutations, then the balanced multiplication protocol.
-``smm()`` runs seven communication phases:
+``smm()`` runs seven communication phases, or the last five on the
+symmetric entry (below):
 
 * distribute: node v reads its own input rows, row v of S and of T, and
   scatters both into columns, so it then holds row v and column v of each;
@@ -11,6 +12,11 @@ row/column permutations, then the balanced multiplication protocol.
   the permutations sigma and tau from them.  Column v of S' = sigma(S)
   and row v of T' = T tau are then local relabels, so balancing sends
   nothing;
+* symmetric entry (``row_counts``): when S and T are symmetric and their
+  row counts are common knowledge, as for powers of an undirected
+  graph's adjacency matrix, row v is column v and the four counts are
+  two, so both phases above move nothing a node cannot derive and are
+  skipped;
 * sbmm.subseq: columns of S' and rows of T' cut into bounded fragments
   ("subsequences"), one per node when there are at most n of a side,
   else two paired by size, a small one with a large one, so no node
@@ -614,11 +620,20 @@ class SmmResult:
         return sum(r.rounds for r in self.records)
 
 
-def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) -> SmmResult:
+def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None, *,
+        row_counts: tuple | None = None) -> SmmResult:
     """Product S*T via the full pipeline; result rows gathered from nodes.
 
     With an engine supplied, phases append to its ledger (used by the
     shortest-path driver, which runs many multiplications in sequence).
+
+    ``row_counts=(s_row_nz, t_row_nz)`` enters the symmetric path: the
+    caller vouches that S and T are symmetric and that every node already
+    holds both lists of row sizes.  Node v's row v is then its column v,
+    and each column count is the row count, so ``distribute`` and
+    ``stats`` are skipped and the product runs the five ``sbmm`` phases
+    alone.  Counts that disagree with the operands' rows raise
+    DimensionError before any phase is charged.
     """
     if S.n != T.n:
         raise DimensionError(f"operand sizes differ: {S.n} vs {T.n}")
@@ -627,45 +642,30 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
             f"operand semirings differ: {S.semiring.name} vs {T.semiring.name}")
     n = S.n
     sr = S.semiring
+    if row_counts is not None:
+        s_row_nz, t_row_nz = (list(c) for c in row_counts)
+        if s_row_nz != np.diff(S.ptr).tolist() or t_row_nz != np.diff(T.ptr).tolist():
+            raise DimensionError("row counts disagree with the operands' row lengths")
     engine = engine_for(n, engine)
     mark = engine.ledger.mark()
 
-    # Node v starts with row v of S and of T.  Both operands are scattered
-    # into columns: node v then holds row v and column v of each.
-    def emit_cols(v, state, inbox):
-        (s_cols, s_vals), (t_cols, t_vals) = S.row(v), T.row(v)
-        tags = np.repeat((_S_COL, _T_COL), (len(s_cols), len(t_cols)))
-        return np.concatenate((s_cols, t_cols)), tags, v, 0, concat_values([s_vals, t_vals])
-
-    engine.run_phase("distribute", emit_cols)
-
-    # One word carries all four counts; the last field packs two of them
-    # (see the word format in engine.py).
-    base = n + 1
-
-    def stats(v, state, inbox):
-        is_s = inbox.tag == _S_COL
-        state["S_col"] = (inbox.src[is_s], inbox.val[is_s])
-        return (_NZ, len(S.row(v)[0]), int(np.count_nonzero(inbox.tag == _T_COL)),
-                len(state["S_col"][0]) * base + len(T.row(v)[0]))
-
-    words = engine.run_broadcast("stats", stats)
-    row_nz = [w[1] for w in words]
-    col_nz = [w[2] for w in words]
-    s_col_nz, t_row_nz = zip(*(divmod(w[3], base) for w in words))
-    split = choose_split(sum(row_nz), sum(col_nz), n)
-    (sigma_of, band_s), (tau_of, band_t) = _bands(row_nz, split.a), _bands(col_nz, split.b)
+    if row_counts is None:
+        s_row_nz, t_col_nz, s_col_nz, t_row_nz = _redistribute(engine, S, T)
+    else:
+        s_col_nz, t_col_nz = s_row_nz, t_row_nz
+    split = choose_split(sum(s_row_nz), sum(t_col_nz), n)
+    (sigma_of, band_s), (tau_of, band_t) = _bands(s_row_nz, split.a), _bands(t_col_nz, split.b)
 
     # Permuting keeps column v of S' = sigma(S) and row v of T' = T tau
     # on node v: both are local relabels.
     def relabel(v, state):
-        rows, s_vals = state.pop("S_col")
+        rows, s_vals = S.row(v) if row_counts is not None else state.pop("S_col")
         t_cols, t_vals = T.row(v)
         s_pos, t_pos = sigma_of[rows], tau_of[t_cols]
         s_order, t_order = np.argsort(s_pos), np.argsort(t_pos)
         return (s_pos[s_order], s_vals[s_order]), (t_pos[t_order], t_vals[t_order])
 
-    sides, emit_fragments = deal_fragments(n, list(s_col_nz), list(t_row_nz), relabel)
+    sides, emit_fragments = deal_fragments(n, s_col_nz, t_row_nz, relabel)
     engine.run_phase("sbmm.subseq", emit_fragments)
     # Partials go straight to the owner of the unpermuted result row, as
     # the unpermuted result column.
@@ -685,3 +685,31 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None) ->
     return SmmResult(product, split, sigma_of.tolist(), tau_of.tolist(),
                      engine.ledger.since(mark))
 
+
+def _redistribute(engine: CliqueEngine, S: SparseMatrix, T: SparseMatrix) -> tuple:
+    """``distribute`` and ``stats``: node v, which starts with row v of S
+    and of T, gets column v of each and broadcasts its four counts.
+
+    Returns the S row, T column, S column and T row counts, lists indexed
+    by node, and leaves column v of S in node v's ``state["S_col"]``.
+    """
+    def emit_cols(v, state, inbox):
+        (s_cols, s_vals), (t_cols, t_vals) = S.row(v), T.row(v)
+        tags = np.repeat((_S_COL, _T_COL), (len(s_cols), len(t_cols)))
+        return np.concatenate((s_cols, t_cols)), tags, v, 0, concat_values([s_vals, t_vals])
+
+    engine.run_phase("distribute", emit_cols)
+
+    # One word carries all four counts; the last field packs two of them
+    # (see the word format in engine.py).
+    base = engine.n + 1
+
+    def stats(v, state, inbox):
+        is_s = inbox.tag == _S_COL
+        state["S_col"] = (inbox.src[is_s], inbox.val[is_s])
+        return (_NZ, len(S.row(v)[0]), int(np.count_nonzero(inbox.tag == _T_COL)),
+                len(state["S_col"][0]) * base + len(T.row(v)[0]))
+
+    words = engine.run_broadcast("stats", stats)
+    s_col_nz, t_row_nz = zip(*(divmod(w[3], base) for w in words))
+    return [w[1] for w in words], [w[2] for w in words], list(s_col_nz), list(t_row_nz)

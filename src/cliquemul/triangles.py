@@ -346,7 +346,9 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         if len(xs) and len(inbox):
             found.append(close_cycles(inbox, xs, ys, pos, width))
         learned[v] = None
-    del mail
+    # The last inbox, even the empty one, is a view that keeps the whole
+    # delivery alive.
+    del mail, inbox
 
     state_view = TriplePartitionState(
         n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,

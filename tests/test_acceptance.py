@@ -278,17 +278,18 @@ def test_criterion_7_four_cycles():
         failures.append("C4 != 1")
     if count_4_cycles(K4).count != 3:
         failures.append("K4 != 3")
-    # On K_n, beyond the rows of its one smm, the count charges a single
-    # broadcast row of at most one round.
+    # On K_n the count charges the rows of its one symmetric smm between
+    # two broadcast rows, c4.degrees and c4.terms, each of at most one round.
     for n in (5, 16, 48):
         K = Graph.undirected(n, list(itertools.combinations(range(n), 2)))
         res = count_4_cycles(K)
         A = K.to_adjacency(semiring_by_name("count"))
-        alone = smm(A, A).records
-        extra = res.records[len(alone):]
-        if res.records[:len(alone)] != alone:
-            failures.append(f"K{n}: smm rows differ from a lone smm(A, A)")
-        if [(r.label, r.rounds <= 1) for r in extra] != [("c4.terms", True)]:
+        alone = smm(A, A, row_counts=([n - 1] * n,) * 2).records
+        extra = [res.records[0], *res.records[1 + len(alone):]]
+        if res.records[1:1 + len(alone)] != alone:
+            failures.append(f"K{n}: smm rows differ from a lone symmetric smm(A, A)")
+        if [(r.label, r.rounds <= 1) for r in extra] != [("c4.degrees", True),
+                                                         ("c4.terms", True)]:
             failures.append(f"K{n}: rows beyond smm {extra}")
     report(7, "4-cycle counting", failures)
 

@@ -1,4 +1,5 @@
 import csv
+import random
 
 import pytest
 
@@ -49,6 +50,31 @@ def test_generate_graph():
         generate_graph(4, 7, 0)          # > C(4,2)
     with pytest.raises(ValueError):
         generate_graph(4, 13, 0, directed=True)
+
+
+def listed_draw(n, m, seed, directed):
+    """The draw from the full list of pairs, which ``generate_graph`` unranks."""
+    rng = random.Random(seed)
+    if directed:
+        return Graph(n, rng.sample([(u, v) for u in range(n) for v in range(n) if u != v], m))
+    return Graph.undirected(n, rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m))
+
+
+# ``random.sample`` draws k of N by a set of picks when N is large against
+# k and by shuffling a pool otherwise; both read the population only by
+# ``len`` and index.  The first rows take the set branch, the "near all"
+# rows the pool branch; then the graphs of the golden ledgers, criterion 7
+# and the benchmark's triangle and graph-suite instances.
+DRAWS = [(64, 10, 3), (200, 40, 11), (1, 0, 0), (2, 1, 5),
+         (16, 110, 2), (16, 120, 9), (27, 340, 4), (23, 250, 8),
+         (27, 120, 5), (64, 400, 6), (65, 400, 7), (16, 30, 0), (16, 30, 1),
+         (512, 16000, 100), (128, 1536, 1000)]
+
+
+@pytest.mark.parametrize("n, m, seed", DRAWS)
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_generate_graph_unranks_the_listed_draw(n, m, seed, directed):
+    assert generate_graph(n, m, seed, directed) == listed_draw(n, m, seed, directed)
 
 
 # -- bench ------------------------------------------------------------------

@@ -13,6 +13,10 @@ a broadcast, which lays out no mailbox, is hashed as its words sent as
 n - 1 ordinary batches.
 A refactor that keeps every load but changes a mailbox fails there.
 
+The same per-phase digests pin smm's symmetric entry (``row_counts``) to
+its general path: on symmetric operands its ledger and deliveries are the
+general ones without the ``distribute`` and ``stats`` phases.
+
 Run as a script, ``python3 tests/test_golden_ledgers.py`` prints, per
 case, the golden rows that differ from a fresh run, the rounds before
 and after, and whether the deliveries still match; a case with no
@@ -36,12 +40,15 @@ from cliquemul import oracle
 from cliquemul.cli import generate_graph, generate_matrix
 from cliquemul.engine import CliqueEngine
 from cliquemul.graph_suite import apsp, count_4_cycles
+from cliquemul.graphs import Graph
 from cliquemul.semiring import semiring_by_name
 from cliquemul.smm import smm
+from cliquemul.sparse import DimensionError
 from cliquemul.triangles import list_triangles
 
 GOLDEN = Path(__file__).parent / "golden"
 COUNT = semiring_by_name("count")
+MIN_PLUS = semiring_by_name("minplus")
 
 
 def _operands(n, nz, seed):
@@ -155,6 +162,68 @@ def test_every_phase_moves_messages():
             label, *_, total_msgs = row.split(",")
             moved[label] = moved.get(label, False) or int(total_msgs) > 0
     assert [label for label, any_msgs in moved.items() if not any_msgs] == []
+
+
+class PhaseDigests(DigestEngine):
+    """A ``DigestEngine`` that keeps one digest per phase, in ledger order."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.deliveries = []
+
+    def _hash(self, label, mail):
+        self.digest = hashlib.sha256()
+        super()._hash(label, mail)
+        self.deliveries.append(self.digest.hexdigest())
+
+
+def row_sizes(M):
+    return [len(M.row(v)[0]) for v in range(M.n)]
+
+
+# Symmetric operands on an empty graph, a complete one, non-cube sizes
+# and seeded random graphs.
+SYMMETRIC_GRAPHS = {
+    "K1": Graph.undirected(1, []),
+    "empty9": Graph.undirected(9, []),
+    "K8": Graph.undirected(8, [(u, v) for u in range(8) for v in range(u + 1, 8)]),
+    "star12": Graph.undirected(12, [(0, v) for v in range(1, 12)]),
+    "path10": Graph.undirected(10, [(v, v + 1) for v in range(9)]),
+    "G20": generate_graph(20, 60, 3),
+    "G23": generate_graph(23, 100, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+def test_symmetric_entry_is_the_general_path_without_its_prologue(name):
+    # Counting A*A as in count_4_cycles, min-plus M*M and M^2*M as in apsp.
+    G = SYMMETRIC_GRAPHS[name]
+    A = G.to_adjacency(COUNT)
+    M = G.to_adjacency(MIN_PLUS, explicit_diagonal=True)
+    M2 = oracle.dense_multiply(M, M)
+    for S, T in ((A, A), (M, M), (M2, M)):
+        runs = []
+        for counts in (None, (row_sizes(S), row_sizes(T))):
+            engine = PhaseDigests(G.n)
+            runs.append((smm(S, T, engine, row_counts=counts), engine.deliveries))
+        (general, general_digests), (symmetric, symmetric_digests) = runs
+        kept = [k for k, r in enumerate(general.records)
+                if r.label not in ("distribute", "stats")]
+        assert [r.label for r in general.records][:2] == ["distribute", "stats"]
+        assert symmetric.records == [general.records[k] for k in kept]
+        assert symmetric_digests == [general_digests[k] for k in kept]
+        assert symmetric.product == general.product == oracle.dense_multiply(S, T)
+
+
+def test_symmetric_entry_checks_row_counts_before_any_phase():
+    A = SYMMETRIC_GRAPHS["G20"].to_adjacency(COUNT)
+    sizes = row_sizes(A)
+    wrong = [sizes[:-1], sizes[:-1] + [sizes[-1] + 1], [0] * 20]
+    for counts in [(w, sizes) for w in wrong] + [(sizes, w) for w in wrong]:
+        engine = CliqueEngine(20)
+        with pytest.raises(DimensionError, match="row counts"):
+            smm(A, A, engine, row_counts=counts)
+        assert engine.ledger.records == []
 
 
 def rounds_of(rows: list[str]) -> int:

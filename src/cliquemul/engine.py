@@ -30,13 +30,14 @@ i1[k], i2[k], val[k])``, or None for no message.  ``dst`` is a numpy
 array, list or tuple; any other column may also be one value that every
 message of the batch carries (for a header, one Python int).  Header
 columns hold signed integers or bools of any width.  The engine joins
-each field once per phase, one ``np.concatenate`` of the batches'
-columns and one ``np.repeat`` of their single values, and checks the
-joined column.  An unsigned array, values that do not all fit int64
-(numpy then joins them as unsigned, float or object), a column whose
-length is not its batch's, or a destination outside [0, n) raises
-SimulationError naming the phase and the first node at fault; only then
-are the batches walked one by one.
+each header field once per phase and checks the joined column: when
+every batch sends one value, by one ``np.repeat`` of the values;
+otherwise each single value is repeated over its own batch and one
+``np.concatenate`` joins every column.  An unsigned array, values that
+do not all fit int64 (numpy then joins them as unsigned, float or
+object), a column whose length is not its batch's, or a destination
+outside [0, n) raises SimulationError naming the phase and the first
+node at fault; only then are the batches walked one by one.
 
 The value column keeps every value's exact Python type by the rule of
 ``sparse.value_column``: int64 when every value is an ``int`` inside
@@ -61,13 +62,13 @@ emission order.  Each other field is then joined, dropped from the
 batches and put in that order in turn, so at most one unsorted column is
 alive at a time.
 
-A broadcast phase (``run_broadcast``) takes no batches: each node's
+A broadcast phase (``run_broadcast``) takes no batches: every node's
 handler returns its one word for every other node, and the vector of
 words is the delivery, common knowledge once the phase ends, so the
 engine lays out no mailbox and leaves every inbox empty.  It checks
 each word's header fields as it would a batch's and charges the loads
-of the n - 1 copies sent as ordinary batches: n - 1 sent per sender,
-and k received (k - 1 at a sender) when k nodes speak.
+of the n - 1 copies sent as ordinary batches: n - 1 sent and n - 1
+received at every node, n(n - 1) messages in all.
 """
 
 from __future__ import annotations
@@ -140,31 +141,22 @@ def _join_header(columns: list, lengths: list[int]) -> np.ndarray | None:
     a column's length is not its batch's or the joined values do not all
     fit int64.
 
-    ``lengths`` holds each batch's message count.  The columns are joined
-    by one concatenate, the single values by one repeat, and a field that
-    mixes both interleaves the two by a mask.  An unsigned array fails
-    even where numpy would join it with signed ones exactly, so a node's
-    batch is valid or not whatever the other nodes send.
+    ``lengths`` holds each batch's message count.  When every batch sends
+    one value, one repeat lays the field out; otherwise each single value
+    is repeated over its own batch and one concatenate joins every column.
+    An unsigned array fails even where numpy would join it with signed
+    ones exactly, so a node's batch is valid or not whatever the other
+    nodes send.
     """
-    one = [not isinstance(c, _COLUMN) for c in columns]
-    if all(one):
+    if not any(isinstance(c, _COLUMN) for c in columns):
         joined = np.array(columns).repeat(lengths)
     else:
-        arrays, sizes = columns, lengths
-        if any(one):
-            arrays = [c for c, o in zip(columns, one) if not o]
-            sizes = [k for k, o in zip(lengths, one) if not o]
-        if list(map(len, arrays)) != sizes or any(
-                isinstance(a, np.ndarray) and a.dtype.kind == "u" for a in arrays):
+        arrays = [c if isinstance(c, _COLUMN) else np.array(c).repeat(k)
+                  for c, k in zip(columns, lengths)]
+        if list(map(len, arrays)) != lengths or any(
+                isinstance(a, np.ndarray) and a.dtype.kind == "u" for a in columns):
             return None
         joined = np.concatenate(arrays)
-        if any(one):
-            values = np.array([c for c, o in zip(columns, one) if o])
-            at = np.array(one).repeat(lengths)
-            mixed = np.empty(len(at), dtype=np.result_type(joined, values))
-            mixed[~at] = joined
-            mixed[at] = values.repeat([k for k, o in zip(lengths, one) if o])
-            joined = mixed
     # uint64, float and object joins hold values that int64 may not.
     return joined if joined.dtype.kind in "bi" else None
 
@@ -287,7 +279,6 @@ class CliqueEngine:
         if not batches:
             return self.ledger.charge_for_loads(label, n, 0, 0, 0)
         lengths = [len(batch[0]) for batch in batches]
-        emitted = sum(lengths)
         # Per field, every batch's column; a field is dropped once joined.
         fields = [list(columns) for columns in zip(*batches)]
         batches.clear()
@@ -308,8 +299,6 @@ class CliqueEngine:
         sent = np.zeros(n, dtype=np.int64)
         sent[senders] = lengths
         received = np.bincount(dst, minlength=n)
-        if int(received.sum()) != emitted:
-            raise SimulationError(f"phase {label!r}: message conservation violated")
         kept = np.bincount(dst[dst == src], minlength=n)     # free: sent to self
         sends, recvs = sent - kept, received - kept
         order = np.argsort(dst, kind="stable")
@@ -336,31 +325,27 @@ class CliqueEngine:
             int(sends.argmax()), int(recvs.argmax()))
 
     def run_broadcast(self, label: str, handler) -> list:
-        """Each node sends ``handler(v, state, inbox)`` (or None) to every
-        other node.
+        """Each node sends ``handler(v, state, inbox)`` to every other node.
 
         The handler reads the last phase's mailbox as in ``run_phase``
         and returns a word ``(tag, i1, i2, val)``, charged as n - 1
-        messages (see the module docstring).  Returns the vector of
-        words, None for a silent node: it is the phase's delivery, and the
-        inboxes are left empty.
+        messages sent and n - 1 received at every node (see the module
+        docstring).  Returns the vector of words: it is the phase's
+        delivery, and the inboxes are left empty.  A handler that returns
+        None raises SimulationError naming the first such node.
         """
         n, mail = self.n, self.inboxes
         words = [handler(v, self.states[v], mail[v]) for v in range(n)]
         del mail
         self.inboxes = self._no_mail
-        senders = [v for v, word in enumerate(words) if word is not None]
-        if not senders:
-            self.ledger.charge_for_loads(label, n, 0, 0, 0)
-            return words
-        k = len(senders)
-        ones = [1] * k
-        head = [[words[v][f] for v in senders] for f in range(3)]
+        if None in words:
+            raise SimulationError(
+                f"phase {label!r}: node {words.index(None)} sent no broadcast word")
+        ones = [1] * n
+        head = [[word[f] for word in words] for f in range(3)]
         if any(_join_header(field, ones) is None for field in head):
-            raise _batch_fault(label, senders, [None, *head], ones)
-        silent = next((v for v, word in enumerate(words) if word is None), None)
-        self.ledger.charge_for_loads(label, n, n - 1, k - (silent is None), k * (n - 1),
-                                     senders[0], silent or 0)
+            raise _batch_fault(label, range(n), [None, *head], ones)
+        self.ledger.charge_for_loads(label, n, n - 1, n - 1, n * (n - 1))
         return words
 
     def derive_per_group(self, groups: dict, derive) -> dict:

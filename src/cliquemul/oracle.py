@@ -86,12 +86,10 @@ def _fast_multiply(S: SparseMatrix, T: SparseMatrix) -> SparseMatrix:
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             prod[lo:hi] = np.min(a[lo:hi, :, None] + b[None, :, :], axis=1)
-    elif sr.name in ("boolean", "counting"):
+    else:                               # boolean or counting
         prod = _to_array(S, np.int64, 0) @ _to_array(T, np.int64, 0)
         if sr.name == "boolean":
             prod = prod > 0
-    else:
-        raise ValueError(f"no fast path for semiring {sr.name}")
     i, j = np.nonzero(prod != sr.omitted)
     values = prod[i, j].tolist()
     if sr.name == "min-plus":

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cliquemul import cli
+from cliquemul import cli, oracle
 from cliquemul.cli import (
     BenchConfig,
     generate_graph,
@@ -256,6 +256,33 @@ def test_triangles_non_cube(edge_list, capsys):
     assert exc.value.code == 2
 
 
+def test_triangles_directed_command(edge_list, tmp_path, capsys):
+    # A directed 3-cycle and a transitive triple; an arc's reverse is absent.
+    D = Graph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 2)])
+    g = edge_list(D, directed=True)
+    out = tmp_path / "tris.txt"
+    rc = cli.main(["triangles", "--graph", str(g), "--directed", "--out", str(out),
+                   "--verify"])
+    assert rc == 0
+    assert "verify: ok" in capsys.readouterr().out
+    listed = [tuple(map(int, line.split())) for line in out.read_text().splitlines()]
+    assert listed == sorted(oracle.enumerate_triangles(D)) != []
+
+
+@pytest.mark.parametrize("command, oracle_name, wrong", [
+    ("triangles", "enumerate_triangles", lambda G: [(0, 1, 2)]),
+    ("four-cycles", "enumerate_4_cycles", lambda G: 7),
+    ("apsp", "apsp_bfs", lambda G: [[0] * G.n for _ in range(G.n)]),
+])
+def test_graph_command_verify_mismatch(edge_list, tmp_path, monkeypatch, capsys,
+                                       command, oracle_name, wrong):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))      # apsp writes its distances
+    g = edge_list(Graph.undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    monkeypatch.setattr(cli.oracle, oracle_name, wrong)
+    assert cli.main([command, "--graph", str(g), "--verify"]) == 1
+    assert "verify: MISMATCH" in capsys.readouterr().err
+
+
 def test_four_cycles_command(edge_list, capsys):
     g = edge_list(Graph.undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     rc = cli.main(["four-cycles", "--graph", str(g), "--verify"])
@@ -297,10 +324,24 @@ def test_apsp_disconnected(edge_list, capsys):
     ("triangles", f"0 1\n1 {2**31 - 1}\n", "--graph"),   # 2**31 vertices
     ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
                  f"{2**31} {2**31} 1\n1 1 5\n", "--lhs"),  # size 2**31
+    ("multiply", "%%MatrixMarket matrix coordinate complex general\n"
+                 "2 2 1\n1 1 5 0\n", "--lhs"),  # complex field
+    ("multiply", "%%MatrixMarket matrix coordinate integer skew-symmetric\n"
+                 "2 2 1\n2 1 5\n", "--lhs"),    # skew-symmetric
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "% a comment, then nothing\n", "--lhs"),  # no size line
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "2 2\n1 1 5\n", "--lhs"),      # two-token size line
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "2 2 2\n1 1 5\n", "--lhs"),    # fewer entries than promised
+    ("multiply", "%%MatrixMarket matrix coordinate integer general\n"
+                 "2 2 1\n1 1\n", "--lhs"),      # two-token entry
 ], ids=["self-loop-triangles", "self-loop-apsp", "three-tokens-four-cycles",
         "mtx-out-of-range", "missing-file", "edge-list-non-numeric",
         "mtx-value-non-numeric", "mtx-size-non-numeric", "mtx-size-zero",
-        "edge-list-non-ascii", "edge-list-oversize", "mtx-size-oversize"])
+        "edge-list-non-ascii", "edge-list-oversize", "mtx-size-oversize",
+        "mtx-field-complex", "mtx-symmetry-skew", "mtx-no-size-line",
+        "mtx-size-two-tokens", "mtx-too-few-entries", "mtx-entry-two-tokens"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, command, content,
                                              flag):
     path = tmp_path / "input.txt"
@@ -355,6 +396,26 @@ def test_bench_command_bad_sizes(tmp_path, capsys):
         cli.main(["bench", "--suite", "triangles", "--sizes", "10",
                   "--edges", "5", "--pad", "cube"])
     assert exc.value.code == 2
+
+
+def test_bench_command(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    rc = cli.main(["bench", "--suite", "smm", "--sizes", "4", "--densities", "0.5",
+                   "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"bench: suite=smm rows=1 -> {out}\n"
+    assert out.read_text().startswith("n,m,nz_lhs")
+
+
+def test_verify_partitions_command(monkeypatch, capsys):
+    assert cli.main(["verify-partitions", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith("verify-partitions: ok (")
+    monkeypatch.setattr(cli, "run_partition_suite",
+                        lambda seed: (5, ["size [1] k=1: bad", "sum [2] k=1: bad"]))
+    assert cli.main(["verify-partitions"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["FAIL size [1] k=1: bad", "FAIL sum [2] k=1: bad",
+                   "verify-partitions: 2 failures / 5 checks"]
 
 
 def test_out_dir_env(tmp_path, monkeypatch):

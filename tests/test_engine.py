@@ -82,7 +82,7 @@ def test_broadcast_handler_reads_the_last_phase_mailbox():
 
 @st.composite
 def broadcasts(draw):
-    """n nodes, each silent (None) or broadcasting one word."""
+    """n nodes, each broadcasting one word."""
     n = draw(st.integers(1, 7))
     kinds = draw(st.sets(st.sampled_from(["int", "bool", "any"]), min_size=1))
     values = st.one_of(*(
@@ -90,33 +90,28 @@ def broadcasts(draw):
         for k in sorted(kinds)))
     word = st.tuples(st.integers(0, 9), st.integers(-2**63, 2**63 - 1),
                      st.integers(-5, 5), values)
-    return n, draw(st.lists(st.none() | word, min_size=n, max_size=n))
+    return n, draw(st.lists(word, min_size=n, max_size=n))
 
 
 @settings(max_examples=200, deadline=None)
 @given(broadcasts())
 @example((1, [(3, 1, 2, 4)]))                            # n = 1: nothing crosses a link
-@example((5, [None, (0, 1, 0, 7), None, (0, 2, 0, 8), None]))   # silent nodes
-@example((4, [(0, 0, 0, 2**70), (0, 0, 0, 1), None, (0, 0, 0, True)]))
+@example((4, [(0, 0, 0, 2**70), (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, True)]))
 def test_broadcast_delivery_matches_reference_model(case):
     n, words = case
     eng = CliqueEngine(n)
     assert eng.run_broadcast("b", lambda v, st, box: words[v]) == words
     # The word vector is the delivery: no mailbox is laid out.
     assert all(len(eng.inboxes[d]) == 0 for d in range(n))
-    # Node d hears every other sender's word.
-    recvs = [sum(w is not None and v != d for v, w in enumerate(words)) for d in range(n)]
-    k, total = sum(w is not None for w in words), sum(recvs)
+    # Every node sends and hears n - 1 words.
     rec = eng.ledger.records[-1]
-    assert (rec.max_send, rec.max_recv, rec.total_msgs) == (
-        n - 1 if k else 0, max(recvs), total)
-    assert rec.rounds == (1 if total else 0)
+    assert (rec.max_send, rec.max_recv, rec.total_msgs) == (n - 1, n - 1, n * (n - 1))
+    assert (rec.rounds, rec.peak_send_node, rec.peak_recv_node) == (1 if n > 1 else 0, 0, 0)
 
     # Reference: each word sent as n - 1 ordinary messages, charged the
     # same, peak nodes included.
     batches = CliqueEngine(n)
-    batches.run_phase("b", lambda v, st, box: None if words[v] is None else (
-        np.delete(np.arange(n), v), *words[v]))
+    batches.run_phase("b", lambda v, st, box: (np.delete(np.arange(n), v), *words[v]))
     assert batches.ledger.records == eng.ledger.records
 
 
@@ -125,6 +120,13 @@ def test_broadcast_header_outside_int64_raises():
     with pytest.raises(SimulationError,
                        match="phase 'b': node 1 sent a i1 field outside int64"):
         eng.run_broadcast("b", lambda v, st, box: (0, 2**63 if v == 1 else v, 0, 0))
+    assert eng.ledger.records == []
+
+
+def test_broadcast_without_a_word_raises_naming_the_node():
+    eng = CliqueEngine(4)
+    with pytest.raises(SimulationError, match="phase 'b': node 2 sent no broadcast word"):
+        eng.run_broadcast("b", lambda v, st, box: None if v in (2, 3) else (0, v, 0, 0))
     assert eng.ledger.records == []
 
 
@@ -336,6 +338,18 @@ def test_unsigned_and_object_headers_raise_naming_the_node(field, dtype):
                        match=f"phase 'u': node 1 sent a {name} field outside int64"):
         eng.run_phase("u", handler)
     assert eng.ledger.records == []
+
+
+def test_value_column_of_another_length_raises_naming_the_node():
+    eng = CliqueEngine(3)
+    with pytest.raises(SimulationError, match="phase 'v': node 1 sent columns of unequal length"):
+        eng.run_phase("v", lambda v, st, box: ([0, 2], 0, 0, 0, [1, 2, 3] if v == 1 else [1, 2]))
+    assert eng.ledger.records == []
+
+
+def test_engine_needs_a_node():
+    with pytest.raises(ValueError, match="at least one node"):
+        CliqueEngine(0)
 
 
 @pytest.mark.parametrize("n, src_dtype", [(2**15, np.int16), (2**15 + 1, np.int32)])

@@ -129,7 +129,7 @@ class DigestEngine(CliqueEngine):
     def run_broadcast(self, label, handler):
         words = super().run_broadcast(label, handler)
         n, replay = self.n, CliqueEngine(self.n)
-        replay.run_phase(label, lambda v, state, inbox: None if words[v] is None else (
+        replay.run_phase(label, lambda v, state, inbox: (
             [u for u in range(n) if u != v], *words[v]))
         self._hash(label, replay.inboxes)
         return words

@@ -41,6 +41,11 @@ def test_four_cycles_reject_directed():
         count_4_cycles(Graph(3, [(0, 1)]))
 
 
+def test_apsp_rejects_directed():
+    with pytest.raises(ValueError, match="undirected"):
+        apsp(Graph(3, [(0, 1), (1, 2)]))
+
+
 def test_apsp_path():
     res = apsp(path(4))
     assert res.diameter == 3

@@ -8,7 +8,8 @@ from cliquemul.cli import generate_matrix
 from cliquemul.graphs import Graph
 from cliquemul.semiring import (INT64_MAX, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
-from cliquemul.sparse import SparseMatrix
+from cliquemul.sparse import DimensionError, SparseMatrix
+from test_smm import MAX_MIN
 
 COUNT = counting_semiring()
 MINPLUS = min_plus_semiring()
@@ -67,6 +68,22 @@ def test_fast_path_matches_reference():
                 return SparseMatrix.from_entries(n, sr, entries)
             S, T = rand(0.4), rand(0.4)
             assert oracle.dense_multiply(S, T) == oracle.dense_multiply_reference(S, T)
+
+
+def test_user_semiring_takes_the_reference_loop():
+    rng = random.Random(4)
+    S, T = (SparseMatrix.from_entries(
+        6, MAX_MIN, [(i, j, rng.randint(0, 9)) for i in range(6) for j in range(6)
+                     if rng.random() < 0.4]) for _ in range(2))
+    assert not oracle._fast_eligible(S, T)
+    assert oracle.dense_multiply(S, T) == oracle.dense_multiply_reference(S, T)
+    assert oracle.dense_multiply(S, T).nz() > 0
+
+
+def test_operands_of_different_semirings_raise():
+    S = SparseMatrix.from_entries(2, COUNT, [(0, 1, 2)])
+    with pytest.raises(DimensionError, match="operand semirings differ"):
+        oracle.dense_multiply(S, SparseMatrix.from_entries(2, MINPLUS, [(1, 0, 3)]))
 
 
 def test_min_plus_fast_path_in_row_chunks(monkeypatch):

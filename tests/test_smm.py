@@ -23,7 +23,7 @@ from cliquemul.smm import (
     ranges,
     smm,
 )
-from cliquemul.sparse import SparseMatrix, value_column
+from cliquemul.sparse import DimensionError, SparseMatrix, value_column
 
 COUNT = counting_semiring()
 
@@ -559,3 +559,12 @@ def test_counting_values_past_int64_match_reference(seed):
             for _ in range(2))
     got = smm(S, T).product
     assert typed_rows(got) == typed_rows(oracle.dense_multiply_reference(S, T))
+
+
+def test_operands_of_different_semirings_raise_before_any_phase():
+    S = SparseMatrix.from_entries(3, COUNT, [(0, 1, 2)])
+    T = SparseMatrix.from_entries(3, boolean_semiring(), [(1, 2, True)])
+    eng = CliqueEngine(3)
+    with pytest.raises(DimensionError, match="operand semirings differ: counting vs boolean"):
+        smm(S, T, eng)
+    assert eng.ledger.records == []

@@ -57,23 +57,27 @@ def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
     at most sum(weights)/k + x, the strided split's bound, since padding
     only adds zeros; every weight must lie in [0, x].
     """
-    return balanced_assignments(np.asarray(weights, dtype=np.int64).reshape(1, -1), k, x)[0]
+    labels = balanced_labels(np.asarray(weights, dtype=np.int64).reshape(1, -1), k, x)[0]
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def balanced_assignments(weights: np.ndarray, k: int, x: int) -> list[list[list[int]]]:
-    """``balanced_assignment`` of each row of a 2-D weight array, all rows
-    sorted in one call."""
+def balanced_labels(weights: np.ndarray, k: int, x: int) -> np.ndarray:
+    """Each item's group in ``balanced_assignment`` of each row of a 2-D
+    weight array, all rows sorted in one call.
+
+    With pad = (-items) mod k placeholders in front, the item at sorted
+    position s takes group (s + pad) mod k.
+    """
     if k < 1:
         raise PartitionError(f"k={k} must be positive")
     if weights.size and weights.min() < 0:
         raise PartitionError("weights must be nonnegative")
     if weights.size and weights.max() > x:
         raise PartitionError(f"weight {weights.max()} exceeds bound x={x}")
-    rows, items = weights.shape
-    pad = (-items) % k
-    # A stable sort breaks weight ties by index; -1 marks a placeholder.
-    order = np.concatenate((np.full((rows, pad), -1),
-                            np.argsort(weights, axis=1, kind="stable")), axis=1)
-    groups = np.sort(order.reshape(rows, -1, k).transpose(0, 2, 1), axis=2).tolist()
-    # Group j < pad starts with its one placeholder.
-    return [[g[1:] for g in row[:pad]] + row[pad:] for row in groups]
+    labels = np.empty(weights.shape, dtype=np.int64)
+    # A stable sort breaks weight ties by index; s + pad = s - items mod k.
+    np.put_along_axis(labels, np.argsort(weights, axis=1, kind="stable"),
+                      np.arange(-weights.shape[1], 0) % k, axis=1)
+    return labels

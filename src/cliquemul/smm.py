@@ -64,12 +64,11 @@ communication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 import numpy as np
 
 from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for, node_dtype
-from .partition import avg_partition, balanced_assignment, balanced_assignments
+from .partition import avg_partition, balanced_assignment, balanced_labels
 from .semiring import ArrayKernel, Semiring
 from .sparse import DimensionError, SparseMatrix, concat_values, value_column
 
@@ -184,12 +183,6 @@ class SubseqSide:
     slot: np.ndarray              # fragment id -> its slot (0 or 1) at its owner
     held: np.ndarray              # (node, slot) -> fragment id, -1 where empty
     first: np.ndarray             # line -> its first fragment id
-    count: np.ndarray             # line -> its fragment count
-
-    def fragments_of(self, lines) -> np.ndarray:
-        """Ids of every fragment of ``lines``, line by line, ascending."""
-        lines = np.asarray(lines, dtype=np.int64)
-        return ranges(self.first[lines], self.count[lines])
 
 
 def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
@@ -224,7 +217,7 @@ def build_subsequences(nz_per_line: list[int], n: int) -> SubseqSide:
     held = np.full((n, 2), -1, dtype=np.int64)
     held[owner, slot] = np.arange(total_frags)
     return SubseqSide(block, size, np.repeat(np.arange(len(count)), count),
-                      owner, slot, held, np.cumsum(count) - count, count)
+                      owner, slot, held, np.cumsum(count) - count)
 
 
 # -- fragment dealing, counts, requests and responses -----------------------
@@ -316,37 +309,36 @@ def bucket_fragments(sides: tuple[SubseqSide, SubseqSide], band_s: list[int],
     return ingest
 
 
-def fragment_requests(sides: tuple[SubseqSide, SubseqSide], lines, wanted):
+def fragment_requests(sides: tuple[SubseqSide, SubseqSide], holder: np.ndarray, wanted):
     """Handler of a request phase, with every node's words built at once.
 
-    Node v sends one word ``(owner, _REQ, lhs_mask, rhs_mask, 0)`` per
-    owner it asks, owners ascending, for the fragments of ``lines[v]``:
+    ``holder[c, ell]`` is the node of group c that holds line ell, and
+    ``wanted`` holds, per side, a table of flags indexed by (group,
+    fragment id).  For every flagged fragment q of group c, the holder of
+    q's line asks q's owner for it, unless q is empty
+    (``SubseqSide.size``, common knowledge), so an owner of only empty
+    fragments hears nothing.  Node v sends one word ``(owner, _REQ,
+    lhs_mask, rhs_mask, 0)`` per owner it asks, owners ascending:
     fragment q is bit ``1 << SubseqSide.slot[q]``, as its owner holds at
-    most two per side.  An empty fragment (``SubseqSide.size``, common
-    knowledge) is never asked for, so an owner of only empty fragments
-    hears nothing.  ``wanted`` holds, per side, a table of flags indexed
-    by (node, fragment id), nonzero when the count words reported entries
-    of that fragment in the node's band; an unflagged fragment is not
-    asked for either.  None asks for every nonempty fragment of the
-    lines.  The masks of all nodes are filled by one ``bitwise_or.at``
-    per side.
+    most two per side.  Every request is one key packed as (asker, owner,
+    side and slot bit), so one sort and one ``add.reduceat`` give the
+    words of all nodes.
     """
     n = len(sides[0].held)
-    masks = np.zeros((2, n, n), dtype=np.int8)      # side, requester, owner
-    line = np.fromiter(chain.from_iterable(lines), dtype=np.int64)
-    asker = np.repeat(np.arange(n), [len(own) for own in lines])
+    keys = []
     for k, side in enumerate(sides):
-        q = side.fragments_of(line)
-        who = np.repeat(asker, side.count[line])
-        keep = side.size[q] > 0
-        if wanted is not None:
-            keep &= wanted[k][who, q]
-        q, who = q[keep], who[keep]
-        np.bitwise_or.at(masks[k], (who, side.owner[q]), (1 << side.slot[q]).astype(np.int8))
+        c, q = np.nonzero(wanted[k] & (side.size > 0))
+        keys.append((holder[c, side.origin[q]].astype(np.int64) * n + side.owner[q]) * 4
+                    + 2 * k + side.slot[q])
+    keys = np.sort(np.concatenate(keys))
+    starts = np.flatnonzero(np.diff(keys >> 2, prepend=-1))
+    bits = np.add.reduceat(1 << (keys & 3), starts)
+    asker, owner = np.divmod(keys[starts] >> 2, n)
+    bounds = np.searchsorted(asker, np.arange(n + 1))
 
     def emit(v, state, inbox):
-        dst = np.flatnonzero(masks[0, v] | masks[1, v])
-        return dst, _REQ, masks[0, v, dst], masks[1, v, dst], 0
+        lo, hi = bounds[v], bounds[v + 1]
+        return owner[lo:hi], _REQ, bits[lo:hi] & 3, bits[lo:hi] >> 2, 0
 
     return emit
 
@@ -426,7 +418,7 @@ def _fragment_counts(inbox, side: SubseqSide, k: int, n: int) -> np.ndarray:
 
 def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide],
                       band_s: np.ndarray, band_t: np.ndarray, cells: np.ndarray
-                      ) -> tuple[list[list[int]], tuple[np.ndarray, np.ndarray]]:
+                      ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Band-count exchange and per-group page assignment.
 
     Each fragment owner sends every node one word holding how many
@@ -435,9 +427,10 @@ def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide]
     then derives the same weight-balanced striping of the n pages
     (rank-1 slices) over the group's nodes.  ``band_s[p]`` and
     ``band_t[p]`` are the bands of permuted row and column p, and
-    ``cells`` is ``grid_cells``'s node table.  Returns each node's pages
-    and, per side, the flags ``fragment_requests`` reads as a table
-    indexed by (node, fragment id).
+    ``cells`` is ``grid_cells``'s node table.  Returns ``holder``, where
+    ``holder[c, ell]`` is the node of group c = i * b + j holding page
+    ell, in ``node_dtype``, and, per side, the flags ``fragment_requests``
+    reads as a table indexed by (group, fragment id).
     """
     n = engine.n
     ingest = bucket_fragments(sides, band_s, band_t)
@@ -472,20 +465,16 @@ def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide]
         weights.append(np.stack([derived[b][0] for b in range(len(derived))]))
         flags.append(np.stack([derived[b][1] for b in range(len(derived))]))
 
-    # Group (i, j) weighs page ell by both bands' entries on it; the groups
-    # of one size are striped together.
-    groups: dict[tuple[int, int], list[int]] = {}
-    for u, (i, j) in enumerate(cells[:, :2].tolist()):
-        groups.setdefault((i, j), []).append(u)
-    pages: list = [None] * n
-    for size in {len(members) for members in groups.values()}:
-        keys = [key for key, members in groups.items() if len(members) == size]
-        i, j = np.array(keys).T
-        for key, assignment in zip(keys, balanced_assignments(
-                weights[0][i] + weights[1][j], size, 2 * n)):
-            for u, my_pages in zip(groups[key], assignment):
-                pages[u] = my_pages
-    return pages, (flags[0][cells[:, 0]], flags[1][cells[:, 1]])
+    # Group c = i * b + j weighs page ell by both bands' entries on it; the
+    # groups of one size are striped together.  A one-node group holds
+    # every page, so its weights are never summed.
+    a, b = len(weights[0]), len(weights[1])
+    size = np.bincount(cells[:, 0] * b + cells[:, 1])
+    holder = np.broadcast_to((np.cumsum(size) - size)[:, None], (a * b, n)).astype(node_dtype(n))
+    for g in set(size[size > 1].tolist()):
+        c = np.flatnonzero(size == g)
+        holder[c] += balanced_labels(weights[0][c // b] + weights[1][c % b], g, 2 * n)
+    return holder, (np.repeat(flags[0], b, axis=0), np.tile(flags[1], (a, 1)))
 
 
 # A node multiplies dense blocks when their volume (rows x pages x
@@ -497,11 +486,11 @@ def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide]
 _BLOCK_PER_PAIR = 256
 
 
-def _reduce_phase(engine: CliqueEngine, semiring: Semiring, pages: list,
+def _reduce_phase(engine: CliqueEngine, semiring: Semiring, pages: np.ndarray,
                   row_dst: np.ndarray, col_out: np.ndarray) -> None:
     """Local page products; the partial for cell (r, c) goes to node
     row_dst[r] as result column col_out[c].  ``pages[v]`` is node v's
-    page list.
+    page count.
 
     A node whose values lie in its semiring kernel's exactness envelope
     (at most one product per page per cell, so ``terms`` is its page
@@ -517,7 +506,7 @@ def _reduce_phase(engine: CliqueEngine, semiring: Semiring, pages: list,
         lhs = inbox.i1[is_s], inbox.i2[is_s], inbox.val[is_s]
         rhs = inbox.i1[is_t], inbox.i2[is_t], inbox.val[is_t]
         kernel = semiring.kernel
-        if kernel is None or not kernel.exact(lhs[2], rhs[2], len(pages[v])):
+        if kernel is None or not kernel.exact(lhs[2], rhs[2], int(pages[v])):
             kernel = semiring.fold_kernel
         return _kernel_partials(kernel, semiring.omitted, engine.n, lhs, rhs, row_dst, col_out)
 
@@ -668,19 +657,21 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None, *,
     sides, emit_fragments = deal_fragments(n, s_col_nz, t_row_nz, relabel)
     engine.run_phase("sbmm.subseq", emit_fragments)
     # Partials go straight to the owner of the unpermuted result row, as
-    # the unpermuted result column.
-    row_dst, col_out = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    row_dst[sigma_of] = np.arange(n)
-    col_out[tau_of] = np.arange(n)
+    # the unpermuted result column: the inverse permutations.
+    row_dst, col_out = np.argsort(sigma_of), np.argsort(tau_of)
     cells = grid_cells(n, split.a, split.b)
-    pages, wanted = compute_receiving(engine, sides, band_s, band_t, cells)
+    holder, wanted = compute_receiving(engine, sides, band_s, band_t, cells)
     # A node asks for a line's fragments only from owners whose count word
-    # reported entries in its band.  The request masks are gone before the
+    # reported entries in its band.  The page tables are gone before the
     # responses are built.
-    engine.run_phase("sbmm.request", fragment_requests(sides, pages, wanted))
-    del wanted
+    engine.run_phase("sbmm.request", fragment_requests(sides, holder, wanted))
+    del holder, wanted
     engine.run_phase("sbmm.respond", fragment_responder(sides, cells[:, 0], cells[:, 1]))
-    _reduce_phase(engine, sr, pages, row_dst, col_out)
+    # The striping gives the first (-n) mod g nodes of a g-node group
+    # ceil(n/g) - 1 pages and the others ceil(n/g) (``balanced_labels``).
+    group = cells[:, 0] * split.b + cells[:, 1]
+    size = np.bincount(group)[group]
+    _reduce_phase(engine, sr, -(-n // size) - (cells[:, 2] < (-n) % size), row_dst, col_out)
     product = SparseMatrix(n, sr, *_gather_rows(engine, sr))
     return SmmResult(product, split, sigma_of.tolist(), tau_of.tolist(),
                      engine.ledger.since(mark))

@@ -50,7 +50,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for
+from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for, node_dtype
 from .graphs import Graph
 from .partition import balanced_assignment
 from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
@@ -320,10 +320,14 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
         {k: range(team_start[k], team_start[k] + team_size[k]) for k in range(K)}, team_paths)
 
     # --- LearnPaths: each member asks for the lines of its path part ------
-    lines: list = [[] for _ in range(n)]
+    # holder[k, ell]: the member of team k whose path part holds line ell.
+    holder = np.empty((K, n), dtype=node_dtype(n))
     for k, parts in p_parts.items():
-        lines[team_start[k]:team_start[k] + team_size[k]] = parts
-    engine.run_phase("tri.lp.request", fragment_requests(sides, lines, None))
+        for place, part in enumerate(parts):
+            holder[k, part] = team_start[k] + place
+    every = [np.ones((K, len(side.origin)), dtype=np.bool_) for side in sides]
+    engine.run_phase("tri.lp.request", fragment_requests(sides, holder, every))
+    del holder, every
 
     # In-edges of the path part come from V_j, out-edges go to V_i.
     answer = fragment_responder(sides, j_of[team_of], i_of[team_of])

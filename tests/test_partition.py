@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquemul.partition import PartitionError, avg_partition, balanced_assignment
+from cliquemul.partition import (PartitionError, avg_partition, balanced_assignment,
+                                 balanced_labels)
 
 
 def by_set(sizes):
@@ -141,6 +142,19 @@ def test_balanced_assignment_matches_sorted_key_definition(k, weights):
     groups = balanced_assignment(weights, k, max(weights, default=0))
     assert groups == sorted_key_assignment(weights, k)
     assert all(type(i) is int for g in groups for i in g)
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=15).flatmap(
+    lambda items: st.lists(st.lists(st.integers(min_value=0, max_value=5),
+                                    min_size=items, max_size=items), min_size=1, max_size=6)))
+def test_balanced_labels_rows_match_balanced_assignment(k, rows):
+    # Each row of one multi-row call labels its items as the 1-D split of
+    # that row alone groups them.
+    labels = balanced_labels(np.array(rows, dtype=np.int64).reshape(len(rows), -1), k, 5)
+    assert labels.shape == (len(rows), len(rows[0]))
+    for row, label in zip(rows, labels):
+        groups = balanced_assignment(row, k, 5)
+        assert [np.flatnonzero(label == j).tolist() for j in range(k)] == groups
 
 
 def test_determinism():

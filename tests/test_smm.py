@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
+from cliquemul.cli import generate_matrix
 from cliquemul.engine import CliqueEngine, Delivery, Inbox, SimulationError
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
@@ -116,9 +118,21 @@ def test_grid_cells_uneven_groups():
 
 # -- subsequence table ------------------------------------------------------
 
+def line_count(side):
+    """Line -> its fragment count, from ``origin``."""
+    return np.bincount(side.origin, minlength=len(side.first))
+
+
+def fragments_of(side, lines):
+    """Ids of every fragment of ``lines``, line by line, ascending, read
+    as the run of ``line_count`` ids from each line's ``first``."""
+    lines = np.asarray(lines, dtype=np.int64)
+    return ranges(side.first[lines], line_count(side)[lines])
+
+
 def by_line(side):
-    """Line -> its fragment ids, read through ``fragments_of``."""
-    return [side.fragments_of([line]).tolist() for line in range(len(side.count))]
+    """Line -> its fragment ids."""
+    return [fragments_of(side, [line]).tolist() for line in range(len(side.first))]
 
 
 def test_build_subsequences_frozen():
@@ -131,15 +145,15 @@ def test_build_subsequences_frozen():
     assert side.owner.tolist() == [1, 3, 2, 0, 3]
     assert side.held.tolist() == [[3, -1], [0, -1], [2, -1], [1, 4]]
     assert (1 << side.slot).tolist() == [1, 1, 1, 1, 2]
-    assert side.first.tolist() == [0, 2, 3, 3] and side.count.tolist() == [2, 1, 0, 2]
+    assert side.first.tolist() == [0, 2, 3, 3] and line_count(side).tolist() == [2, 1, 0, 2]
     assert by_line(side) == [[0, 1], [2], [], [3, 4]]
-    assert side.fragments_of([3, 0, 2]).tolist() == [3, 4, 0, 1]
+    assert fragments_of(side, [3, 0, 2]).tolist() == [3, 4, 0, 1]
 
 
 def test_build_subsequences_one_per_node():
     # avg 1, so 4 fragments on 4 nodes: each gets its own owner
     side = build_subsequences([3, 1, 0, 0], 4)
-    assert side.count.tolist() == [3, 1, 0, 0]
+    assert line_count(side).tolist() == [3, 1, 0, 0]
     assert by_line(side) == [[0, 1, 2], [3], [], []]
     assert side.origin.tolist() == [0, 0, 0, 1]
     assert side.owner.tolist() == [0, 1, 2, 3]
@@ -159,7 +173,7 @@ def test_build_subsequences_one_per_node():
 def test_build_subsequences_empty():
     side = build_subsequences([0] * 4, 4)
     assert side.block == 0 and side.origin.tolist() == [] and by_line(side) == [[]] * 4
-    assert side.fragments_of([0, 1, 2, 3]).tolist() == []
+    assert fragments_of(side, [0, 1, 2, 3]).tolist() == []
 
 
 @st.composite
@@ -176,7 +190,7 @@ def test_build_subsequences_properties(case):
     side = build_subsequences(nz, n)
     assert len(side.origin) <= 2 * n
     # Each line's fragments are consecutive ids from its first.
-    assert side.first.tolist() == np.concatenate(([0], np.cumsum(side.count)[:-1])).tolist()
+    assert side.first.tolist() == np.concatenate(([0], np.cumsum(line_count(side))[:-1])).tolist()
     assert all((side.origin[frags] == line).all() for line, frags in enumerate(by_line(side)))
     assert [int(side.size[frags].sum()) for frags in by_line(side)] == nz
     assert all(size <= side.block for size in side.size)
@@ -198,10 +212,13 @@ def test_build_subsequences_properties(case):
 
 
 def node_requests(sides, lines):
-    """Node 0's request batch when it asks for ``lines`` and every other
-    node asks for nothing."""
+    """Node 0's request batch when it is a one-node group, so it holds
+    every line, that wants the fragments of ``lines``, and no other node
+    asks for anything."""
     n = len(sides[0].held)
-    return fragment_requests(sides, [lines] + [[]] * (n - 1), None)(0, {}, Delivery.empty(n)[0])
+    wanted = [np.isin(side.origin, lines)[None, :] for side in sides]
+    requests = fragment_requests(sides, np.zeros((1, n), dtype=np.int16), wanted)
+    return requests(0, {}, Delivery.empty(n)[0])
 
 
 def test_fragment_requests_skip_empty_fragments():
@@ -285,6 +302,32 @@ def test_smm_matches_oracle_across_semirings():
             assert sorted(res.sigma) == sorted(res.tau) == list(range(n))
 
 
+def test_smm_bookkeeping_is_sparse_sized():
+    # n = 1024 at nz = 4n splits (32, 32): every group is one node, which
+    # holds all n pages.  Page tables and request words built per node over
+    # all n pages cost n^2 words (118 MB here); built from the flagged
+    # (group, fragment) pairs they stay near the size of the traffic.
+    n = 1024
+    S, T = generate_matrix(n, 4 * n, 1, COUNT), generate_matrix(n, 4 * n, 2, COUNT)
+    tracemalloc.start()
+    try:
+        smm(S, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_sparse_times_full_rounds_do_not_grow_with_n():
+    # The paper's bound holds when only S is sparse: with T full it is
+    # (nz(S)/n)^(1/3) + 1, so at a fixed nz(S)/n the rounds do not depend
+    # on n.
+    for n in (64, 256, 512):
+        T = generate_matrix(n, n * n, 7, COUNT)
+        rounds = [smm(generate_matrix(n, c * n, 11, COUNT), T).rounds() for c in (1, 4, 16)]
+        assert rounds == [10, 12, 16], n
+
+
 def test_dense_reduce_load():
     # dense 8x8 picks (a, b) = (2, 2): each node folds at most n^2/(ab) = 16
     # output cells, so it sends and receives at most 16 partials
@@ -296,6 +339,36 @@ def test_dense_reduce_load():
     assert rec.max_send <= 16
     assert rec.max_recv <= 16
     assert rec.rounds <= math.ceil(16 / 7)
+
+
+def test_reduce_terms_are_each_nodes_page_count(monkeypatch):
+    # ``sbmm.reduce`` bounds a node's products per cell by its page count,
+    # which smm computes in closed form from the grid; it must be the
+    # number of pages the striping gives the node.  Groups of 2 to 3
+    # nodes that do not divide n give some nodes one page fewer.
+    seen = {}
+    receive, reduce = SMM.compute_receiving, SMM._reduce_phase
+
+    def keep_holder(engine, sides, band_s, band_t, cells):
+        seen["holder"], wanted = receive(engine, sides, band_s, band_t, cells)
+        seen["cells"] = cells
+        return seen["holder"], wanted
+
+    def keep_pages(engine, semiring, pages, row_dst, col_out):
+        seen["pages"] = pages
+        return reduce(engine, semiring, pages, row_dst, col_out)
+
+    monkeypatch.setattr(SMM, "compute_receiving", keep_holder)
+    monkeypatch.setattr(SMM, "_reduce_phase", keep_pages)
+    rng = random.Random(5)
+    uneven = 0
+    for n, density in ((23, 0.3), (20, 0.8), (13, 0.5), (16, 1.0), (27, 0.1)):
+        res = smm(random_matrix(n, COUNT, density, rng), random_matrix(n, COUNT, density, rng))
+        holder, cells = seen["holder"], seen["cells"]
+        held = (holder[cells[:, 0] * res.split.b + cells[:, 1]] == np.arange(n)[:, None])
+        assert seen["pages"].tolist() == held.sum(axis=1).tolist(), n
+        uneven += len(set(seen["pages"].tolist())) > 1
+    assert uneven
 
 
 # -- sbmm.reduce: numpy kernel against the fold kernel ----------------------

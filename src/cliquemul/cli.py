@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import oracle
 from .engine import RoundLedger
 from .graphs import DisconnectedGraphError, Graph, GraphError, load_edge_list
 from .graph_suite import apsp, count_4_cycles
-from .partition import avg_partition, balanced_assignment
+from .partition import avg_partition, balanced_labels
 from .semiring import Semiring, semiring_by_name
 from .sparse import (DimensionError, FormatError, SparseMatrix, load_matrix_market,
                      save_matrix_market)
@@ -213,14 +215,15 @@ def run_partition_suite(seed: int = 0) -> tuple[int, list[str]]:
             ws = list(weights)
             total = sum(ws)
             for k in range(1, n + 1):
-                parts = balanced_assignment(ws, k, 4)
+                labels = balanced_labels(np.array([ws]), k, 4)[0]
+                sizes = np.bincount(labels, minlength=k)
                 checked += 1
-                if sorted(i for part in parts for i in part) != list(range(n)):
+                if len(sizes) != k:
                     failures.append(f"cover {ws} k={k}: not a partition")
-                for part in parts:
-                    if len(part) not in (n // k, -(-n // k)):
+                for size, part_sum in zip(sizes.tolist(), np.bincount(labels, ws, k).tolist()):
+                    if size not in (n // k, -(-n // k)):
                         failures.append(f"size {ws} k={k}: |part| not n/k rounded")
-                    if sum(ws[i] for i in part) > Fraction(total, k) + max(ws):
+                    if part_sum > Fraction(total, k) + max(ws):
                         failures.append(f"sum {ws} k={k}: part over bound")
     rng = random.Random(seed)
     for _ in range(1000):

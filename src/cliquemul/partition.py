@@ -7,9 +7,9 @@ Two primitives, both in exact integer arithmetic (no floats):
   being the exact mean set size; trailing blocks may be empty, so the
   block count is agreed upon by every node that knows the sizes, and
   the family-wide block count never exceeds 2n.
-* weight-balanced strided assignment of any weight list into k groups
-  whose sizes differ by at most one and whose sums exceed the mean group
-  sum by at most one maximal element.
+* the one weight-balanced split: each row of a weight array labelled
+  into k groups whose sizes differ by at most one and whose sums exceed
+  the mean group sum by at most one maximal element.
 """
 
 from __future__ import annotations
@@ -47,28 +47,16 @@ def avg_partition(set_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(np.repeat(t, count) - k * block, 0, block), count
 
 
-def balanced_assignment(weights: list[int], k: int, x: int) -> list[list[int]]:
-    """Split item indices into k weight-balanced groups, each ascending.
-
-    Zero-weight placeholders pad the items to a multiple of k and sort
-    before every real item; the items then sort by (weight, index), and
-    group j takes sorted positions j, j+k, j+2k, ...  Placeholders are
-    dropped, so groups differ in size by at most one.  Each group sum is
-    at most sum(weights)/k + x, the strided split's bound, since padding
-    only adds zeros; every weight must lie in [0, x].
-    """
-    labels = balanced_labels(np.asarray(weights, dtype=np.int64).reshape(1, -1), k, x)[0]
-    order = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-    return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
 def balanced_labels(weights: np.ndarray, k: int, x: int) -> np.ndarray:
-    """Each item's group in ``balanced_assignment`` of each row of a 2-D
-    weight array, all rows sorted in one call.
+    """Each item's group of k in the weight-balanced split of each row of
+    a 2-D weight array, all rows sorted in one call.
 
-    With pad = (-items) mod k placeholders in front, the item at sorted
-    position s takes group (s + pad) mod k.
+    pad = (-items) mod k zero-weight placeholders sort before every item,
+    the items then by (weight, index), and group j takes sorted
+    positions j, j+k, ...: the item at sorted position s takes group
+    (s + pad) mod k.  So sizes differ by at most one, the first pad
+    groups one short, and each group sum is at most the row sum/k + x;
+    every weight must lie in [0, x].
     """
     if k < 1:
         raise PartitionError(f"k={k} must be positive")

@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import CliqueEngine, PhaseRecord, SimulationError, engine_for, node_dtype
-from .partition import avg_partition, balanced_assignment, balanced_labels
+from .partition import avg_partition, balanced_labels
 from .semiring import ArrayKernel, Semiring
 from .sparse import DimensionError, SparseMatrix, concat_values, value_column
 
@@ -129,14 +129,14 @@ def _bands(line_nz: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
     """Weight-balanced bands of lines: line -> permuted position, and
     permuted position -> band.
 
-    Band i holds the i-th group of the balanced assignment of the line
-    counts (bound x=n), in original line order, so it has floor(n/k) or
-    ceil(n/k) lines, the short bands first.
+    Band i holds the lines ``balanced_labels`` puts in group i (bound
+    x=n), in original line order, so it has floor(n/k) or ceil(n/k)
+    lines, the short bands first.
     """
-    groups = balanced_assignment(line_nz, k, len(line_nz))
-    perm = np.empty(len(line_nz), dtype=np.int64)
-    perm[np.concatenate(groups)] = np.arange(len(line_nz))
-    return perm, np.repeat(np.arange(k), [len(g) for g in groups])
+    labels = balanced_labels(np.array([line_nz], dtype=np.int64), k, len(line_nz))[0]
+    # Lines in permuted order: band by band, each in original order.
+    order = np.argsort(labels, kind="stable")
+    return np.argsort(order), labels[order]
 
 
 def ranges(starts, lengths) -> np.ndarray:
@@ -158,6 +158,23 @@ def grid_cells(n: int, a: int, b: int) -> np.ndarray:
     sizes[:(-n) % cells] -= 1
     group = np.repeat(np.arange(cells), sizes)
     return np.column_stack((group // b, group % b, ranges(0, sizes)))
+
+
+def stripe(sizes: np.ndarray, weights_of, n: int) -> np.ndarray:
+    """``holder[c, ell]``, in ``node_dtype``: the node of group c, the
+    run of ``sizes[c]`` nodes after the groups before it, holding line ell.
+
+    The groups ``cs`` of one size g > 1 are striped together by
+    ``balanced_labels`` of their line weights ``weights_of(cs)``, one row
+    per group, each at most 2n.  A one-node group holds every line, so
+    its weights are never asked for.
+    """
+    start = np.cumsum(sizes) - sizes
+    holder = np.broadcast_to(start[:, None], (len(sizes), n)).astype(node_dtype(n))
+    for g in set(sizes[sizes > 1].tolist()):
+        cs = np.flatnonzero(sizes == g)
+        holder[cs] += balanced_labels(weights_of(cs), g, 2 * n)
+    return holder
 
 
 # -- subsequences -----------------------------------------------------------
@@ -424,8 +441,8 @@ def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide]
     Each fragment owner sends every node one word holding how many
     entries of its fragments fall in that node's row band (lhs) and
     column band (rhs); all-zero words stay unsent.  Every node of a group
-    then derives the same weight-balanced striping of the n pages
-    (rank-1 slices) over the group's nodes.  ``band_s[p]`` and
+    then derives the same weight-balanced striping (``stripe``) of the n
+    pages (rank-1 slices) over the group's nodes.  ``band_s[p]`` and
     ``band_t[p]`` are the bands of permuted row and column p, and
     ``cells`` is ``grid_cells``'s node table.  Returns ``holder``, where
     ``holder[c, ell]`` is the node of group c = i * b + j holding page
@@ -465,15 +482,10 @@ def compute_receiving(engine: CliqueEngine, sides: tuple[SubseqSide, SubseqSide]
         weights.append(np.stack([derived[b][0] for b in range(len(derived))]))
         flags.append(np.stack([derived[b][1] for b in range(len(derived))]))
 
-    # Group c = i * b + j weighs page ell by both bands' entries on it; the
-    # groups of one size are striped together.  A one-node group holds
-    # every page, so its weights are never summed.
+    # Group c = i * b + j weighs page ell by both bands' entries on it.
     a, b = len(weights[0]), len(weights[1])
-    size = np.bincount(cells[:, 0] * b + cells[:, 1])
-    holder = np.broadcast_to((np.cumsum(size) - size)[:, None], (a * b, n)).astype(node_dtype(n))
-    for g in set(size[size > 1].tolist()):
-        c = np.flatnonzero(size == g)
-        holder[c] += balanced_labels(weights[0][c // b] + weights[1][c % b], g, 2 * n)
+    holder = stripe(np.bincount(cells[:, 0] * b + cells[:, 1]),
+                    lambda c: weights[0][c // b] + weights[1][c % b], n)
     return holder, (np.repeat(flags[0], b, axis=0), np.tile(flags[1], (a, 1)))
 
 
@@ -667,8 +679,8 @@ def smm(S: SparseMatrix, T: SparseMatrix, engine: CliqueEngine | None = None, *,
     engine.run_phase("sbmm.request", fragment_requests(sides, holder, wanted))
     del holder, wanted
     engine.run_phase("sbmm.respond", fragment_responder(sides, cells[:, 0], cells[:, 1]))
-    # The striping gives the first (-n) mod g nodes of a g-node group
-    # ceil(n/g) - 1 pages and the others ceil(n/g) (``balanced_labels``).
+    # ``stripe`` gives the first (-n) mod g nodes of a g-node group
+    # ceil(n/g) - 1 pages and the others ceil(n/g).
     group = cells[:, 0] * split.b + cells[:, 1]
     size = np.bincount(group)[group]
     _reduce_phase(engine, sr, -(-n // size) - (cells[:, 2] < (-n) % size), row_dst, col_out)

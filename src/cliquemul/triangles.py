@@ -12,8 +12,9 @@ q^3 <= n, so q = n^(1/3) at a cube n:
   or ceil(n/K) nodes (``smm.grid_cells(n, 1, K)``), at least
   floor(q/2) of them since n >= q^3, so every node works on one N-set.
 
-All three balanced splits (classes, N-sets, team path parts) are
-``partition.balanced_assignment``.
+All three balanced splits (classes, N-sets, team path parts) read their
+groups from ``partition.balanced_labels``; the path parts are striped
+over each team like smm's pages (``smm.stripe``).
 
 Every triangle x -> y -> z -> x with x in some N-set and y in the
 matching V_j is found by the member of that N-set's team responsible for
@@ -35,14 +36,13 @@ give their lengths, so the fragments are dealt before the N-ids are
 known, in the phase that carries the N-set counts (``tri.lp.subseq``).
 LearnEdges' packets, one per arc, ride it too: each names its N-set by
 its index within its class pair, and the allocation node, which learns
-the N-id table in that phase, forwards it to the N-set's team.  Class
-count tables, the N-id table (from the N-set count words) and team path
-partitions come from ``CliqueEngine.derive_per_group``.
+the N-set count table in that phase, forwards it to the N-set's team.
+Class count tables, the N-set count table (from the N-set count words)
+and team path counts come from ``CliqueEngine.derive_per_group``.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,11 +50,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for, node_dtype
+from .engine import CliqueEngine, Inbox, PhaseRecord, engine_for
 from .graphs import Graph
-from .partition import balanced_assignment
+from .partition import balanced_labels
 from .smm import (_ENT_S, _ENT_T, bucket_fragments, deal_fragments,
-                  fragment_requests, fragment_responder, grid_cells, ranges)
+                  fragment_requests, fragment_responder, grid_cells, ranges, stripe)
 
 _VC, _NC, _DEG, _PKT, _EDGE, _PSUM = range(200, 206)
 
@@ -111,15 +111,14 @@ class TriplePartitionState:
 
     n: int
     m: int
-    q: int                               # largest q with q^3 <= n
-    alpha: Fraction                      # m/q + n
-    beta: Fraction                       # m/q^2 + n
-    v_sets: list[list[int]]              # q degree-balanced classes
-    v_of: list[int]                      # vertex -> class index
-    n_sets: dict[tuple[int, int], list[list[int]]]   # (i, j) -> node groups
-    n_ids: list[tuple[int, int, int]]    # lex-ordered (i, j, ell)
-    team_of: list[int]                   # node -> index of its team's N-id
-    p_parts: dict[int, list[list[int]]]  # N-id index -> member -> path part
+    q: int                       # largest q with q^3 <= n
+    alpha: Fraction              # m/q + n
+    beta: Fraction               # m/q^2 + n
+    v_sets: list[np.ndarray]     # q degree-balanced classes, each ascending
+    n_sets: np.ndarray           # [i, j]: N-sets of class pair (i, j)
+    ell: np.ndarray              # [v, j]: index of v's N-set towards V_j
+    team_of: np.ndarray          # node -> its team's N-id
+    holder: np.ndarray           # [k, ell]: member of team k whose path part holds line ell
 
 
 @dataclass
@@ -164,13 +163,12 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     words = engine.run_broadcast("tri.degrees", degree_word)
     degrees = [w[1] + w[2] for w in words]      # in- plus out-degree
     s_nz, t_nz = zip(*(divmod(w[3], base) for w in words))
-    v_sets = balanced_assignment(degrees, q, 2 * n)
-    cls_of = np.zeros(n, dtype=np.int64)       # u's class
-    pos = np.zeros(n, dtype=np.int64)          # u's position in its class
-    for i, members in enumerate(v_sets):
-        cls_of[members] = i
-        pos[members] = np.arange(len(members))
-    v_of = cls_of.tolist()
+    cls_of = balanced_labels(np.array([degrees], dtype=np.int64), q, 2 * n)[0]   # u's class
+    order = np.argsort(cls_of, kind="stable")  # the classes end to end
+    class_size = np.bincount(cls_of, minlength=q)
+    v_sets = np.split(order, np.cumsum(class_size)[:-1])
+    pos = np.empty(n, dtype=np.int64)          # u's position in its class
+    pos[order] = ranges(0, class_size)
 
     # Per-class degree profiles: out_cls[v, i] counts v's arcs to class i;
     # col_cls[v, i] the arcs of v's column from class i, row_cls[v, i]
@@ -186,7 +184,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
 
     # --- per-class out-edge counts feed the N-set partitions --------------
     def emit_vcounts(v, state, inbox):
-        members = v_sets[v_of[v]]
+        members = v_sets[cls_of[v]]
         # Own class only; the free self-message keeps every member's table
         # complete.
         j = np.arange(len(members) * q) % q
@@ -195,32 +193,27 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     engine.run_phase("tri.vcounts", emit_vcounts)
 
     def class_n_sets(i, inbox):
-        """N-partitions of class i towards every class j."""
-        members = v_sets[i]
+        """Class i's N-set count towards every class j, ceil(m_ij q^2 / m),
+        and each member's N-set index towards V_j, in class order."""
         vc = inbox.tag == _VC
         table = np.zeros((n, q), dtype=np.int64)       # [u, j]: u's arcs into V_j
         table[inbox.src[vc].astype(np.intp), inbox.i1[vc]] = inbox.i2[vc]
-        groups = []
-        for weights in table[members].T.tolist():
-            m_ij = sum(weights)
-            if m_ij == 0:
-                groups.append([])
-                continue
-            parts = math.ceil(Fraction(m_ij * Q, m))
-            groups.append([[members[idx] for idx in grp]
-                           for grp in balanced_assignment(weights, parts, max(weights))])
-        return groups
+        weights = table[v_sets[i]].T
+        # An edgeless graph has m = 0 and no N-sets.
+        counts = -(-weights.sum(axis=1) * Q // max(m, 1))
+        labels = np.zeros_like(weights)
+        for parts in set(counts[counts > 0].tolist()):
+            js = np.flatnonzero(counts == parts)
+            labels[js] = balanced_labels(weights[js], parts, weights.max())
+        return counts, labels.T
 
     # Members of one class all receive the same count table.
-    per_class = engine.derive_per_group(dict(enumerate(v_sets)), class_n_sets)
-    n_sets: dict[tuple[int, int], list[list[int]]] = {
-        (i, j): groups for i, by_j in per_class.items() for j, groups in enumerate(by_j)}
-
+    n_sets, labels = zip(*engine.derive_per_group(dict(enumerate(v_sets)),
+                                                  class_n_sets).values())
+    n_sets = np.stack(n_sets)                  # [i, j]: N-sets of pair (i, j)
     # ell[v, j]: the index of v's N-set towards class j, known to its class.
-    ell = np.zeros((n, q), dtype=np.int64)
-    for (i, j), groups in n_sets.items():
-        for index, members in enumerate(groups):
-            ell[members, j] = index
+    ell = np.empty((n, q), dtype=np.int64)
+    ell[order] = np.concatenate(labels)
 
     # --- N-set counts cross the classes, with fragments and packets -------
     # The degree words carry the line lengths, so the fragments are dealt
@@ -230,15 +223,15 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
                 for ids in higher_lines(v)]
 
     sides, emit_fragments = deal_fragments(n, s_nz, t_nz, own_lines)
-    # Arc v -> u is a packet for the team of N-id (v_of[v], v_of[u], ell[v,
-    # v_of[u]]), so node v sends d_out(v) packets, a count every node has
-    # from the degree words (``packet_allocation``).
+    # Arc v -> u is a packet for the team of N-id (cls_of[v], cls_of[u],
+    # ell[v, cls_of[u]]), so node v sends d_out(v) packets, a count every
+    # node has from the degree words (``packet_allocation``).
     cap, starts = packet_allocation([w[2] for w in words])
 
     def emit_subseq(v, state, inbox):
         # Position p of class V_i reports to every u with pos[u] % |V_i| == p.
-        targets = np.flatnonzero(pos % len(v_sets[v_of[v]]) == pos[v])
-        counts = np.array([len(n_sets[(v_of[v], j)]) for j in range(q)])
+        targets = np.flatnonzero(pos % class_size[cls_of[v]] == pos[v])
+        counts = n_sets[cls_of[v]]
         j = np.arange(len(targets) * q) % q
         out = np.array(G.out_adj[v], dtype=np.int64)
         # Count words and packets carry no value: False keeps the fragments'
@@ -253,32 +246,31 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # LearnPaths' dealing names the phase; counts and packets ride along.
     engine.run_phase("tri.lp.subseq", emit_subseq)
 
-    def n_id_list(_key, inbox):
+    def n_set_counts(_key, inbox):
         nc = inbox.tag == _NC
-        cnt = inbox.i2[nc]
-        ids = (np.repeat(cls_of[inbox.src[nc].astype(np.intp)], cnt),
-               np.repeat(inbox.i1[nc], cnt), ranges(0, cnt))
-        order = np.lexsort(ids[::-1])
-        return list(zip(*(x[order].tolist() for x in ids)))
+        counts = np.zeros((q, q), dtype=np.int64)      # [i, j]: N-sets of (i, j)
+        counts[cls_of[inbox.src[nc].astype(np.intp)], inbox.i1[nc]] = inbox.i2[nc]
+        return counts.ravel()
 
-    # Every N-id, from the count words: each node hears one member of every
-    # class, so all n nodes receive the same q^2.
-    n_ids = engine.derive_per_group({0: range(n)}, n_id_list)[0]
-    K = len(n_ids)
+    # The N-set count table, from the count words: each node hears one
+    # member of every class, so all n nodes receive the same q^2.  The
+    # N-ids (i, j, ell) run in lex order, those of pair (i, j) from
+    # first[i * q + j].
+    counts = engine.derive_per_group({0: range(n)}, n_set_counts)[0]
+    K = int(counts.sum())
     assert K <= min(2 * Q, n)
+    first = np.cumsum(counts) - counts
+    i_of, j_of = divmod(np.repeat(np.arange(Q), counts), q)
     # N-id k's team is the k-th run of ``grid_cells(n, 1, K)``: floor(n/K)
     # or ceil(n/K) >= floor(q/2) consecutive nodes.  An edgeless graph has
     # no N-ids, so no teams: ``team_of`` is empty and no node asks for paths.
     team_of = grid_cells(n, 1, K)[:, 1] if K else np.zeros(0, dtype=np.int64)
     team_size = np.bincount(team_of, minlength=K)
     team_start = np.cumsum(team_size) - team_size
-    i_of, j_of, _ = np.array(n_ids, dtype=np.int64).reshape(-1, 3).T
-    # first[i * q + j]: the first N-id of class pair (i, j), in lex order.
-    first = np.searchsorted(i_of * q + j_of, np.arange(Q))
 
     # --- LearnEdges: team forwarding --------------------------------------
     # Fragment endpoints are filed by class, the filter of every response.
-    ingest = bucket_fragments(sides, v_of, v_of)
+    ingest = bucket_fragments(sides, cls_of, cls_of)
 
     def forward(v, state, inbox):
         ingest(v, state, inbox)
@@ -310,24 +302,21 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     engine.run_phase("tri.psums", psums)
 
     def team_paths(k, inbox):
-        """Team k's path partition, one part per member, from the path counts."""
-        scalars = np.zeros(n, dtype=np.int64)
-        scalars[inbox.src.astype(np.intp)] = inbox.i1
-        return balanced_assignment(scalars.tolist(), int(team_size[k]), 2 * n)
+        """Team k's path counts, one weight per line."""
+        weights = np.zeros(n, dtype=np.int64)
+        weights[inbox.src.astype(np.intp)] = inbox.i1
+        return weights
 
     # Members of one team all receive the same path counts.
-    p_parts = engine.derive_per_group(
+    path_weights = engine.derive_per_group(
         {k: range(team_start[k], team_start[k] + team_size[k]) for k in range(K)}, team_paths)
 
     # --- LearnPaths: each member asks for the lines of its path part ------
     # holder[k, ell]: the member of team k whose path part holds line ell.
-    holder = np.empty((K, n), dtype=node_dtype(n))
-    for k, parts in p_parts.items():
-        for place, part in enumerate(parts):
-            holder[k, part] = team_start[k] + place
+    holder = stripe(team_size, lambda ks: np.stack([path_weights[k] for k in ks]), n)
     every = [np.ones((K, len(side.origin)), dtype=np.bool_) for side in sides]
     engine.run_phase("tri.lp.request", fragment_requests(sides, holder, every))
-    del holder, every
+    del path_weights, every
 
     # In-edges of the path part come from V_j, out-edges go to V_i.
     answer = fragment_responder(sides, j_of[team_of], i_of[team_of])
@@ -342,7 +331,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     # --- each member closes its cycles locally, node by node --------------
     # Learned edges are freed node by node as they are joined.
     mail = engine.drain_inboxes()
-    width = max(map(len, v_sets))
+    width = class_size.max()
     none = np.zeros(0, dtype=np.int64)
     found = [(none, none, none)]
     for v, (xs, ys) in enumerate(learned):
@@ -355,7 +344,7 @@ def list_triangles(G: Graph, engine: CliqueEngine | None = None) -> TriangleResu
     del mail, inbox
 
     state_view = TriplePartitionState(
-        n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, v_of=v_of,
-        n_sets=n_sets, n_ids=n_ids, team_of=team_of.tolist(), p_parts=p_parts)
+        n=n, m=m, q=q, alpha=alpha, beta=beta, v_sets=v_sets, n_sets=n_sets,
+        ell=ell, team_of=team_of, holder=holder)
     triangles = set(zip(*(np.concatenate(col).tolist() for col in zip(*found))))
     return TriangleResult(triangles, state_view, engine.ledger.since(mark))

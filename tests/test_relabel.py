@@ -1,7 +1,7 @@
 """Relabelling the nodes relabels the outputs the same way.
 
-The ledger is not invariant under relabelling (``balanced_assignment``
-breaks ties by index), but the product and the triangle set are
+The ledger is not invariant under relabelling (``balanced_labels``
+breaks weight ties by index), but the product and the triangle set are
 equivariant, and the relabelled smm run still meets criterion 3's load
 lemmas.
 """

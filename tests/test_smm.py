@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cliquemul import oracle
 from cliquemul.cli import generate_matrix
-from cliquemul.engine import CliqueEngine, Delivery, Inbox, SimulationError
+from cliquemul.engine import CliqueEngine, Delivery, Inbox, SimulationError, node_dtype
+from cliquemul.partition import balanced_labels
 from cliquemul.semiring import (Semiring, boolean_semiring, counting_semiring,
                                 min_plus_semiring)
 from cliquemul.smm import (
@@ -24,6 +25,7 @@ from cliquemul.smm import (
     grid_cells,
     ranges,
     smm,
+    stripe,
 )
 from cliquemul.sparse import DimensionError, SparseMatrix, value_column
 
@@ -114,6 +116,31 @@ def test_grid_cells_uneven_groups():
             sizes[(i, j)] = k + 1
         assert len(sizes) == a * b
         assert set(sizes.values()) <= {n // (a * b), -(-n // (a * b))}
+
+
+def test_stripe_groups_by_size():
+    # One-node groups among groups of 2, 3 and 5 nodes, sizes in no order:
+    # the groups of one size are striped in one call, a one-node group
+    # holds every line without its weights being asked for.
+    sizes = np.array([1, 3, 2, 1, 5, 3, 2, 1, 5])
+    n = int(sizes.sum())
+    weights = np.random.default_rng(3).integers(0, 2 * n + 1, size=(len(sizes), n))
+    asked = []
+
+    def weights_of(cs):
+        asked.extend(cs.tolist())
+        return weights[cs]
+
+    holder = stripe(sizes, weights_of, n)
+    assert holder.dtype == node_dtype(n) and holder.shape == (len(sizes), n)
+    assert sorted(asked) == np.flatnonzero(sizes > 1).tolist()
+    start = np.cumsum(sizes) - sizes
+    for c, g in enumerate(sizes.tolist()):
+        if g == 1:
+            assert (holder[c] == start[c]).all()
+        else:
+            want = start[c] + balanced_labels(weights[c:c + 1], g, 2 * n)[0]
+            assert holder[c].tolist() == want.tolist()
 
 
 # -- subsequence table ------------------------------------------------------

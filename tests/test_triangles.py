@@ -144,14 +144,17 @@ def test_partition_state_invariants():
         for cls in S.v_sets:
             assert sum(G.d_out(v) + G.d_in(v) for v in cls) <= 2 * S.alpha
 
-        # every N-set carries at most beta edges into its target class
-        for (i, j), groups in S.n_sets.items():
-            tgt = set(S.v_sets[j])
-            for grp in groups:
-                mass = sum(1 for v in grp for u in G.out_adj[v] if u in tgt)
-                assert mass <= S.beta
+        # every N-set carries at most beta edges into its target class; its
+        # members are the class members that ``ell`` gives its index
+        for i, cls in enumerate(S.v_sets):
+            for j, tgt in enumerate(S.v_sets):
+                tgt = set(tgt.tolist())
+                for index in range(S.n_sets[i, j]):
+                    grp = cls[S.ell[cls, j] == index].tolist()
+                    mass = sum(1 for v in grp for u in G.out_adj[v] if u in tgt)
+                    assert mass <= S.beta
 
-        assert len(S.n_ids) <= 2 * Q
+        assert S.n_sets.sum() <= 2 * Q
         assert_one_team_per_n_id(S)
 
 
@@ -159,17 +162,20 @@ def assert_one_team_per_n_id(S):
     """The teams are consecutive runs of floor(n/K) or ceil(n/K) nodes,
     one per N-id, and each splits all n vertices into one path part per
     member, of floor or ceil of n over the team size."""
-    n, K = S.n, len(S.n_ids)
+    n, K = S.n, int(S.n_sets.sum())
     if K == 0:
-        assert S.team_of == [] and S.p_parts == {}
+        assert len(S.team_of) == 0 and S.holder.shape == (0, n)
         return
-    assert len(S.team_of) == n and S.team_of == sorted(S.team_of)
-    sizes = [S.team_of.count(k) for k in range(K)]
+    team_of = S.team_of.tolist()
+    assert len(team_of) == n and team_of == sorted(team_of)
+    sizes = [team_of.count(k) for k in range(K)]
     assert set(sizes) <= {n // K, -(-n // K)} and sum(sizes) == n
     # K <= 2q^2 and n >= q^3 give floor(n/K) >= floor(q/2), no more.
     assert min(sizes) >= S.q // 2
-    assert sorted(S.p_parts) == list(range(K))
-    for k, parts in S.p_parts.items():
+    assert S.holder.shape == (K, n)
+    for k, row in enumerate(S.holder):
+        # Member v's path part: the lines its team's holder row gives it.
+        parts = [np.flatnonzero(row == v).tolist() for v in range(n) if team_of[v] == k]
         assert len(parts) == sizes[k]
         assert sorted(x for p in parts for x in p) == list(range(n))
         assert {len(p) for p in parts} <= {n // sizes[k], -(-n // sizes[k])}
@@ -184,7 +190,7 @@ def assert_one_team_per_n_id(S):
 ], ids=["n27_K13", "n64_K23", "edgeless", "one_arc", "n27_K14"])
 def test_one_team_per_n_id(G, K):
     res = list_triangles(G)
-    assert len(res.state.n_ids) == K
+    assert res.state.n_sets.sum() == K
     assert_one_team_per_n_id(res.state)
     assert res.triangles == oracle.enumerate_triangles(G)
 
@@ -227,9 +233,9 @@ def test_count_and_path_count_loads(n):
         loads = {r.label: (r.max_send, r.max_recv) for r in res.records}
         widest = max(map(len, res.state.v_sets))
         assert max(loads["tri.vcounts"]) <= (widest - 1) * res.state.q, (n, m)
-        psums = n - 1 if res.state.n_ids else 0
+        psums = n - 1 if res.state.n_sets.any() else 0
         assert loads["tri.psums"] == (psums, psums), (n, m)
-        assert bool(res.state.n_ids) == (m > 0)
+        assert res.state.n_sets.any() == (m > 0)
 
 
 @pytest.mark.parametrize("n, m", [(10, 60), (20, 150), (65, 4000), (100, 900)])
